@@ -7,7 +7,8 @@ lands in the config's out_dir. CSV artifacts begin with a comment line
 carrying the config hash, the seed, and the package version; JSON artifacts
 carry the same fields in a "meta" object. The config hash ignores out_dir,
 so the same inputs and settings yield byte-identical artifacts wherever they
-are written.
+are written. Each command also writes manifest_<command>.json, listing the
+files it read and the artifacts it wrote.
 
 Exit codes: 0 on success, 2 when a required input or upstream artifact is
 missing, 3 when configuration or data fails validation.
@@ -16,7 +17,6 @@ missing, 3 when configuration or data fails validation.
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import logging
@@ -29,6 +29,7 @@ from .corpus import (ContextMatch, TargetSpec, UNIT_POLICIES,
                      dedupe_documents, frequency_filter, generate_variants,
                      match_contexts, pnc_match_counts, read_corpus_jsonl,
                      read_matches_csv, read_targets_csv, write_matches_csv)
+from .csvio import read_csv, write_csv
 from .errors import (ParseError, PncValenceError, UndefinedCorrelationError,
                      ValidationError)
 from .lexicon import DUPLICATE_POLICIES, load_lexicon, read_tagged_contexts
@@ -68,9 +69,6 @@ class MissingArtifactError(PncValenceError):
     """A required input file or upstream artifact does not exist."""
 
 
-_OVERRIDE_KEYS = ("min_freq", "seed", "unit_policy", "compare_mode", "epsilon",
-                  "out_dir", "workers")
-
 _DEFAULTS: dict[str, object] = {
     "min_freq": 1,
     "seed": 0,
@@ -80,7 +78,6 @@ _DEFAULTS: dict[str, object] = {
     "dedupe_urls": True,
     "duplicate_policy": "first_wins",
     "pooling": "bag",
-    "workers": 1,
     "top_k_words": 10,
     "compare_mode": "sign_class",
     "epsilon": 0.0,
@@ -89,13 +86,33 @@ _DEFAULTS: dict[str, object] = {
     "out_dir": "out",
 }
 
+# keys the config's nested objects may set, with the types their values take
+_NUMBER = (int, float)
+_BLOCK_TYPES: dict[str, dict[str, type | tuple[type, ...]]] = {
+    "elasticnet": {"n_candidates": int, "n_repeats": int, "n_folds": int,
+                   "scoring": str},
+    "service": {"base_url": str, "model_id": str, "batch_size": int,
+                "max_retries": int, "timeout": _NUMBER, "backoff_base": _NUMBER,
+                "backoff_cap": _NUMBER},
+}
+
+
+def _strings(value: object) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
 
 class RunConfig:
-    """Flat JSON run configuration plus CLI overrides."""
+    """Flat JSON run configuration plus CLI overrides.
+
+    It also records the files a command reads (inputs) and the artifacts it
+    writes (outputs) as their paths are resolved, for the command's manifest.
+    """
 
     def __init__(self, data: dict, config_dir: Path):
         self.data = data
         self.config_dir = config_dir
+        self.inputs: list[Path] = []
+        self.outputs: list[Path] = []
 
     @classmethod
     def load(cls, path: str, overrides: Mapping[str, object]) -> "RunConfig":
@@ -118,29 +135,45 @@ class RunConfig:
         return cfg
 
     def _validate(self) -> None:
-        d = self.data
-        if not isinstance(d["min_freq"], int) or d["min_freq"] < 1:
-            raise ValidationError("min_freq must be an integer >= 1")
-        if not isinstance(d["seed"], int):
-            raise ValidationError("seed must be an integer")
-        if d["unit_policy"] not in UNIT_POLICIES:
-            raise ValidationError(
-                f"unit_policy must be one of {UNIT_POLICIES}, got {d['unit_policy']!r}")
-        if d["duplicate_policy"] not in DUPLICATE_POLICIES:
-            raise ValidationError(
-                f"duplicate_policy must be one of {DUPLICATE_POLICIES}")
-        if d["pooling"] not in POOLING_MODES:
-            raise ValidationError(f"pooling must be one of {POOLING_MODES}")
-        if d["compare_mode"] not in COMPARE_MODES:
-            raise ValidationError(f"compare_mode must be one of {COMPARE_MODES}")
-        if not isinstance(d["workers"], int) or d["workers"] < 1:
-            raise ValidationError("workers must be an integer >= 1")
-        epsilon = d["epsilon"]
-        if not isinstance(epsilon, (int, float)) or epsilon < 0:
-            raise ValidationError("epsilon must be a number >= 0")
+        def require(ok: bool, message: str) -> None:
+            if not ok:
+                raise ValidationError(message)
+
+        for key in ("min_freq", "top_k_words"):
+            require(isinstance(self[key], int) and self[key] >= 1,
+                    f"{key} must be an integer >= 1")
+        require(isinstance(self["seed"], int), "seed must be an integer")
+        epsilon = self["epsilon"]
+        require(isinstance(epsilon, _NUMBER) and epsilon >= 0,
+                "epsilon must be a number >= 0")
+        for key, choices in (("unit_policy", UNIT_POLICIES),
+                             ("duplicate_policy", DUPLICATE_POLICIES),
+                             ("pooling", POOLING_MODES),
+                             ("compare_mode", COMPARE_MODES)):
+            require(self[key] in choices,
+                    f"{key} must be one of {choices}, got {self[key]!r}")
+        for key in ("case_insensitive", "include_overlaps", "dedupe_urls"):
+            require(isinstance(self[key], bool), f"{key} must be true or false")
+        for key in ("annotators", "label_files", "univariate_predictors"):
+            require(_strings(self.get(key, [])), f"{key} must be a list of strings")
+        for key in ("human_label_file", "elasticnet_formula"):
+            require(isinstance(self.get(key, ""), str), f"{key} must be a string")
+        specs = self.get("model_specs", [])
+        require(isinstance(specs, list)
+                and all(_strings(s) and len(s) == 2 for s in specs),
+                "model_specs must be a list of [name, formula] pairs")
+        for block, types in _BLOCK_TYPES.items():
+            settings = self.get(block, {})
+            require(isinstance(settings, dict), f"{block} must be an object")
+            for key, value in settings.items():
+                require(key in types and isinstance(value, types[key]),
+                        f"{block}.{key}: unknown setting or wrong type ({value!r})")
+        require(not self.get("service") or "base_url" in self.get("service"),
+                "service.base_url is required")
 
     # config identity: everything that shapes artifact content. Where the
-    # artifacts land and how many threads compute them do not.
+    # artifacts land does not, nor does "workers", a key that is accepted and
+    # ignored so that configs which still set it keep their hash.
     @property
     def hash(self) -> str:
         hashed = {k: v for k, v in self.data.items()
@@ -153,6 +186,9 @@ class RunConfig:
     def out_dir(self) -> Path:
         return (self.config_dir / str(self.data["out_dir"])).resolve()
 
+    def __getitem__(self, key: str):
+        return self.data[key]
+
     def get(self, key: str, default=None):
         return self.data.get(key, default)
 
@@ -161,9 +197,14 @@ class RunConfig:
         raw = self.data.get(key)
         if not raw:
             raise ValidationError(f"config lacks required key {key!r}")
+        return self.input_file(raw, key)
+
+    def input_file(self, raw: object, what: str) -> Path:
+        """Resolve an input file given relative to the config file."""
         p = (self.config_dir / str(raw)).resolve()
         if not p.is_file():
-            raise MissingArtifactError(f"{key} file not found: {p}")
+            raise MissingArtifactError(f"{what} file not found: {p}")
+        self.inputs.append(p)
         return p
 
     def artifact_path(self, name: str) -> Path:
@@ -172,6 +213,14 @@ class RunConfig:
         if not p.is_file():
             raise MissingArtifactError(
                 f"missing upstream artifact {name}; run the producing command first ({p})")
+        self.inputs.append(p)
+        return p
+
+    def output_path(self, name: str) -> Path:
+        """Path for an artifact about to be written to out_dir."""
+        p = self.out_dir / name
+        p.parent.mkdir(parents=True, exist_ok=True)
+        self.outputs.append(p)
         return p
 
     def comment(self) -> str:
@@ -192,20 +241,13 @@ def _sha256(path: Path) -> str:
 
 def write_csv_artifact(cfg: RunConfig, name: str, header: Sequence[str],
                        rows: Iterable[Sequence[object]]) -> Path:
-    path = cfg.out_dir / name
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(f"# {cfg.comment()}\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow(row)
+    path = cfg.output_path(name)
+    write_csv(str(path), header, rows, cfg.comment())
     return path
 
 
 def write_json_artifact(cfg: RunConfig, name: str, payload: dict) -> Path:
-    path = cfg.out_dir / name
-    path.parent.mkdir(parents=True, exist_ok=True)
+    path = cfg.output_path(name)
     body = {"meta": cfg.meta()}
     body.update(payload)
     with open(path, "w", encoding="utf-8") as fh:
@@ -214,25 +256,32 @@ def write_json_artifact(cfg: RunConfig, name: str, payload: dict) -> Path:
     return path
 
 
-def write_manifest(cfg: RunConfig, command: str, inputs: Sequence[Path],
-                   outputs: Sequence[Path]) -> Path:
+def write_manifest(cfg: RunConfig, command: str) -> None:
     # file names only: manifests must not vary with where the tree lives
     payload = {
         "command": command,
         "inputs": [{"file": p.name, "sha256": _sha256(p)}
-                   for p in sorted(set(inputs), key=lambda p: p.name)],
-        "outputs": sorted(p.name if p.parent == cfg.out_dir
-                          else str(p.relative_to(cfg.out_dir)) for p in outputs),
+                   for p in sorted(set(cfg.inputs), key=lambda p: p.name)],
+        "outputs": sorted(str(p.relative_to(cfg.out_dir)) for p in cfg.outputs),
     }
-    return write_json_artifact(cfg, f"manifest_{command}.json", payload)
+    write_json_artifact(cfg, f"manifest_{command}.json", payload)
+
+
+def _read_table(path: Path, fields: Sequence[str]) -> list[dict[str, str]]:
+    """The given columns of every row of a CSV artifact, in that order."""
+    def parse(row):
+        values = {f: row[f] for f in fields}
+        if None in values.values():
+            raise ValueError("missing values")
+        return values
+    return read_csv(str(path), fields, parse)
 
 
 # ---------------------------------------------------------------------------
 # commands
 
-def cmd_variants(cfg: RunConfig) -> int:
-    targets_path = cfg.input_path("targets")
-    targets = read_targets_csv(str(targets_path))
+def cmd_variants(cfg: RunConfig) -> None:
+    targets = read_targets_csv(str(cfg.input_path("targets")))
     rows = []
     for target in targets:
         vs = generate_variants(target)
@@ -240,58 +289,54 @@ def cmd_variants(cfg: RunConfig) -> int:
             rows.append([target.target_id, position, variant, heuristic])
     out = write_csv_artifact(cfg, "variants.csv",
                              ["target_id", "position", "variant", "heuristic"], rows)
-    write_manifest(cfg, "variants", [targets_path], [out])
     print(f"variants: {len(rows)} rows for {len(targets)} targets -> {out}")
-    return EXIT_OK
 
 
-def cmd_match(cfg: RunConfig) -> int:
+def cmd_match(cfg: RunConfig) -> None:
     targets_path = cfg.input_path("targets")
     corpus_path = cfg.input_path("corpus")
     targets = read_targets_csv(str(targets_path))
     corpus = read_corpus_jsonl(str(corpus_path))
     n_raw = len(corpus)
-    if cfg.get("dedupe_urls", True):
+    if cfg["dedupe_urls"]:
         corpus = dedupe_documents(corpus)
         if len(corpus) != n_raw:
             logger.info("url dedupe removed %d document(s)", n_raw - len(corpus))
     matches = match_contexts(
-        corpus, targets, str(cfg.get("unit_policy")),
-        case_insensitive=bool(cfg.get("case_insensitive")),
-        include_overlaps=bool(cfg.get("include_overlaps")),
-        workers=int(cfg.get("workers", 1)))
-    matches_path = cfg.out_dir / "matches.csv"
-    matches_path.parent.mkdir(parents=True, exist_ok=True)
+        corpus, targets, cfg["unit_policy"],
+        case_insensitive=cfg["case_insensitive"],
+        include_overlaps=cfg["include_overlaps"])
+    matches_path = cfg.output_path("matches.csv")
     write_matches_csv(matches, str(matches_path), header_comment=cfg.comment())
 
-    min_freq = int(cfg.get("min_freq", 1))
+    min_freq = cfg["min_freq"]
     retained, _ = frequency_filter(matches, min_freq, targets)
     counts = pnc_match_counts(matches)
     retained_set = set(retained)
     freq_rows = [[t.target_id, counts.get(t.target_id, 0), min_freq,
                   str(t.target_id in retained_set).lower()]
                  for t in targets]
-    freq_path = write_csv_artifact(
+    write_csv_artifact(
         cfg, "freq_report.csv",
         ["target_id", "n_pnc_matches", "min_freq", "retained"], freq_rows)
-    write_manifest(cfg, "match", [targets_path, corpus_path],
-                   [matches_path, freq_path])
     print(f"match: {len(matches)} matches over {len(corpus)} documents; "
           f"{len(retained)} of {len(targets)} targets pass min_freq={min_freq} "
           f"-> {matches_path}")
-    return EXIT_OK
 
 
 def _retained_matches(cfg: RunConfig, targets: Sequence[TargetSpec],
                       matches: Sequence[ContextMatch],
                       ) -> tuple[list[ContextMatch], list[str], list[str]]:
-    min_freq = int(cfg.get("min_freq", 1))
-    retained, dropped = frequency_filter(matches, min_freq, targets)
+    retained, dropped = frequency_filter(matches, cfg["min_freq"], targets)
     keep = set(retained)
     return [m for m in matches if m.target_id in keep], retained, dropped
 
 
-def cmd_score(cfg: RunConfig) -> int:
+_DOMAIN_FIELDS = ("group", "n", "n_negative", "n_positive", "n_zero",
+                  "mean_delta", "pct_negative", "pct_positive")
+
+
+def cmd_score(cfg: RunConfig) -> None:
     targets_path = cfg.input_path("targets")
     lexicon_path = cfg.input_path("lexicon")
     tagged_path = cfg.input_path("tagged_contexts")
@@ -299,14 +344,14 @@ def cmd_score(cfg: RunConfig) -> int:
 
     targets = read_targets_csv(str(targets_path))
     lexicon = load_lexicon(str(lexicon_path),
-                           duplicate_policy=str(cfg.get("duplicate_policy")),
-                           seed=int(cfg.get("seed", 0)))
+                           duplicate_policy=cfg["duplicate_policy"],
+                           seed=cfg["seed"])
     tagged = {c.doc_id: c for c in read_tagged_contexts(str(tagged_path))}
     matches = read_matches_csv(str(matches_path))
     matches, retained, dropped = _retained_matches(cfg, targets, matches)
 
     scores, score_notes = target_valence(
-        targets, matches, tagged, lexicon, pooling=str(cfg.get("pooling")))
+        matches, tagged, lexicon, pooling=cfg["pooling"])
     deltas, delta_notes = compute_deltas(scores, targets, lexicon)
     summaries, domain_notes = domain_summary(deltas, targets)
 
@@ -316,78 +361,64 @@ def cmd_score(cfg: RunConfig) -> int:
         cfg, "scores.csv",
         ["target_id", "kind", "approach", "valence", "n_contexts", "n_context_lemmas"],
         score_rows)
-    deltas_out = _write_deltas(cfg, "deltas.csv", deltas)
+    _write_deltas(cfg, "deltas.csv", deltas)
 
-    exclusion_rows = ([["frequency", t, f"fewer than {cfg.get('min_freq')} compound matches"]
-                       for t in dropped]
-                      + [["score", note.split(":", 1)[0], note.split(":", 1)[1].strip()]
-                         for note in score_notes]
-                      + [["delta", note.split(":", 1)[0], note.split(":", 1)[1].strip()]
-                         for note in delta_notes]
-                      + [["domain", note.split(":", 1)[0], note.split(":", 1)[1].strip()]
-                         for note in domain_notes])
-    exclusions_out = write_csv_artifact(cfg, "exclusions.csv",
-                                        ["stage", "item", "reason"], exclusion_rows)
+    exclusion_rows = [["frequency", t, f"fewer than {cfg['min_freq']} compound matches"]
+                      for t in dropped]
+    for stage, notes in (("score", score_notes), ("delta", delta_notes),
+                         ("domain", domain_notes)):
+        for note in notes:
+            item, reason = note.split(":", 1)
+            exclusion_rows.append([stage, item, reason.strip()])
+    write_csv_artifact(cfg, "exclusions.csv", ["stage", "item", "reason"],
+                       exclusion_rows)
 
     summary_rows = [[s.group, s.n, s.n_negative, s.n_positive, s.n_zero,
                      fmt_val(s.mean_delta), fmt_pct(s.pct_negative),
                      fmt_pct(s.pct_positive)] for s in summaries]
-    summary_out = write_csv_artifact(
-        cfg, "domain_summary.csv",
-        ["group", "n", "n_negative", "n_positive", "n_zero", "mean_delta",
-         "pct_negative", "pct_positive"], summary_rows)
+    write_csv_artifact(cfg, "domain_summary.csv", _DOMAIN_FIELDS, summary_rows)
 
     word_rows = []
-    top_k = int(cfg.get("top_k_words", 10))
     for target_id in retained:
         for kind in KINDS:
             for lemma, count, val in frequent_context_words(
-                    target_id, kind, matches, tagged, k=top_k, lexicon=lexicon):
+                    target_id, kind, matches, tagged, k=cfg["top_k_words"],
+                    lexicon=lexicon):
                 word_rows.append([target_id, kind, lemma, count, fmt_val(val)])
-    words_out = write_csv_artifact(
-        cfg, "frequent_words.csv",
-        ["target_id", "kind", "lemma", "count", "valence"], word_rows)
+    write_csv_artifact(cfg, "frequent_words.csv",
+                       ["target_id", "kind", "lemma", "count", "valence"], word_rows)
 
-    corr_out = _write_correlations(cfg, deltas)
-
-    write_manifest(cfg, "score",
-                   [targets_path, lexicon_path, tagged_path, matches_path],
-                   [scores_out, deltas_out, exclusions_out, summary_out,
-                    words_out, corr_out])
+    _write_correlations(cfg, deltas)
     print(f"score: {len(scores)} scores, {len(deltas)} deltas "
           f"({len(exclusion_rows)} exclusions) -> {scores_out.parent}")
-    return EXIT_OK
 
 
 _DELTA_FIELDS = ["target_id", "approach", "pnc_valence", "name_valence", "delta",
                  "modifier_valence", "modifier_delta"]
 
 
-def _write_deltas(cfg: RunConfig, name: str, deltas: Sequence[DeltaRecord]) -> Path:
+def _write_deltas(cfg: RunConfig, name: str, deltas: Sequence[DeltaRecord]) -> None:
     rows = [[d.target_id, d.approach, fmt_val(d.pnc_valence), fmt_val(d.name_valence),
              fmt_val(d.delta), fmt_val(d.modifier_valence), fmt_val(d.modifier_delta)]
             for d in deltas]
-    return write_csv_artifact(cfg, name, _DELTA_FIELDS, rows)
+    write_csv_artifact(cfg, name, _DELTA_FIELDS, rows)
+
+
+def _optional_float(raw: str) -> float | None:
+    return float(raw) if raw != "" else None
 
 
 def _read_deltas(path: Path) -> list[DeltaRecord]:
-    deltas = []
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(line for line in fh if not line.startswith("#"))
-        for row in reader:
-            deltas.append(DeltaRecord(
-                target_id=row["target_id"], approach=row["approach"],
-                pnc_valence=float(row["pnc_valence"]),
-                name_valence=float(row["name_valence"]),
-                delta=float(row["delta"]),
-                modifier_valence=float(row["modifier_valence"])
-                if row["modifier_valence"] else None,
-                modifier_delta=float(row["modifier_delta"])
-                if row["modifier_delta"] else None))
-    return deltas
+    return read_csv(str(path), _DELTA_FIELDS, lambda row: DeltaRecord(
+        target_id=row["target_id"], approach=row["approach"],
+        pnc_valence=float(row["pnc_valence"]),
+        name_valence=float(row["name_valence"]),
+        delta=float(row["delta"]),
+        modifier_valence=_optional_float(row["modifier_valence"]),
+        modifier_delta=_optional_float(row["modifier_delta"])))
 
 
-def _write_correlations(cfg: RunConfig, deltas: Sequence[DeltaRecord]) -> Path:
+def _write_correlations(cfg: RunConfig, deltas: Sequence[DeltaRecord]) -> None:
     pairs = (
         ("pnc_valence_vs_name_valence",
          [d.pnc_valence for d in deltas], [d.name_valence for d in deltas]),
@@ -407,63 +438,45 @@ def _write_correlations(cfg: RunConfig, deltas: Sequence[DeltaRecord]) -> Path:
                 continue
             rows.append([label, res.method, res.n, fmt_val(res.coefficient),
                          fmt_p(res.p_value)])
-    return write_csv_artifact(
+    write_csv_artifact(
         cfg, "correlations.csv",
         ["pair", "method", "n", "coefficient", "p_value"], rows)
 
 
-def cmd_sentiment(cfg: RunConfig) -> int:
+def cmd_sentiment(cfg: RunConfig) -> None:
     matches_path = cfg.artifact_path("matches.csv")
-    targets_path = cfg.input_path("targets")
-    targets = read_targets_csv(str(targets_path))
+    targets = read_targets_csv(str(cfg.input_path("targets")))
     matches = read_matches_csv(str(matches_path))
     matches, _retained, _dropped = _retained_matches(cfg, targets, matches)
     kinds = kind_index(matches)
 
-    inputs = [matches_path, targets_path]
-    outputs: list[Path] = []
-
     model_records: dict[str, list] = {}
-    for rel in cfg.get("label_files", []):
-        p = (cfg.config_dir / str(rel)).resolve()
-        if not p.is_file():
-            raise MissingArtifactError(f"label file not found: {p}")
-        inputs.append(p)
-        for rec in read_label_jsonl(str(p)):
+    for rel in cfg["label_files"]:
+        for rec in read_label_jsonl(str(cfg.input_file(rel, "label"))):
             model_records.setdefault(rec.source_id, []).append(rec)
 
     service = cfg.get("service")
     if service:
-        live_records = _classify_live(cfg, service, matches, kinds)
-        live_path = cfg.out_dir / "labels_live.jsonl"
-        live_path.parent.mkdir(parents=True, exist_ok=True)
-        with open(live_path, "w", encoding="utf-8") as fh:
-            for rec in live_records:
-                fh.write(json.dumps({
-                    "target_id": rec.target_id, "context_id": rec.context_id,
-                    "label": rec.label, "source_id": rec.source_id},
-                    ensure_ascii=False) + "\n")
-        outputs.append(live_path)
+        live_records = _classify_live(cfg, service, matches)
+        cfg.output_path("labels_live.jsonl").write_text("".join(
+            json.dumps({"target_id": rec.target_id, "context_id": rec.context_id,
+                        "label": rec.label, "source_id": rec.source_id},
+                       ensure_ascii=False) + "\n"
+            for rec in live_records), encoding="utf-8")
         for rec in live_records:
             model_records.setdefault(rec.source_id, []).append(rec)
 
     human_records = []
     human_rel = cfg.get("human_label_file")
     if human_rel:
-        p = (cfg.config_dir / str(human_rel)).resolve()
-        if not p.is_file():
-            raise MissingArtifactError(f"human label file not found: {p}")
-        inputs.append(p)
-        human_records = read_label_jsonl(str(p))
+        human_records = read_label_jsonl(str(cfg.input_file(human_rel, "human label")))
 
     scores: list[ScoreRecord] = []
     for source_id in sorted(model_records):
         scores.extend(_label_scores(model_records[source_id], kinds,
                                     f"plm:{source_id}"))
     if human_records:
-        annotators = [str(a) for a in cfg.get("annotators", [])]
-        if not annotators:
-            annotators = sorted({r.source_id for r in human_records})
+        annotators = cfg["annotators"] or sorted({r.source_id for r in human_records})
         pooled = pool_annotators(human_records, annotators)
         scores.extend(_label_scores(pooled, kinds, "human"))
 
@@ -473,37 +486,16 @@ def cmd_sentiment(cfg: RunConfig) -> int:
     scores_out = write_csv_artifact(
         cfg, "plm_scores.csv",
         ["target_id", "kind", "approach", "valence", "n_contexts"], score_rows)
-    outputs.append(scores_out)
 
     deltas, delta_notes = compute_deltas(scores)
-    deltas_out = _write_deltas(cfg, "plm_deltas.csv", deltas)
-    outputs.append(deltas_out)
+    _write_deltas(cfg, "plm_deltas.csv", deltas)
     for note in delta_notes:
         logger.info("sentiment delta: %s", note)
 
-    all_deltas = list(deltas)
-    norms_deltas_path = cfg.out_dir / "deltas.csv"
-    if norms_deltas_path.is_file():
-        all_deltas.extend(_read_deltas(norms_deltas_path))
-        inputs.append(norms_deltas_path)
-    breakdown = sign_breakdown(all_deltas)
-    breakdown_rows = [[b.approach, b.n, b.n_negative, b.n_positive, b.n_zero,
-                       fmt_pct(b.pct_negative), fmt_pct(b.pct_positive),
-                       fmt_pct(b.pct_zero)] for b in breakdown]
-    breakdown_out = write_csv_artifact(
-        cfg, "sign_breakdown.csv",
-        ["approach", "n", "n_negative", "n_positive", "n_zero",
-         "pct_delta_negative", "pct_delta_positive", "pct_delta_zero"],
-        breakdown_rows)
-    outputs.append(breakdown_out)
-
     if human_records:
-        outputs.append(_write_iaa(cfg, human_records))
-
-    write_manifest(cfg, "sentiment", inputs, outputs)
+        _write_iaa(cfg, human_records)
     print(f"sentiment: {len(scores)} label-based scores, {len(deltas)} deltas "
           f"-> {scores_out.parent}")
-    return EXIT_OK
 
 
 def _label_scores(records, kinds, approach: str) -> list[ScoreRecord]:
@@ -517,9 +509,8 @@ def _label_scores(records, kinds, approach: str) -> list[ScoreRecord]:
     return out
 
 
-def _classify_live(cfg: RunConfig, service: dict, matches, kinds):
-    corpus_path = cfg.input_path("corpus")
-    corpus = {d.doc_id: d for d in read_corpus_jsonl(str(corpus_path))}
+def _classify_live(cfg: RunConfig, service: dict, matches):
+    corpus = {d.doc_id: d for d in read_corpus_jsonl(str(cfg.input_path("corpus")))}
     seen: set[tuple[str, str]] = set()
     items = []
     for m in matches:
@@ -533,21 +524,15 @@ def _classify_live(cfg: RunConfig, service: dict, matches, kinds):
             continue
         items.append(ContextItem(target_id=m.target_id, context_id=m.doc_id,
                                  text=doc.text))
-    sc = ServiceConfig(
-        base_url=str(service["base_url"]),
-        batch_size=int(service.get("batch_size", 32)),
-        timeout=float(service.get("timeout", 30.0)),
-        max_retries=int(service.get("max_retries", 3)),
-        backoff_base=float(service.get("backoff_base", 0.5)),
-        backoff_cap=float(service.get("backoff_cap", 8.0)))
-    source_id = str(service.get("model_id", "live"))
-    records, errors = classify_contexts(items, sc, source_id)
+    settings = {k: v for k, v in service.items() if k != "model_id"}
+    records, errors = classify_contexts(items, ServiceConfig(**settings),
+                                        service.get("model_id", "live"))
     for err in errors:
         logger.warning("classification: %s", err)
     return records
 
 
-def _write_iaa(cfg: RunConfig, human_records) -> Path:
+def _write_iaa(cfg: RunConfig, human_records) -> None:
     result = pairwise_iaa(human_records)
     rows = [["pair", p.annotator_a, p.annotator_b, p.n_shared, fmt_val(p.rho)]
             for p in result.pairs]
@@ -558,21 +543,28 @@ def _write_iaa(cfg: RunConfig, human_records) -> Path:
             reduced = pairwise_iaa(human_records, exclude=[left_out])
             rows.append(["mean_excluding", left_out, "", "",
                          fmt_val(reduced.mean_rho)])
-    return write_csv_artifact(
+    write_csv_artifact(
         cfg, "iaa.csv",
         ["kind", "annotator_a", "annotator_b", "n_shared", "rho"], rows)
 
 
-def cmd_compare(cfg: RunConfig) -> int:
-    norms_path = cfg.artifact_path("deltas.csv")
-    plm_path = cfg.artifact_path("plm_deltas.csv")
-    norm_deltas = [d for d in _read_deltas(norms_path) if d.approach == "norms"]
-    label_deltas = _read_deltas(plm_path)
+def cmd_compare(cfg: RunConfig) -> None:
+    file_deltas = _read_deltas(cfg.artifact_path("deltas.csv"))
+    label_deltas = _read_deltas(cfg.artifact_path("plm_deltas.csv"))
+    norm_deltas = [d for d in file_deltas if d.approach == "norms"]
     if not norm_deltas:
         raise ValidationError("deltas.csv holds no lexicon-based deltas")
 
-    mode = str(cfg.get("compare_mode"))
-    epsilon = float(cfg.get("epsilon", 0.0))
+    breakdown_rows = [[b.approach, b.n, b.n_negative, b.n_positive, b.n_zero,
+                       fmt_pct(b.pct_negative), fmt_pct(b.pct_positive),
+                       fmt_pct(b.pct_zero)]
+                      for b in sign_breakdown(label_deltas + file_deltas)]
+    write_csv_artifact(
+        cfg, "sign_breakdown.csv",
+        ["approach", "n", "n_negative", "n_positive", "n_zero",
+         "pct_delta_negative", "pct_delta_positive", "pct_delta_zero"],
+        breakdown_rows)
+
     by_approach: dict[str, list[DeltaRecord]] = {}
     for d in label_deltas:
         by_approach.setdefault(d.approach, []).append(d)
@@ -581,7 +573,8 @@ def cmd_compare(cfg: RunConfig) -> int:
     detail_rows = []
     for approach in sorted(by_approach):
         result = compare_approaches(by_approach[approach], norm_deltas,
-                                    mode=mode, epsilon=epsilon)
+                                    mode=cfg["compare_mode"],
+                                    epsilon=float(cfg["epsilon"]))
         agg_rows.append([approach, result.mode, fmt_val(result.epsilon),
                          result.n_common,
                          fmt_pct(result.pct_plm_more_negative),
@@ -595,15 +588,12 @@ def cmd_compare(cfg: RunConfig) -> int:
         ["plm_approach", "mode", "epsilon", "n_common",
          "pct_plm_more_negative", "pct_plm_more_positive", "pct_agree"],
         agg_rows)
-    detail_out = write_csv_artifact(
-        cfg, "comparison_detail.csv",
-        ["plm_approach", "target_id", "class"], detail_rows)
-    write_manifest(cfg, "compare", [norms_path, plm_path], [agg_out, detail_out])
+    write_csv_artifact(cfg, "comparison_detail.csv",
+                       ["plm_approach", "target_id", "class"], detail_rows)
     print(f"compare: {len(agg_rows)} approach(es) against lexicon deltas -> {agg_out}")
-    return EXIT_OK
 
 
-def cmd_regress(cfg: RunConfig) -> int:
+def cmd_regress(cfg: RunConfig) -> None:
     deltas_path = cfg.artifact_path("deltas.csv")
     targets_path = cfg.input_path("targets")
     metadata_path = cfg.input_path("metadata")
@@ -614,9 +604,8 @@ def cmd_regress(cfg: RunConfig) -> int:
     metadata = read_metadata_csv(str(metadata_path))
     rows = assemble_rows(deltas, metadata, targets)
 
-    predictors = [str(p) for p in cfg.get(
-        "univariate_predictors", list(DEFAULT_UNIVARIATE_PREDICTORS))]
-    uni_results, uni_notes = univariate_scan(rows, predictors)
+    uni_results, uni_notes = univariate_scan(
+        rows, cfg.get("univariate_predictors", DEFAULT_UNIVARIATE_PREDICTORS))
     uni_rows = [[u.predictor, u.level, u.n, fmt_val(u.intercept), fmt_val(u.slope),
                  fmt_p(u.slope_p_value), fmt_val(u.r_squared),
                  fmt_val(u.adj_r_squared), fmt_p(u.model_p_value), u.stars]
@@ -626,17 +615,13 @@ def cmd_regress(cfg: RunConfig) -> int:
         ["predictor", "level", "n", "intercept", "slope", "slope_p_value",
          "r_squared", "adj_r_squared", "model_p_value", "stars"], uni_rows)
 
-    raw_specs = cfg.get("model_specs")
-    if raw_specs:
-        specs = [(str(name), str(formula)) for name, formula in raw_specs]
-    else:
-        specs = list(DEFAULT_MODEL_SPECS)
-    multi_results, multi_notes = multivariate_suite(rows, specs)
+    multi_results, multi_notes = multivariate_suite(
+        rows, cfg.get("model_specs") or DEFAULT_MODEL_SPECS)
     multi_rows = [[m.model, m.formula, m.n, fmt_val(m.r_squared),
                    fmt_val(m.adj_r_squared), fmt_val(m.residual_se),
                    fmt_val(m.f_statistic), fmt_p(m.f_p_value), m.stars]
                   for m in multi_results]
-    multi_out = write_csv_artifact(
+    write_csv_artifact(
         cfg, "multivariate.csv",
         ["model", "formula", "n", "r_squared", "adj_r_squared", "residual_se",
          "f_statistic", "f_p_value", "stars"], multi_rows)
@@ -669,33 +654,25 @@ def cmd_regress(cfg: RunConfig) -> int:
             for m in multi_results
         ],
     }
-    regression_out = write_json_artifact(cfg, "regression.json", detail)
+    write_json_artifact(cfg, "regression.json", detail)
 
-    outputs = [uni_out, multi_out, regression_out]
-    net_cfg = cfg.get("elasticnet", {})
-    formula = str(cfg.get("elasticnet_formula",
-                          "delta ~ pnc_valence + modifier_valence + age + gender"
-                          " + domain + nationality + birthplace + party + frame"))
+    formula = cfg.get("elasticnet_formula",
+                      "delta ~ pnc_valence + modifier_valence + age + gender"
+                      " + domain + nationality + birthplace + party + frame")
     try:
         design = encode_features(rows, formula)
         x = design.x[:, 1:]
         columns = design.columns[1:]
         if x.shape[1] == 0:
             raise ValidationError("elastic net needs at least one predictor")
-        search = cv_random_search(
-            x, design.y, columns=columns,
-            n_candidates=int(net_cfg.get("n_candidates", 25)),
-            n_repeats=int(net_cfg.get("n_repeats", 5)),
-            n_folds=int(net_cfg.get("n_folds", 5)),
-            seed=int(cfg.get("seed", 0)),
-            scoring=str(net_cfg.get("scoring", "mse")),
-            workers=int(cfg.get("workers", 1)))
+        search = cv_random_search(x, design.y, columns=columns, seed=cfg["seed"],
+                                  **cfg.get("elasticnet", {}))
     except (ValidationError, PncValenceError) as exc:
         logger.warning("elastic net skipped: %s", exc)
-        net_out = write_json_artifact(cfg, "elasticnet.json",
-                                      {"skipped": str(exc), "formula": formula})
+        write_json_artifact(cfg, "elasticnet.json",
+                            {"skipped": str(exc), "formula": formula})
     else:
-        net_out = write_json_artifact(cfg, "elasticnet.json", {
+        write_json_artifact(cfg, "elasticnet.json", {
             "formula": formula,
             "scoring": search.scoring,
             "n_candidates": len(search.candidates),
@@ -719,23 +696,11 @@ def cmd_regress(cfg: RunConfig) -> int:
                  "mean_error": c.mean_error} for c in search.candidates
             ],
         })
-    outputs.append(net_out)
-
-    write_manifest(cfg, "regress", [deltas_path, targets_path, metadata_path],
-                   outputs)
     print(f"regress: {len(uni_results)} univariate rows, {len(multi_results)} "
           f"models -> {uni_out.parent}")
-    return EXIT_OK
 
 
-def _read_csv_artifact(path: Path) -> tuple[list[str], list[dict[str, str]]]:
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(line for line in fh if not line.startswith("#"))
-        rows = list(reader)
-        return list(reader.fieldnames or []), rows
-
-
-def cmd_report(cfg: RunConfig) -> int:
+def cmd_report(cfg: RunConfig) -> None:
     breakdown_path = cfg.artifact_path("sign_breakdown.csv")
     comparison_path = cfg.artifact_path("comparison.csv")
     uni_path = cfg.artifact_path("univariate.csv")
@@ -745,35 +710,23 @@ def cmd_report(cfg: RunConfig) -> int:
     domain_path = cfg.artifact_path("domain_summary.csv")
     targets_path = cfg.input_path("targets")
 
-    report_dir = cfg.out_dir / "report"
-    report_dir.mkdir(parents=True, exist_ok=True)
-
-    _, breakdown_rows = _read_csv_artifact(breakdown_path)
-    table2 = write_csv_artifact(
-        cfg, "report/table2.csv",
-        ["approach", "n", "pct_delta_negative", "pct_delta_positive",
-         "pct_delta_zero"],
-        [[r["approach"], r["n"], r["pct_delta_negative"],
-          r["pct_delta_positive"], r["pct_delta_zero"]] for r in breakdown_rows])
-
-    _, comparison_rows = _read_csv_artifact(comparison_path)
-    table3 = write_csv_artifact(
-        cfg, "report/table3.csv",
-        ["plm_approach", "n_common", "pct_plm_more_negative",
-         "pct_plm_more_positive", "pct_agree"],
-        [[r["plm_approach"], r["n_common"], r["pct_plm_more_negative"],
-          r["pct_plm_more_positive"], r["pct_agree"]] for r in comparison_rows])
+    table2_fields = ["approach", "n", "pct_delta_negative", "pct_delta_positive",
+                     "pct_delta_zero"]
+    write_csv_artifact(cfg, "report/table2.csv", table2_fields,
+                       [list(r.values()) for r in _read_table(breakdown_path, table2_fields)])
+    table3_fields = ["plm_approach", "n_common", "pct_plm_more_negative",
+                     "pct_plm_more_positive", "pct_agree"]
+    write_csv_artifact(cfg, "report/table3.csv", table3_fields,
+                       [list(r.values()) for r in _read_table(comparison_path, table3_fields)])
 
     # tables 6 and 7 are the regression artifacts verbatim
-    table6 = report_dir / "table6.csv"
-    table6.write_bytes(uni_path.read_bytes())
-    table7 = report_dir / "table7.csv"
-    table7.write_bytes(multi_path.read_bytes())
+    cfg.output_path("report/table6.csv").write_bytes(uni_path.read_bytes())
+    cfg.output_path("report/table7.csv").write_bytes(multi_path.read_bytes())
 
     targets = read_targets_csv(str(targets_path))
     deltas = [d for d in _read_deltas(deltas_path) if d.approach == "norms"]
-    _, freq_rows = _read_csv_artifact(freq_path)
-    counts = {r["target_id"]: int(r["n_pnc_matches"]) for r in freq_rows}
+    counts = dict(read_csv(str(freq_path), ("target_id", "n_pnc_matches"),
+                           lambda row: (row["target_id"], int(row["n_pnc_matches"]))))
     target_by_id = {t.target_id: t for t in targets}
 
     names: dict[str, dict] = {}
@@ -789,33 +742,27 @@ def cmd_report(cfg: RunConfig) -> int:
             "pnc_valence": d.pnc_valence,
             "delta": d.delta,
             "n_pnc_matches": counts.get(d.target_id, 0)})
-    fig1 = write_json_artifact(cfg, "report/fig1.json", {
+    write_json_artifact(cfg, "report/fig1.json", {
         "names": sorted(names.values(), key=lambda e: (e["name_valence"],
                                                        e["full_name"]))})
-
-    _, domain_rows = _read_csv_artifact(domain_path)
-    fig3 = write_json_artifact(cfg, "report/fig3.json", {"domains": domain_rows})
-
-    write_manifest(cfg, "report",
-                   [breakdown_path, comparison_path, uni_path, multi_path,
-                    deltas_path, freq_path, domain_path, targets_path],
-                   [table2, table3, table6, table7, fig1, fig3])
-    print(f"report: tables 2/3/6/7 and figure data -> {report_dir}")
-    return EXIT_OK
+    write_json_artifact(cfg, "report/fig3.json",
+                        {"domains": _read_table(domain_path, _DOMAIN_FIELDS)})
+    print(f"report: tables 2/3/6/7 and figure data -> {cfg.out_dir / 'report'}")
 
 
 # ---------------------------------------------------------------------------
 # argument handling
 
-_COMMANDS = {
-    "variants": cmd_variants,
-    "match": cmd_match,
-    "score": cmd_score,
-    "sentiment": cmd_sentiment,
-    "compare": cmd_compare,
-    "regress": cmd_regress,
-    "report": cmd_report,
-}
+# (name, help, command) of every stage, in pipeline order
+STAGES = (
+    ("variants", "expand targets into orthographic search variants", cmd_variants),
+    ("match", "match compounds and full names against the corpus", cmd_match),
+    ("score", "lexicon-based valence scores and deltas", cmd_score),
+    ("sentiment", "label-distribution scores, deltas and agreement", cmd_sentiment),
+    ("compare", "label-based vs lexicon-based delta comparison", cmd_compare),
+    ("regress", "univariate, multivariate and elastic-net models", cmd_regress),
+    ("report", "assemble the report tables and figure data", cmd_report),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -826,17 +773,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--verbose", action="store_true",
                         help="log progress details to stderr")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-            ("variants", "expand targets into orthographic search variants"),
-            ("match", "match compounds and full names against the corpus"),
-            ("score", "lexicon-based valence scores and deltas"),
-            ("sentiment", "label-distribution scores, deltas and agreement"),
-            ("compare", "label-based vs lexicon-based delta comparison"),
-            ("regress", "univariate, multivariate and elastic-net models"),
-            ("report", "assemble the report tables and figure data")):
+    # options whose dest is a config key override that key
+    for name, help_text, command in STAGES:
         p = sub.add_parser(name, help=help_text)
+        p.set_defaults(run=command)
         p.add_argument("--config", required=True, help="JSON run configuration")
-        p.add_argument("--out", help="override the configured out_dir")
+        p.add_argument("--out", dest="out_dir", help="override the configured out_dir")
         p.add_argument("--min-freq", type=int, dest="min_freq",
                        help="minimum compound match count per target")
         p.add_argument("--seed", type=int, help="seed for all seeded steps")
@@ -846,7 +788,6 @@ def build_parser() -> argparse.ArgumentParser:
                        dest="compare_mode", help="delta comparison mode")
         p.add_argument("--epsilon", type=float,
                        help="tolerance for numeric_epsilon comparison")
-        p.add_argument("--workers", type=int, help="worker threads")
     return parser
 
 
@@ -856,19 +797,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         stream=sys.stderr,
         level=logging.INFO if args.verbose else logging.WARNING,
         format="%(levelname)s %(name)s: %(message)s")
-    overrides = {
-        "min_freq": args.min_freq,
-        "seed": args.seed,
-        "unit_policy": args.unit_policy,
-        "compare_mode": args.compare_mode,
-        "epsilon": args.epsilon,
-        "out_dir": args.out,
-        "workers": args.workers,
-    }
+    overrides = {k: v for k, v in vars(args).items() if k in _DEFAULTS}
     try:
         cfg = RunConfig.load(args.config, overrides)
-        cfg.out_dir.mkdir(parents=True, exist_ok=True)
-        return _COMMANDS[args.command](cfg)
+        args.run(cfg)
+        write_manifest(cfg, args.command)
     except MissingArtifactError as exc:
         logger.error("%s", exc)
         print(f"error: {exc}", file=sys.stderr)
@@ -879,6 +812,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (ParseError, ValidationError, PncValenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -12,16 +12,15 @@ bytes of the normalized UTF-8 text.
 
 from __future__ import annotations
 
-import csv
 import json
 import logging
 import re
 import unicodedata
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+from .csvio import read_csv, write_csv
 from .errors import ParseError, ValidationError
 
 logger = logging.getLogger(__name__)
@@ -311,31 +310,21 @@ def match_contexts(corpus: Sequence[Document], targets: Sequence[TargetSpec],
                    unit_policy: str = "whole_document", *,
                    variant_sets: Sequence[VariantSet] | None = None,
                    case_insensitive: bool = False,
-                   include_overlaps: bool = True,
-                   workers: int = 1) -> list[ContextMatch]:
+                   include_overlaps: bool = True) -> list[ContextMatch]:
     """Find every compound and full-name occurrence of each target in the corpus.
 
     unit_policy is "whole_document" for tweet-like corpora and "per_sentence"
     for news corpora whose documents already arrive as single sentences; the
     scan itself is identical, the policy names the context unit. With
     include_overlaps=False, full-name matches are dropped from documents that
-    also contain the compound for the same target. Matching may run across
-    several worker threads; output order is fixed by the final sort.
+    also contain the compound for the same target. Output order is fixed by
+    the final sort.
     """
     if unit_policy not in UNIT_POLICIES:
         raise ValidationError(f"unknown unit_policy {unit_policy!r}; expected one of {UNIT_POLICIES}")
-    if workers < 1:
-        raise ValidationError("workers must be >= 1")
     compiled = _compile_targets(targets, variant_sets, case_insensitive)
-
-    if workers == 1:
-        per_doc = [_match_document(doc, compiled, include_overlaps) for doc in corpus]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            per_doc = list(pool.map(
-                lambda d: _match_document(d, compiled, include_overlaps), corpus))
-
-    matches = [m for doc_matches in per_doc for m in doc_matches]
+    matches = [m for doc in corpus
+               for m in _match_document(doc, compiled, include_overlaps)]
     matches.sort(key=lambda m: (m.target_id, m.doc_id, m.byte_start, m.byte_end, m.kind))
     return matches
 
@@ -398,41 +387,35 @@ def read_targets_csv(path: str) -> list[TargetSpec]:
     """Load the target list. Header columns per TARGETS_FIELDS; an optional
     trailing modifier_lemma column carries manually determined modifier lemmas.
     alt_spellings are semicolon-joined."""
-    targets: list[TargetSpec] = []
     seen_ids: set[str] = set()
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(_skip_comments(fh))
-        if reader.fieldnames is None:
-            raise ParseError("empty targets file", path=path)
-        missing = [c for c in TARGETS_FIELDS if c not in reader.fieldnames]
-        if missing:
-            raise ParseError(f"targets file missing columns: {', '.join(missing)}", path=path)
-        for line_no, row in enumerate(reader, start=2):
-            target_id = (row["target_id"] or "").strip()
-            if not target_id:
-                raise ParseError("empty target_id", path=path, line=line_no)
-            if target_id in seen_ids:
-                raise ParseError(f"duplicate target_id {target_id!r}", path=path, line=line_no)
-            seen_ids.add(target_id)
-            domain = (row["domain"] or "").strip()
-            if domain not in DOMAINS:
-                raise ParseError(f"unknown domain {domain!r} for target {target_id!r}",
-                                 path=path, line=line_no)
-            alts = tuple(a.strip() for a in (row["alt_spellings"] or "").split(";") if a.strip())
-            lemma = (row.get("modifier_lemma") or "").strip() or None
-            target = TargetSpec(
-                target_id=target_id,
-                pnc_surface=nfc((row["pnc_surface"] or "").strip()),
-                modifier_surface=nfc((row["modifier_surface"] or "").strip()),
-                head_surface=nfc((row["head_surface"] or "").strip()),
-                first_name=nfc((row["first_name"] or "").strip()),
-                last_name=nfc((row["last_name"] or "").strip()),
-                domain=domain,
-                alt_spellings=alts,
-                modifier_lemma=nfc(lemma) if lemma else None,
-            )
-            split_compound(target)  # validate separability up front
-            targets.append(target)
+
+    def parse(row) -> TargetSpec:
+        target_id = (row["target_id"] or "").strip()
+        if not target_id:
+            raise ValueError("empty target_id")
+        if target_id in seen_ids:
+            raise ValueError(f"duplicate target_id {target_id!r}")
+        seen_ids.add(target_id)
+        domain = (row["domain"] or "").strip()
+        if domain not in DOMAINS:
+            raise ValueError(f"unknown domain {domain!r} for target {target_id!r}")
+        alts = tuple(a.strip() for a in (row["alt_spellings"] or "").split(";") if a.strip())
+        lemma = (row.get("modifier_lemma") or "").strip() or None
+        target = TargetSpec(
+            target_id=target_id,
+            pnc_surface=nfc((row["pnc_surface"] or "").strip()),
+            modifier_surface=nfc((row["modifier_surface"] or "").strip()),
+            head_surface=nfc((row["head_surface"] or "").strip()),
+            first_name=nfc((row["first_name"] or "").strip()),
+            last_name=nfc((row["last_name"] or "").strip()),
+            domain=domain,
+            alt_spellings=alts,
+            modifier_lemma=nfc(lemma) if lemma else None,
+        )
+        split_compound(target)  # validate separability up front
+        return target
+
+    targets = read_csv(path, TARGETS_FIELDS, parse)
     if not targets:
         raise ParseError("targets file holds no rows", path=path)
     return targets
@@ -470,32 +453,14 @@ def read_corpus_jsonl(path: str) -> list[Document]:
 
 def write_matches_csv(matches: Sequence[ContextMatch], path: str,
                       header_comment: str | None = None) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        if header_comment:
-            fh.write(f"# {header_comment}\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(MATCHES_FIELDS)
-        for m in matches:
-            writer.writerow([m.target_id, m.doc_id, m.kind, m.matched_variant,
-                             m.byte_start, m.byte_end])
+    write_csv(path, MATCHES_FIELDS,
+              ([m.target_id, m.doc_id, m.kind, m.matched_variant,
+                m.byte_start, m.byte_end] for m in matches),
+              header_comment)
 
 
 def read_matches_csv(path: str) -> list[ContextMatch]:
-    matches: list[ContextMatch] = []
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(_skip_comments(fh))
-        for line_no, row in enumerate(reader, start=2):
-            try:
-                matches.append(ContextMatch(
-                    target_id=row["target_id"], doc_id=row["doc_id"], kind=row["kind"],
-                    matched_variant=row["matched_variant"],
-                    byte_start=int(row["byte_start"]), byte_end=int(row["byte_end"])))
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ParseError(f"bad match row: {exc}", path=path, line=line_no) from exc
-    return matches
-
-
-def _skip_comments(fh):
-    for line in fh:
-        if not line.startswith("#"):
-            yield line
+    return read_csv(path, MATCHES_FIELDS, lambda row: ContextMatch(
+        target_id=row["target_id"], doc_id=row["doc_id"], kind=row["kind"],
+        matched_variant=row["matched_variant"],
+        byte_start=int(row["byte_start"]), byte_end=int(row["byte_end"])))

@@ -1,0 +1,66 @@
+"""CSV files: optional `#` comment lines, a header, then one row per record.
+
+Every CSV file the package reads or writes, and the lexicon's TSV lines,
+pass through here, so comment lines, line numbers and errors are handled
+the same way for all of them.
+"""
+
+from __future__ import annotations
+
+import csv
+from typing import Callable, Iterable, Iterator, Sequence, TextIO, TypeVar
+
+from .errors import ParseError
+
+T = TypeVar("T")
+
+
+def data_lines(fh: TextIO) -> Iterator[tuple[int, str]]:
+    """Number the lines of an open text file from 1, leaving out `#` comments."""
+    for line_no, line in enumerate(fh, start=1):
+        if not line.startswith("#"):
+            yield line_no, line
+
+
+def read_csv(path: str, fields: Sequence[str],
+             parse: Callable[[dict[str, str | None]], T]) -> list[T]:
+    """Parse every row of a CSV file whose header holds at least `fields`.
+
+    parse turns one row (column -> value, None where the row is cut short)
+    into a record, raising ValueError or TypeError for a bad value. A missing
+    column or a bad value raises ParseError with the file's line number.
+    """
+    line_no = 0
+    with open(path, encoding="utf-8", newline="") as fh:
+        def lines() -> Iterator[str]:
+            nonlocal line_no
+            for line_no, line in data_lines(fh):
+                yield line
+
+        reader = csv.DictReader(lines())
+        if reader.fieldnames is None:
+            raise ParseError("empty file", path=path)
+        missing = [c for c in fields if c not in reader.fieldnames]
+        if missing:
+            raise ParseError(f"missing columns: {', '.join(missing)}",
+                             path=path, line=line_no)
+        records = []
+        for row in reader:
+            try:
+                records.append(parse(row))
+            except (TypeError, ValueError) as exc:
+                short = "; the row is cut short" if None in row.values() else ""
+                raise ParseError(f"bad row: {exc}{short}", path=path,
+                                 line=line_no) from exc
+        return records
+
+
+def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence[object]],
+              comment: str | None = None) -> None:
+    """Write a header and rows, after a `# comment` line when one is given."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        if comment:
+            fh.write(f"# {comment}\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)

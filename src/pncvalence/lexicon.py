@@ -9,10 +9,10 @@ that valence lookups operate on.
 from __future__ import annotations
 
 import random
-import re
 import unicodedata
 from dataclasses import dataclass
 
+from .csvio import data_lines
 from .errors import ParseError, ValidationError
 
 # STTS tags counted as content words: common nouns, adjectives, full verbs.
@@ -23,13 +23,6 @@ VALENCE_MIN = 0.0
 VALENCE_MAX = 10.0
 
 DUPLICATE_POLICIES = ("first_wins", "seeded_random")
-
-# noise stripped from raw text before tagging: URLs, then the marker
-# characters of hashtags and user mentions (keeping the word itself)
-DEFAULT_STRIP_PATTERNS = (
-    r"https?://\S+",
-    r"(?<!\w)[#@](?=\w)",
-)
 
 
 def _norm_key(form: str) -> str:
@@ -71,9 +64,9 @@ def load_lexicon(path: str, duplicate_policy: str = "first_wins",
     collected: dict[str, list[float]] = {}
     order: list[str] = []
     with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
+        for line_no, line in data_lines(fh):
             line = line.rstrip("\n")
-            if not line.strip() or line.startswith("#"):
+            if not line.strip():
                 continue
             parts = line.split("\t")
             if len(parts) != 2:
@@ -179,17 +172,3 @@ def filter_content_tokens(context: TaggedContext) -> list[TaggedToken]:
     """Tokens whose part-of-speech marks a content word."""
     return [t for t in context.tokens if t.pos in CONTENT_POS_TAGS]
 
-
-def lookup_valence(token: TaggedToken, lexicon: ValenceLexicon) -> float | None:
-    """Valence for a token's effective lemma, or None when out of vocabulary."""
-    return lexicon.get(token.effective_lemma())
-
-
-def prepare_text_for_tagging(text: str,
-                             strip_patterns: tuple[str, ...] = DEFAULT_STRIP_PATTERNS) -> str:
-    """Light cleanup applied before handing text to an external tagger:
-    drop URLs and hashtag/mention markers, collapse whitespace."""
-    cleaned = unicodedata.normalize("NFC", text)
-    for pattern in strip_patterns:
-        cleaned = re.sub(pattern, "", cleaned)
-    return " ".join(cleaned.split())

@@ -16,16 +16,15 @@ missing predictor values are dropped listwise and reported.
 
 from __future__ import annotations
 
-import csv
 import logging
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import ConvergenceError, ParseError, RankDeficiencyError, ValidationError
+from .csvio import read_csv
+from .errors import ConvergenceError, RankDeficiencyError, ValidationError
 from .stats import fisher_f_sf, student_t_sf
 
 logger = logging.getLogger(__name__)
@@ -578,24 +577,19 @@ def cv_random_search(x: np.ndarray, y: np.ndarray, *,
                      columns: Sequence[str] | None = None,
                      n_candidates: int = 25, n_repeats: int = 5, n_folds: int = 5,
                      seed: int = 0, scoring: str = "mse",
-                     standardize: bool = True,
-                     workers: int = 1) -> CvSearchResult:
+                     standardize: bool = True) -> CvSearchResult:
     """Tune (alpha, lambda) by random search under repeated k-fold CV.
 
     Draw order is fixed by the seed: first the candidate list (alpha uniform
     on [0, 1], lambda log-uniform on [1e-4 * lambda_max(alpha),
     lambda_max(alpha)]), then one row permutation per repeat; each
     permutation is split into n_folds nearly equal folds. Errors are
-    averaged over all repeats and folds; candidates are scored in draw order
-    and evaluated independently, so several workers change nothing in the
-    result.
+    averaged over all repeats and folds; candidates are scored in draw order.
     """
     if scoring not in ("mse", "mae"):
         raise ValidationError(f"unknown scoring {scoring!r}; expected mse or mae")
     if n_candidates < 1 or n_repeats < 1 or n_folds < 2:
         raise ValidationError("need n_candidates >= 1, n_repeats >= 1, n_folds >= 2")
-    if workers < 1:
-        raise ValidationError("workers must be >= 1")
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     n = x.shape[0]
@@ -636,11 +630,7 @@ def cv_random_search(x: np.ndarray, y: np.ndarray, *,
                   for tr, va in folds]
         return float(np.mean(errors))
 
-    if workers == 1:
-        mean_errors = [evaluate(d) for d in draws]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            mean_errors = list(pool.map(evaluate, draws))
+    mean_errors = [evaluate(d) for d in draws]
 
     candidates = tuple(
         CvCandidate(index=i, alpha=a, lam=l, mean_error=e)
@@ -667,37 +657,30 @@ METADATA_FIELDS = ("target_id", "age", "gender", "nationality", "birthplace",
 
 def read_metadata_csv(path: str) -> dict[str, dict[str, float | str | None]]:
     """Load per-target metadata. Empty cells become None; age is numeric."""
-    out: dict[str, dict[str, float | str | None]] = {}
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(line for line in fh if not line.startswith("#"))
-        if reader.fieldnames is None:
-            raise ParseError("empty metadata file", path=path)
-        missing = [c for c in METADATA_FIELDS if c not in reader.fieldnames]
-        if missing:
-            raise ParseError(f"metadata file missing columns: {', '.join(missing)}",
-                             path=path)
-        for line_no, row in enumerate(reader, start=2):
-            target_id = (row["target_id"] or "").strip()
-            if not target_id:
-                raise ParseError("empty target_id", path=path, line=line_no)
-            if target_id in out:
-                raise ParseError(f"duplicate target_id {target_id!r}",
-                                 path=path, line=line_no)
-            fields: dict[str, float | str | None] = {}
-            for key in METADATA_FIELDS[1:]:
-                raw = (row.get(key) or "").strip()
-                if not raw:
-                    fields[key] = None
-                elif key == "age":
-                    try:
-                        fields[key] = float(raw)
-                    except ValueError as exc:
-                        raise ParseError(f"non-numeric age {raw!r}",
-                                         path=path, line=line_no) from exc
-                else:
-                    fields[key] = raw
-            out[target_id] = fields
-    return out
+    seen: set[str] = set()
+
+    def parse(row) -> tuple[str, dict[str, float | str | None]]:
+        target_id = (row["target_id"] or "").strip()
+        if not target_id:
+            raise ValueError("empty target_id")
+        if target_id in seen:
+            raise ValueError(f"duplicate target_id {target_id!r}")
+        seen.add(target_id)
+        fields: dict[str, float | str | None] = {}
+        for key in METADATA_FIELDS[1:]:
+            raw = (row.get(key) or "").strip()
+            if not raw:
+                fields[key] = None
+            elif key == "age":
+                try:
+                    fields[key] = float(raw)
+                except ValueError:
+                    raise ValueError(f"non-numeric age {raw!r}") from None
+            else:
+                fields[key] = raw
+        return target_id, fields
+
+    return dict(read_csv(path, METADATA_FIELDS, parse))
 
 
 def assemble_rows(deltas, metadata: Mapping[str, Mapping[str, float | str | None]],

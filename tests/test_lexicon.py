@@ -2,9 +2,8 @@ import pytest
 
 from pncvalence.errors import ParseError, ValidationError
 from pncvalence.lexicon import (CONTENT_POS_TAGS, TaggedContext, TaggedToken,
-                                ValenceLexicon, filter_content_tokens,
-                                load_lexicon, lookup_valence,
-                                prepare_text_for_tagging, read_tagged_contexts)
+                                filter_content_tokens, load_lexicon,
+                                read_tagged_contexts)
 
 
 def write_lexicon(tmp_path, body, name="lex.tsv"):
@@ -145,31 +144,3 @@ class TestContentFilter:
         assert tok("Tore", "<unknown>").effective_lemma() == "Tore"
         assert tok("Tore", "").effective_lemma() == "Tore"
         assert tok("Tore", "Tor").effective_lemma() == "Tor"
-
-    def test_lookup_valence(self):
-        lex = ValenceLexicon({"tor": 5.89})
-        assert lookup_valence(tok("Tore", "Tor"), lex) == 5.89
-        assert lookup_valence(tok("Tore", "<unknown>"), lex) is None
-        assert lookup_valence(tok("Tor", "<unknown>"), lex) == 5.89
-
-
-class TestPrepareText:
-    def test_strips_urls(self):
-        out = prepare_text_for_tagging("Siehe https://example.com/a?b=1 dort")
-        assert out == "Siehe dort"
-
-    def test_unwraps_hashtags_and_mentions(self):
-        out = prepare_text_for_tagging("#Willkommens-Merkel und @guido123 lachen")
-        assert out == "Willkommens-Merkel und guido123 lachen"
-
-    def test_keeps_inner_symbols(self):
-        # only marker characters in front of a word are dropped
-        assert prepare_text_for_tagging("a#b") == "a#b"
-        assert prepare_text_for_tagging("Preis # Wert") == "Preis # Wert"
-
-    def test_collapses_whitespace(self):
-        assert prepare_text_for_tagging("  viel\t\tPlatz \n hier ") == "viel Platz hier"
-
-    def test_custom_patterns(self):
-        out = prepare_text_for_tagging("foo RT bar", strip_patterns=(r"\bRT\b",))
-        assert out == "foo bar"

@@ -123,13 +123,6 @@ class TestMatchContexts:
         random.Random(5).shuffle(shuffled)
         assert match_contexts(shuffled, [KLOSE, MERKEL]) == base
 
-    def test_workers_do_not_change_output(self):
-        corpus = [doc(f"d{i:03d}", f"Text {i} Tore-Klose und Angela Merkel {i}")
-                  for i in range(40)]
-        base = match_contexts(corpus, [KLOSE, MERKEL], workers=1)
-        for workers in (2, 5):
-            assert match_contexts(corpus, [KLOSE, MERKEL], workers=workers) == base
-
     def test_precomputed_variant_sets_accepted(self):
         vs = generate_variants(KLOSE)
         matches = match_contexts([doc("d1", "Tor-Klose")], [KLOSE],
@@ -144,10 +137,6 @@ class TestMatchContexts:
         matches = match_contexts([doc("d1", "Tore-Klose trifft.")], [KLOSE],
                                  unit_policy="per_sentence")
         assert len(matches) == 1
-
-    def test_bad_worker_count(self):
-        with pytest.raises(ValidationError):
-            match_contexts([], [KLOSE], workers=0)
 
 
 class TestDedupeDocuments:

@@ -403,12 +403,12 @@ class TestElasticNet:
 
 
 class TestCvRandomSearch:
-    def search(self, seed=0, workers=1, **kw):
+    def search(self, seed=0, **kw):
         x, y = make_problem(n=45, p=3, seed=7)
         kw.setdefault("n_candidates", 6)
         kw.setdefault("n_repeats", 2)
         kw.setdefault("n_folds", 3)
-        return cv_random_search(x, y, seed=seed, workers=workers, **kw)
+        return cv_random_search(x, y, seed=seed, **kw)
 
     def test_deterministic_for_fixed_seed(self):
         a = self.search(seed=3)
@@ -421,13 +421,6 @@ class TestCvRandomSearch:
         a = self.search(seed=1)
         b = self.search(seed=2)
         assert [c.alpha for c in a.candidates] != [c.alpha for c in b.candidates]
-
-    def test_workers_do_not_change_result(self):
-        base = self.search(seed=5)
-        for workers in (2, 4):
-            alt = self.search(seed=5, workers=workers)
-            assert alt.candidates == base.candidates
-            assert alt.best == base.best
 
     def test_best_is_argmin_with_index_tie_break(self):
         res = self.search(seed=9)
@@ -458,8 +451,6 @@ class TestCvRandomSearch:
             cv_random_search(x, y, scoring="rmse")
         with pytest.raises(ValidationError):
             cv_random_search(x, y, n_folds=11)
-        with pytest.raises(ValidationError):
-            cv_random_search(x, y, workers=0)
 
 
 class TestMetadataAssembly:

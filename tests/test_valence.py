@@ -109,8 +109,7 @@ class TestTargetValence:
                   "d3": ctx("d3", ("mittel", "NN"))}
         matches = [match("b", "d3"), match("a", "d1"),
                    match("a", "d2", kind="full_name")]
-        records, notes = target_valence([target("a"), target("b")], matches,
-                                        tagged, LEX)
+        records, notes = target_valence(matches, tagged, LEX)
         assert [(r.target_id, r.kind) for r in records] == [
             ("a", "full_name"), ("a", "pnc"), ("b", "pnc")]
         assert notes == []
@@ -119,14 +118,13 @@ class TestTargetValence:
         tagged = {"d1": ctx("d1", ("gut", "ADJD"))}
         # two pnc hits in the same document: the context enters the bag once
         matches = [match("a", "d1"), match("a", "d1")]
-        records, _ = target_valence([target("a")], matches, tagged, LEX)
+        records, _ = target_valence(matches, tagged, LEX)
         assert records[0].n_contexts == 1
         assert records[0].n_context_lemmas == 1
 
     def test_unscorable_pair_noted(self):
         tagged = {"d1": ctx("d1", ("unbekannt", "NN"))}
-        records, notes = target_valence([target("a")], [match("a", "d1")],
-                                        tagged, LEX)
+        records, notes = target_valence([match("a", "d1")], tagged, LEX)
         assert records == []
         assert notes == ["a/pnc: no content lemma found in lexicon; unscorable"]
 
@@ -134,7 +132,7 @@ class TestTargetValence:
         tagged = {"d1": ctx("d1", ("gut", "ADJD"))}
         matches = [match("a", "d1"), match("a", "d9")]
         with caplog.at_level("WARNING", logger="pncvalence.valence"):
-            records, _ = target_valence([target("a")], matches, tagged, LEX)
+            records, _ = target_valence(matches, tagged, LEX)
         assert records[0].n_contexts == 1
         assert any("d9" in r.message for r in caplog.records)
 
