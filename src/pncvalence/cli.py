@@ -130,6 +130,10 @@ class RunConfig:
         for key, value in overrides.items():
             if value is not None:
                 merged[key] = value
+        if overrides.get("out_dir") is not None:
+            # --out names a directory from where the command runs; a relative
+            # out_dir in the file names one from the config file's directory
+            merged["out_dir"] = str(Path(overrides["out_dir"]).resolve())
         cfg = cls(merged, p.parent.resolve())
         cfg._validate()
         return cfg

@@ -7,7 +7,14 @@ search variants (umlaut/eszett transliteration, German linking-element
 toggles, singular/plural toggles, user-supplied alternative spellings, and
 a bounded-gap wildcard between modifier and head). Matching is plain
 substring/pattern search over NFC-normalized text; spans are reported in
-bytes of the normalized UTF-8 text.
+bytes of the normalized UTF-8 text, computed only for the spans that match.
+
+A gate keeps the scan to the targets that can match a document. Every match
+of a target contains one of its anchors (see _anchors); each distinct anchor
+is compiled once, with the patterns' IGNORECASE flag, and searched once per
+document, and only the targets owning an anchor that occurs are scanned.
+The gate is a necessary condition only: the per-target scan decides what
+matches, exactly as if every target were scanned in every document.
 """
 
 from __future__ import annotations
@@ -18,9 +25,9 @@ import re
 import unicodedata
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
-from .csvio import read_csv, write_csv
+from .csvio import read_csv, utf8_lines, write_csv
 from .errors import ParseError, ValidationError
 
 logger = logging.getLogger(__name__)
@@ -231,28 +238,45 @@ def generate_variants(target: TargetSpec) -> VariantSet:
     return VariantSet(target_id=target.target_id, variants=tuple(entries))
 
 
-def _byte_offsets(text: str) -> list[int]:
-    """Cumulative UTF-8 byte offsets for each character position (len+1 entries)."""
-    offsets = [0]
-    total = 0
-    for ch in text:
-        total += len(ch.encode("utf-8"))
-        offsets.append(total)
-    return offsets
-
-
 @dataclass(frozen=True)
 class _CompiledTarget:
     target_id: str
     pnc_patterns: tuple[tuple[re.Pattern, str], ...]  # (compiled, variant_string)
     name_pattern: re.Pattern
     name_string: str
+    anchors: tuple[str, ...] | None  # None: the target is scanned in every document
+
+
+def _anchors(target: TargetSpec, variants: Sequence[tuple[str, str]],
+             name: str) -> tuple[str, ...] | None:
+    """Literal strings at least one of which occurs in every match of the target.
+
+    A literal variant is its own anchor, the generated wildcard pattern
+    (modifier, gap, head) has the head, and the full-name pattern has the
+    full name. An anchor that contains another anchor of the same target is
+    dropped: wherever it matches, the shorter one matches too, with or
+    without IGNORECASE. A wildcard entry of any other shape has no anchor,
+    and then None says that the target has to be scanned in every document.
+    """
+    found = {name}
+    for variant, tag in variants:
+        if tag != H_WILDCARD:
+            found.add(variant)
+            continue
+        try:
+            mod, _, head = split_compound(target)
+        except ValidationError:
+            return None
+        if variant != re.escape(mod) + WILDCARD_GAP + re.escape(head):
+            return None
+        found.add(head)
+    return tuple(sorted(a for a in found
+                        if not any(b != a and b in a for b in found)))
 
 
 def _compile_targets(targets: Sequence[TargetSpec],
                      variant_sets: Sequence[VariantSet] | None,
-                     case_insensitive: bool) -> list[_CompiledTarget]:
-    flags = re.IGNORECASE if case_insensitive else 0
+                     flags: int) -> list[_CompiledTarget]:
     if variant_sets is None:
         variant_sets = [generate_variants(t) for t in targets]
     by_id = {vs.target_id: vs for vs in variant_sets}
@@ -271,16 +295,34 @@ def _compile_targets(targets: Sequence[TargetSpec],
             pnc_patterns=tuple(patterns),
             name_pattern=re.compile(re.escape(name), flags),
             name_string=name,
+            anchors=_anchors(target, vs.variants, name),
         ))
     return compiled
 
 
-def _match_document(doc: Document, compiled: list[_CompiledTarget],
+def _anchor_gate(compiled: Sequence[_CompiledTarget], flags: int,
+                 ) -> tuple[list[int], list[tuple[Callable, list[int]]]]:
+    """Indices of the targets scanned in every document, and one search
+    function per distinct anchor with the indices of the targets that own it."""
+    always: list[int] = []
+    owners: dict[str, list[int]] = {}
+    for i, target in enumerate(compiled):
+        if target.anchors is None:
+            always.append(i)
+        else:
+            for anchor in target.anchors:
+                owners.setdefault(anchor, []).append(i)
+    return always, [(re.compile(re.escape(anchor), flags).search, idx)
+                    for anchor, idx in owners.items()]
+
+
+def _match_document(doc_id: str, text: str, candidates: Iterable[_CompiledTarget],
                     include_overlaps: bool) -> list[ContextMatch]:
-    text = nfc(doc.text)
-    offsets = _byte_offsets(text)
+    def byte_at(i: int) -> int:
+        return len(text[:i].encode("utf-8"))
+
     found: list[ContextMatch] = []
-    for target in compiled:
+    for target in candidates:
         taken: set[tuple[int, int]] = set()
         pnc_hit = False
         for pattern, variant in target.pnc_patterns:
@@ -291,14 +333,14 @@ def _match_document(doc: Document, compiled: list[_CompiledTarget],
                 taken.add(span)
                 pnc_hit = True
                 found.append(ContextMatch(
-                    target_id=target.target_id, doc_id=doc.doc_id, kind="pnc",
+                    target_id=target.target_id, doc_id=doc_id, kind="pnc",
                     matched_variant=variant,
-                    byte_start=offsets[span[0]], byte_end=offsets[span[1]]))
+                    byte_start=byte_at(span[0]), byte_end=byte_at(span[1])))
         name_matches = [
             ContextMatch(
-                target_id=target.target_id, doc_id=doc.doc_id, kind="full_name",
+                target_id=target.target_id, doc_id=doc_id, kind="full_name",
                 matched_variant=target.name_string,
-                byte_start=offsets[m.start()], byte_end=offsets[m.end()])
+                byte_start=byte_at(m.start()), byte_end=byte_at(m.end()))
             for m in target.name_pattern.finditer(text)
         ]
         if name_matches and (include_overlaps or not pnc_hit):
@@ -319,12 +361,26 @@ def match_contexts(corpus: Sequence[Document], targets: Sequence[TargetSpec],
     include_overlaps=False, full-name matches are dropped from documents that
     also contain the compound for the same target. Output order is fixed by
     the final sort.
+
+    Each document is scanned only for the targets one of whose anchors it
+    contains (see _anchors); the gate is a necessary condition, so the
+    result equals scanning every target in every document.
     """
     if unit_policy not in UNIT_POLICIES:
         raise ValidationError(f"unknown unit_policy {unit_policy!r}; expected one of {UNIT_POLICIES}")
-    compiled = _compile_targets(targets, variant_sets, case_insensitive)
-    matches = [m for doc in corpus
-               for m in _match_document(doc, compiled, include_overlaps)]
+    flags = re.IGNORECASE if case_insensitive else 0
+    compiled = _compile_targets(targets, variant_sets, flags)
+    always, gate = _anchor_gate(compiled, flags)
+    matches = []
+    for doc in corpus:
+        text = nfc(doc.text)
+        candidates = set(always)
+        for search, owners in gate:
+            if search(text):
+                candidates.update(owners)
+        matches.extend(_match_document(
+            doc.doc_id, text, (compiled[i] for i in sorted(candidates)),
+            include_overlaps))
     matches.sort(key=lambda m: (m.target_id, m.doc_id, m.byte_start, m.byte_end, m.kind))
     return matches
 
@@ -425,29 +481,38 @@ def read_corpus_jsonl(path: str) -> list[Document]:
     """Load a corpus: one Document JSON object per line."""
     docs: list[Document] = []
     seen: set[str] = set()
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"invalid JSON: {exc}", path=path, line=line_no) from exc
-            doc_id = str(obj.get("doc_id", "")).strip()
-            if not doc_id:
-                raise ParseError("missing doc_id", path=path, line=line_no)
-            if doc_id in seen:
-                raise ParseError(f"duplicate doc_id {doc_id!r}", path=path, line=line_no)
-            seen.add(doc_id)
-            source = obj.get("source", "other")
-            if source not in DOC_SOURCES:
-                raise ParseError(f"unknown source {source!r}", path=path, line=line_no)
-            text = obj.get("text", "")
-            if not text:
-                raise ParseError(f"empty text for doc {doc_id!r}", path=path, line=line_no)
-            docs.append(Document(doc_id=doc_id, source=source, text=text,
-                                 url=obj.get("url"), date=obj.get("date")))
+    for line_no, line in utf8_lines(path):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"invalid JSON: {exc}", path=path, line=line_no) from exc
+        if not isinstance(obj, dict):
+            raise ParseError(f"expected a JSON object, got {type(obj).__name__}",
+                             path=path, line=line_no)
+        doc_id = str(obj.get("doc_id", "")).strip()
+        if not doc_id:
+            raise ParseError("missing doc_id", path=path, line=line_no)
+        if doc_id in seen:
+            raise ParseError(f"duplicate doc_id {doc_id!r}", path=path, line=line_no)
+        seen.add(doc_id)
+        source = obj.get("source", "other")
+        if source not in DOC_SOURCES:
+            raise ParseError(f"unknown source {source!r}", path=path, line=line_no)
+        text = obj.get("text", "")
+        if not isinstance(text, str):
+            raise ParseError(f"text of doc {doc_id!r} is not a string",
+                             path=path, line=line_no)
+        if not text:
+            raise ParseError(f"empty text for doc {doc_id!r}", path=path, line=line_no)
+        for key in ("url", "date"):
+            if not isinstance(obj.get(key), (str, type(None))):
+                raise ParseError(f"{key} of doc {doc_id!r} is not a string",
+                                 path=path, line=line_no)
+        docs.append(Document(doc_id=doc_id, source=source, text=text,
+                             url=obj.get("url"), date=obj.get("date")))
     return docs
 
 

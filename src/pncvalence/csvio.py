@@ -8,16 +8,41 @@ the same way for all of them.
 from __future__ import annotations
 
 import csv
-from typing import Callable, Iterable, Iterator, Sequence, TextIO, TypeVar
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 from .errors import ParseError
 
 T = TypeVar("T")
 
 
-def data_lines(fh: TextIO) -> Iterator[tuple[int, str]]:
-    """Number the lines of an open text file from 1, leaving out `#` comments."""
-    for line_no, line in enumerate(fh, start=1):
+def utf8_lines(path: str) -> Iterator[tuple[int, str]]:
+    """Number the lines of a UTF-8 file from 1, each with its line ending.
+
+    A byte sequence that is not UTF-8 raises ParseError naming its line.
+    """
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            yield from enumerate(fh, start=1)
+    except UnicodeDecodeError as exc:
+        # the decoder reads ahead in blocks, so look for the line again
+        raise ParseError(f"not UTF-8 ({exc.reason})", path=path,
+                         line=_first_undecodable_line(path)) from None
+
+
+def _first_undecodable_line(path: str) -> int | None:
+    # undecodable bytes, and nothing else, decode to lone surrogates here
+    with open(path, encoding="utf-8", errors="surrogateescape", newline="") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            try:
+                line.encode("utf-8")
+            except UnicodeEncodeError:
+                return line_no
+    return None
+
+
+def data_lines(path: str) -> Iterator[tuple[int, str]]:
+    """The numbered lines of a UTF-8 file, leaving out `#` comments."""
+    for line_no, line in utf8_lines(path):
         if not line.startswith("#"):
             yield line_no, line
 
@@ -31,28 +56,28 @@ def read_csv(path: str, fields: Sequence[str],
     column or a bad value raises ParseError with the file's line number.
     """
     line_no = 0
-    with open(path, encoding="utf-8", newline="") as fh:
-        def lines() -> Iterator[str]:
-            nonlocal line_no
-            for line_no, line in data_lines(fh):
-                yield line
 
-        reader = csv.DictReader(lines())
-        if reader.fieldnames is None:
-            raise ParseError("empty file", path=path)
-        missing = [c for c in fields if c not in reader.fieldnames]
-        if missing:
-            raise ParseError(f"missing columns: {', '.join(missing)}",
-                             path=path, line=line_no)
-        records = []
-        for row in reader:
-            try:
-                records.append(parse(row))
-            except (TypeError, ValueError) as exc:
-                short = "; the row is cut short" if None in row.values() else ""
-                raise ParseError(f"bad row: {exc}{short}", path=path,
-                                 line=line_no) from exc
-        return records
+    def lines() -> Iterator[str]:
+        nonlocal line_no
+        for line_no, line in data_lines(path):
+            yield line
+
+    reader = csv.DictReader(lines())
+    if reader.fieldnames is None:
+        raise ParseError("empty file", path=path)
+    missing = [c for c in fields if c not in reader.fieldnames]
+    if missing:
+        raise ParseError(f"missing columns: {', '.join(missing)}",
+                         path=path, line=line_no)
+    records = []
+    for row in reader:
+        try:
+            records.append(parse(row))
+        except (TypeError, ValueError) as exc:
+            short = "; the row is cut short" if None in row.values() else ""
+            raise ParseError(f"bad row: {exc}{short}", path=path,
+                             line=line_no) from exc
+    return records
 
 
 def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence[object]],

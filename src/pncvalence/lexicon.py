@@ -12,7 +12,7 @@ import random
 import unicodedata
 from dataclasses import dataclass
 
-from .csvio import data_lines
+from .csvio import data_lines, utf8_lines
 from .errors import ParseError, ValidationError
 
 # STTS tags counted as content words: common nouns, adjectives, full verbs.
@@ -63,30 +63,29 @@ def load_lexicon(path: str, duplicate_policy: str = "first_wins",
             f"unknown duplicate_policy {duplicate_policy!r}; expected one of {DUPLICATE_POLICIES}")
     collected: dict[str, list[float]] = {}
     order: list[str] = []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in data_lines(fh):
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise ParseError(f"expected 2 tab-separated fields, got {len(parts)}",
-                                 path=path, line=line_no)
-            form, raw_score = parts
-            key = _norm_key(form.strip())
-            if not key:
-                raise ParseError("empty form", path=path, line=line_no)
-            try:
-                score = float(raw_score)
-            except ValueError as exc:
-                raise ParseError(f"non-numeric score {raw_score!r}",
-                                 path=path, line=line_no) from exc
-            if not VALENCE_MIN <= score <= VALENCE_MAX:
-                raise ParseError(f"score {score} outside [0, 10]", path=path, line=line_no)
-            if key not in collected:
-                collected[key] = []
-                order.append(key)
-            collected[key].append(score)
+    for line_no, line in data_lines(path):
+        line = line.rstrip("\r\n")
+        if not line.strip():
+            continue
+        parts = line.split("\t")
+        if len(parts) != 2:
+            raise ParseError(f"expected 2 tab-separated fields, got {len(parts)}",
+                             path=path, line=line_no)
+        form, raw_score = parts
+        key = _norm_key(form.strip())
+        if not key:
+            raise ParseError("empty form", path=path, line=line_no)
+        try:
+            score = float(raw_score)
+        except ValueError as exc:
+            raise ParseError(f"non-numeric score {raw_score!r}",
+                             path=path, line=line_no) from exc
+        if not VALENCE_MIN <= score <= VALENCE_MAX:
+            raise ParseError(f"score {score} outside [0, 10]", path=path, line=line_no)
+        if key not in collected:
+            collected[key] = []
+            order.append(key)
+        collected[key].append(score)
 
     if not collected:
         raise ParseError("lexicon holds no entries", path=path)
@@ -141,29 +140,28 @@ def read_tagged_contexts(path: str) -> list[TaggedContext]:
         doc_id = None
         tokens = []
 
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if line.startswith("#doc:"):
-                flush()
-                doc_id = line[len("#doc:"):].strip()
-                if not doc_id:
-                    raise ParseError("empty doc id in header", path=path, line=line_no)
-                if doc_id in seen:
-                    raise ParseError(f"duplicate context for doc {doc_id!r}",
-                                     path=path, line=line_no)
-                seen.add(doc_id)
-                continue
-            if not line.strip():
-                flush()
-                continue
-            if doc_id is None:
-                raise ParseError("token line outside any #doc: block", path=path, line=line_no)
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise ParseError(f"expected 3 tab-separated fields, got {len(parts)}",
+    for line_no, line in utf8_lines(path):
+        line = line.rstrip("\r\n")
+        if line.startswith("#doc:"):
+            flush()
+            doc_id = line[len("#doc:"):].strip()
+            if not doc_id:
+                raise ParseError("empty doc id in header", path=path, line=line_no)
+            if doc_id in seen:
+                raise ParseError(f"duplicate context for doc {doc_id!r}",
                                  path=path, line=line_no)
-            tokens.append(TaggedToken(surface=parts[0], lemma=parts[1], pos=parts[2]))
+            seen.add(doc_id)
+            continue
+        if not line.strip():
+            flush()
+            continue
+        if doc_id is None:
+            raise ParseError("token line outside any #doc: block", path=path, line=line_no)
+        parts = line.split("\t")
+        if len(parts) != 3:
+            raise ParseError(f"expected 3 tab-separated fields, got {len(parts)}",
+                             path=path, line=line_no)
+        tokens.append(TaggedToken(surface=parts[0], lemma=parts[1], pos=parts[2]))
     flush()
     return contexts
 

@@ -18,14 +18,16 @@ import logging
 import time
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
-
-import requests
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from .corpus import ContextMatch
+from .csvio import utf8_lines
 from .errors import ClassificationError, ParseError, UndefinedCorrelationError, ValidationError
 from .stats import spearman
 from .valence import DeltaRecord, ScoreRecord
+
+if TYPE_CHECKING:
+    import requests
 
 logger = logging.getLogger(__name__)
 
@@ -98,6 +100,8 @@ def classify_contexts(items: Sequence[ContextItem], config: ServiceConfig,
     """
     if config.batch_size < 1:
         raise ValidationError("batch_size must be >= 1")
+    import requests  # imported on first use: only live classification needs it
+
     own_session = session is None
     sess = session or requests.Session()
     url = config.base_url.rstrip("/") + "/classify"
@@ -123,6 +127,8 @@ def classify_contexts(items: Sequence[ContextItem], config: ServiceConfig,
 
 def _classify_batch(sess: requests.Session, url: str,
                     batch: Sequence[ContextItem], config: ServiceConfig) -> list[str]:
+    import requests
+
     ids = [item.context_id for item in batch]
     payload = {"texts": [item.text for item in batch]}
     last_error = None
@@ -164,28 +170,30 @@ def read_label_jsonl(path: str) -> list[LabelRecord]:
     source) triple may appear only once."""
     records: list[LabelRecord] = []
     seen: set[tuple[str, str, str]] = set()
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"invalid JSON: {exc}", path=path, line=line_no) from exc
-            try:
-                rec = LabelRecord(
-                    target_id=str(obj["target_id"]), context_id=str(obj["context_id"]),
-                    label=str(obj["label"]), source_id=str(obj["source_id"]))
-            except KeyError as exc:
-                raise ParseError(f"missing field {exc}", path=path, line=line_no) from exc
-            if rec.label not in LABELS:
-                raise ParseError(f"unknown label {rec.label!r}", path=path, line=line_no)
-            key = (rec.target_id, rec.context_id, rec.source_id)
-            if key in seen:
-                raise ParseError(f"duplicate label for {key}", path=path, line=line_no)
-            seen.add(key)
-            records.append(rec)
+    for line_no, line in utf8_lines(path):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"invalid JSON: {exc}", path=path, line=line_no) from exc
+        if not isinstance(obj, dict):
+            raise ParseError(f"expected a JSON object, got {type(obj).__name__}",
+                             path=path, line=line_no)
+        try:
+            rec = LabelRecord(
+                target_id=str(obj["target_id"]), context_id=str(obj["context_id"]),
+                label=str(obj["label"]), source_id=str(obj["source_id"]))
+        except KeyError as exc:
+            raise ParseError(f"missing field {exc}", path=path, line=line_no) from exc
+        if rec.label not in LABELS:
+            raise ParseError(f"unknown label {rec.label!r}", path=path, line=line_no)
+        key = (rec.target_id, rec.context_id, rec.source_id)
+        if key in seen:
+            raise ParseError(f"duplicate label for {key}", path=path, line=line_no)
+        seen.add(key)
+        records.append(rec)
     return records
 
 

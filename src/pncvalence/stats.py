@@ -11,8 +11,6 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from scipy import special
-
 from .errors import UndefinedCorrelationError, ValidationError
 
 
@@ -135,6 +133,8 @@ def student_t_sf(t: float, df: int) -> float:
         raise ValidationError("t statistic is NaN")
     if math.isinf(t):
         return 0.0
+    from scipy import special  # imported on first use: stages without p-values skip it
+
     x = df / (df + t * t)
     return float(special.betainc(0.5 * df, 0.5, x))
 
@@ -153,5 +153,7 @@ def fisher_f_sf(f: float, df1: int, df2: int) -> float:
         return 1.0
     if math.isinf(f):
         return 0.0
+    from scipy import special
+
     x = df2 / (df2 + df1 * f)
     return float(special.betainc(0.5 * df2, 0.5 * df1, x))

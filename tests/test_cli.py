@@ -433,12 +433,21 @@ def cut_inside_row_1(path):
     return 3
 
 
+def bad_byte_in_row_1(path):
+    lines = path.read_bytes().splitlines(keepends=True)
+    lines[2] = b"\xff" + lines[2]
+    path.write_bytes(b"".join(lines))
+    return 3
+
+
 class TestCorruptArtifacts:
     @pytest.mark.parametrize("artifact, command, corrupt", [
         ("deltas.csv", "compare", bad_value_in_row_1),
         ("deltas.csv", "regress", cut_inside_row_1),
+        ("deltas.csv", "compare", bad_byte_in_row_1),
         ("matches.csv", "score", bad_value_in_row_1),
         ("matches.csv", "sentiment", cut_inside_row_1),
+        ("matches.csv", "score", bad_byte_in_row_1),
     ])
     def test_reading_stage_exits_3_with_path_and_line(
             self, tmp_path, out, capsys, artifact, command, corrupt):
@@ -447,6 +456,65 @@ class TestCorruptArtifacts:
         line = corrupt(run_dir / artifact)
         assert run(command, run_dir) == 3
         assert f"{run_dir / artifact}:{line}]" in capsys.readouterr().err
+
+
+class TestNonUtf8Input:
+    @pytest.mark.parametrize("key, command", [
+        ("targets", "variants"), ("corpus", "match"), ("lexicon", "score"),
+        ("tagged_contexts", "score"), ("human_label_file", "sentiment"),
+        ("metadata", "regress"),
+    ])
+    def test_exit_3_with_path_and_line(self, tmp_path, out, capsys, key, command):
+        run_dir = tmp_path / "o"
+        shutil.copytree(out, run_dir)
+        source = TOY / json.loads(Path(CONFIG).read_text(encoding="utf-8"))[key]
+        bad = (tmp_path / source.name).resolve()
+        shutil.copy(source, bad)
+        line = bad_byte_in_row_1(bad)
+        cfg = toy_config(tmp_path / "cfg", **{key: str(bad)})
+        assert main([command, "--config", cfg, "--out", str(run_dir)]) == 3
+        assert f"{bad}:{line}]" in capsys.readouterr().err
+
+
+class TestOutDir:
+    def test_out_override_is_relative_to_working_directory(
+            self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["variants", "--config", CONFIG, "--out", "rel"]) == 0
+        assert (tmp_path / "rel" / "variants.csv").is_file()
+        assert not (TOY / "rel").exists()
+
+    def test_configured_out_dir_is_relative_to_config(self, tmp_path, monkeypatch):
+        cfg = toy_config(tmp_path / "c", out_dir="o")
+        monkeypatch.chdir(tmp_path)
+        assert main(["variants", "--config", cfg]) == 0
+        assert (tmp_path / "c" / "o" / "variants.csv").is_file()
+
+
+def run_python(*args, timeout):
+    """Run the current interpreter with this checkout's `src` first on
+    PYTHONPATH."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(REPO / "src"), env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          text=True, timeout=timeout)
+
+
+class TestModuleEntryPoint:
+    def test_python_m_pncvalence_runs_a_stage(self, tmp_path):
+        proc = run_python("-m", "pncvalence", "variants", "--config", CONFIG,
+                          "--out", str(tmp_path), timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "variants.csv").is_file()
+
+    def test_importing_the_cli_loads_neither_scipy_nor_requests(self):
+        proc = run_python(
+            "-c", "import sys, pncvalence.cli; "
+            "print(sorted({'scipy', 'requests'} & set(sys.modules)))",
+            timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
 
 class TestStageOrder:
@@ -497,19 +565,13 @@ def run_script(*args, timeout):
     runs it, through the current interpreter with this checkout's `src`
     first on PYTHONPATH.
     """
-    env = None
-    if shutil.which(SCRIPT):
-        cmd = [SCRIPT]
-    else:
+    if not shutil.which(SCRIPT):
         module, _, attr = declared_entry_point().partition(":")
-        cmd = [sys.executable, "-c",
-               f"import sys; sys.argv[0] = {SCRIPT!r}; "
-               f"from {module} import {attr}; sys.exit({attr}())"]
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (str(REPO / "src"), env.get("PYTHONPATH")) if p)
-    return subprocess.run([*cmd, *args], env=env, capture_output=True,
-                          text=True, timeout=timeout)
+        return run_python("-c", f"import sys; sys.argv[0] = {SCRIPT!r}; "
+                          f"from {module} import {attr}; sys.exit({attr}())",
+                          *args, timeout=timeout)
+    return subprocess.run([SCRIPT, *args], capture_output=True, text=True,
+                          timeout=timeout)
 
 
 class TestConsoleEntryPoint:

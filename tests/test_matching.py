@@ -1,9 +1,13 @@
 import random
+import re
+import unicodedata
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pncvalence.corpus import (ContextMatch, Document, TargetSpec,
-                               dedupe_documents, frequency_filter,
+from pncvalence.corpus import (H_WILDCARD, ContextMatch, Document, TargetSpec,
+                               VariantSet, dedupe_documents, frequency_filter,
                                generate_variants, match_contexts,
                                pnc_match_counts, read_corpus_jsonl,
                                read_matches_csv, read_targets_csv,
@@ -24,6 +28,98 @@ MERKEL = target("merkel", "Willkommens-Merkel", "Angela", "Merkel",
 
 def doc(doc_id, text, url=None):
     return Document(doc_id=doc_id, source="tweet", text=text, url=url)
+
+
+def brute_force(corpus, targets, variant_sets=(), case_insensitive=False,
+                include_overlaps=True):
+    """Reference matcher: every pattern of every target over every document,
+    with a byte offset for every character position."""
+    flags = re.IGNORECASE if case_insensitive else 0
+    supplied = {vs.target_id: vs for vs in variant_sets}
+    found = []
+    for d in corpus:
+        text = unicodedata.normalize("NFC", d.text)
+        offsets = [0]
+        for ch in text:
+            offsets.append(offsets[-1] + len(ch.encode("utf-8")))
+        for t in targets:
+            vs = supplied.get(t.target_id) or generate_variants(t)
+            taken, pnc_hit = set(), False
+            for variant, tag in vs.variants:
+                source = variant if tag == H_WILDCARD else re.escape(variant)
+                for m in re.finditer(source, text, flags):
+                    if m.span() in taken:
+                        continue
+                    taken.add(m.span())
+                    pnc_hit = True
+                    found.append(ContextMatch(t.target_id, d.doc_id, "pnc", variant,
+                                              offsets[m.start()], offsets[m.end()]))
+            name = unicodedata.normalize("NFC", t.full_name)
+            names = [ContextMatch(t.target_id, d.doc_id, "full_name", name,
+                                  offsets[m.start()], offsets[m.end()])
+                     for m in re.finditer(re.escape(name), text, flags)]
+            if names and (include_overlaps or not pnc_hit):
+                found.extend(names)
+    found.sort(key=lambda m: (m.target_id, m.doc_id, m.byte_start, m.byte_end, m.kind))
+    return found
+
+
+# few letters, so heads nest inside one another and names are shared; umlauts,
+# ß and the long s (which IGNORECASE matches to "s") among them
+LETTERS = "aäAÄsSßnNeoöÖſ"
+FILLER = LETTERS + " -#€日\u0308"  # a combining diaeresis composes under NFC
+CASINGS = (str, str.lower, str.upper, str.swapcase)
+
+
+@st.composite
+def targets_and_corpus(draw):
+    part = st.text(LETTERS, min_size=1, max_size=4)
+    heads = draw(st.lists(part, min_size=1, max_size=4))
+    targets = []
+    for i in range(draw(st.integers(1, 5))):
+        mod, head = draw(part), draw(st.sampled_from(heads))
+        last = draw(st.one_of(st.sampled_from(heads), part))
+        targets.append(TargetSpec(
+            target_id=f"t{i}", pnc_surface=f"{mod}-{head}", modifier_surface=mod,
+            head_surface=head, first_name=draw(st.sampled_from(("Uli", "Anna"))),
+            last_name=last, domain="sports",
+            alt_spellings=tuple(draw(st.lists(part, max_size=2)))))
+    mentions = [m for t in targets for m in (
+        *(v for v, tag in generate_variants(t).variants if tag != H_WILDCARD),
+        t.modifier_surface + "#" + t.head_surface, t.head_surface, t.full_name)]
+    piece = st.one_of(st.sampled_from(mentions), st.text(FILLER, max_size=5))
+    corpus = []
+    for i in range(draw(st.integers(1, 4))):
+        pieces = draw(st.lists(st.tuples(piece, st.sampled_from(CASINGS)), max_size=6))
+        text = draw(st.sampled_from(("", " "))).join(case(p) for p, case in pieces)
+        corpus.append(doc(f"d{i}", text or "x"))
+    return targets, corpus
+
+
+class TestGatedMatchingEqualsBruteForce:
+    @settings(max_examples=300, deadline=None)
+    @given(targets_and_corpus(), st.booleans(), st.booleans())
+    def test_random_targets_and_texts(self, drawn, case_insensitive, include_overlaps):
+        targets, corpus = drawn
+        options = dict(case_insensitive=case_insensitive,
+                       include_overlaps=include_overlaps)
+        assert (match_contexts(corpus, targets, **options)
+                == brute_force(corpus, targets, **options))
+
+    @pytest.mark.parametrize("case_insensitive", [False, True])
+    def test_supplied_wildcard_without_the_generated_shape(self, case_insensitive):
+        # "T.re.{0,3}K" contains neither the head "Klose" nor the full name,
+        # so only scanning the target in every document finds "Tyre+-Kuh"
+        vs = VariantSet("klose", (("Tore-Klose", "original"),
+                                  ("T.re.{0,3}K", H_WILDCARD)))
+        corpus = [doc("d1", "für Tyre+-Kuh"), doc("d2", "Miroslav Klose"),
+                  doc("d3", "nichts")]
+        matches = match_contexts(corpus, [KLOSE, MERKEL], variant_sets=[vs],
+                                 case_insensitive=case_insensitive)
+        assert matches == brute_force(corpus, [KLOSE, MERKEL], [vs],
+                                      case_insensitive=case_insensitive)
+        assert [(m.doc_id, m.matched_variant, m.byte_start) for m in matches] == [
+            ("d1", "T.re.{0,3}K", 5), ("d2", "Miroslav Klose", 0)]
 
 
 class TestMatchContexts:
@@ -315,6 +411,21 @@ class TestFileInterfaces:
                      encoding="utf-8")
         with pytest.raises(ParseError, match="source"):
             read_corpus_jsonl(str(p))
+
+    @pytest.mark.parametrize("bad_line, message", [
+        (b"[1]", "expected a JSON object"),
+        (b'{"doc_id": "d2", "source": "tweet", "text": 5}', "not a string"),
+        (b'{"doc_id": "d2", "source": "tweet", "text": "a", "url": [1]}',
+         "url of doc"),
+        (b'{"doc_id": "d2", "source": "tweet", "text": "Kn\xffast"}', "not UTF-8"),
+    ])
+    def test_corpus_bad_line_names_its_line(self, tmp_path, bad_line, message):
+        p = tmp_path / "corpus.jsonl"
+        p.write_bytes(b'{"doc_id": "d1", "source": "tweet", "text": "a"}\n\n'
+                      + bad_line + b"\n")
+        with pytest.raises(ParseError, match=message) as exc:
+            read_corpus_jsonl(str(p))
+        assert exc.value.line == 3
 
     def test_matches_csv_round_trip(self, tmp_path):
         matches = match_contexts(

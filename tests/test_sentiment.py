@@ -128,6 +128,14 @@ class TestLabelJsonl:
         with pytest.raises(ParseError, match="missing field"):
             read_label_jsonl(str(p))
 
+    def test_non_object_line_rejected(self, tmp_path):
+        p = tmp_path / "labels.jsonl"
+        p.write_text('{"target_id": "a", "context_id": "c1", '
+                     '"label": "neutral", "source_id": "m1"}\n[1]\n', encoding="utf-8")
+        with pytest.raises(ParseError, match="expected a JSON object") as exc:
+            read_label_jsonl(str(p))
+        assert exc.value.line == 2
+
 
 def delta(tid, value, approach="norms"):
     return DeltaRecord(target_id=tid, approach=approach, pnc_valence=5 + value,
