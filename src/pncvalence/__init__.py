@@ -20,11 +20,11 @@ from .regression import (DesignMatrix, ElasticNetFit, FeatureRow, OlsFit,
                          cv_random_search, elastic_net_fit, encode_features,
                          ols_fit, univariate_scan, multivariate_suite)
 from .sentiment import (LabelHistogram, LabelRecord, build_histograms,
-                        compare_approaches, eq2_valence, pairwise_iaa,
-                        sign_breakdown)
+                        compare_approaches, eq2_valence, pairwise_iaa)
 from .stats import CorrelationResult, fisher_f_sf, pearson, spearman, student_t_sf
-from .valence import (DeltaRecord, ScoreRecord, compute_deltas, domain_summary,
-                      target_valence, target_valence_from_contexts)
+from .valence import (DeltaRecord, ScoreRecord, compute_deltas, delta_sign,
+                      domain_summary, sign_breakdown, target_valence,
+                      target_valence_from_contexts)
 
 __all__ = [
     "__version__",
@@ -38,8 +38,8 @@ __all__ = [
     "cv_random_search", "elastic_net_fit", "encode_features", "ols_fit",
     "univariate_scan", "multivariate_suite",
     "LabelHistogram", "LabelRecord", "build_histograms", "compare_approaches",
-    "eq2_valence", "pairwise_iaa", "sign_breakdown",
+    "eq2_valence", "pairwise_iaa",
     "CorrelationResult", "fisher_f_sf", "pearson", "spearman", "student_t_sf",
-    "DeltaRecord", "ScoreRecord", "compute_deltas", "domain_summary",
-    "target_valence", "target_valence_from_contexts",
+    "DeltaRecord", "ScoreRecord", "compute_deltas", "delta_sign", "domain_summary",
+    "sign_breakdown", "target_valence", "target_valence_from_contexts",
 ]

@@ -25,10 +25,10 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from . import __version__
-from .corpus import (ContextMatch, TargetSpec, UNIT_POLICIES,
-                     dedupe_documents, frequency_filter, generate_variants,
-                     match_contexts, pnc_match_counts, read_corpus_jsonl,
-                     read_matches_csv, read_targets_csv, write_matches_csv)
+from .corpus import (ContextMatch, TargetSpec, dedupe_documents,
+                     frequency_filter, generate_variants, match_contexts,
+                     pnc_match_counts, read_corpus_jsonl, read_matches_csv,
+                     read_targets_csv, write_matches_csv)
 from .csvio import read_csv, write_csv
 from .errors import (ParseError, PncValenceError, UndefinedCorrelationError,
                      ValidationError)
@@ -39,12 +39,11 @@ from .regression import (DEFAULT_MODEL_SPECS, DEFAULT_UNIVARIATE_PREDICTORS,
 from .sentiment import (COMPARE_MODES, ContextItem, ServiceConfig,
                         build_histograms, classify_contexts, compare_approaches,
                         eq2_valence, filter_records_by_kind, kind_index,
-                        pairwise_iaa, pool_annotators, read_label_jsonl,
-                        sign_breakdown)
+                        pairwise_iaa, pool_annotators, read_label_jsonl)
 from .stats import pearson, spearman
-from .valence import (DeltaRecord, KINDS, POOLING_MODES, ScoreRecord,
+from .valence import (DECIMALS, DeltaRecord, KINDS, POOLING_MODES, ScoreRecord,
                       compute_deltas, domain_summary, frequent_context_words,
-                      target_valence)
+                      sign_breakdown, target_valence)
 
 logger = logging.getLogger(__name__)
 
@@ -54,7 +53,7 @@ EXIT_INVALID = 3
 
 # formatting widths used across artifacts
 def fmt_val(v: float | None) -> str:
-    return "" if v is None else f"{v:.6f}"
+    return "" if v is None else f"{v:.{DECIMALS}f}"
 
 
 def fmt_p(v: float | None) -> str:
@@ -68,6 +67,10 @@ def fmt_pct(v: float | None) -> str:
 class MissingArtifactError(PncValenceError):
     """A required input file or upstream artifact does not exist."""
 
+
+# the context unit a corpus holds: whole documents (tweets), or news that
+# arrives one sentence per document; matching is the same for both
+UNIT_POLICIES = ("whole_document", "per_sentence")
 
 _DEFAULTS: dict[str, object] = {
     "min_freq": 1,
@@ -307,8 +310,7 @@ def cmd_match(cfg: RunConfig) -> None:
         if len(corpus) != n_raw:
             logger.info("url dedupe removed %d document(s)", n_raw - len(corpus))
     matches = match_contexts(
-        corpus, targets, cfg["unit_policy"],
-        case_insensitive=cfg["case_insensitive"],
+        corpus, targets, case_insensitive=cfg["case_insensitive"],
         include_overlaps=cfg["include_overlaps"])
     matches_path = cfg.output_path("matches.csv")
     write_matches_csv(matches, str(matches_path), header_comment=cfg.comment())
@@ -382,13 +384,9 @@ def cmd_score(cfg: RunConfig) -> None:
                      fmt_pct(s.pct_positive)] for s in summaries]
     write_csv_artifact(cfg, "domain_summary.csv", _DOMAIN_FIELDS, summary_rows)
 
-    word_rows = []
-    for target_id in retained:
-        for kind in KINDS:
-            for lemma, count, val in frequent_context_words(
-                    target_id, kind, matches, tagged, k=cfg["top_k_words"],
-                    lexicon=lexicon):
-                word_rows.append([target_id, kind, lemma, count, fmt_val(val)])
+    word_rows = [[target_id, kind, lemma, count, fmt_val(val)]
+                 for target_id, kind, lemma, count, val in frequent_context_words(
+                     retained, matches, tagged, k=cfg["top_k_words"], lexicon=lexicon)]
     write_csv_artifact(cfg, "frequent_words.csv",
                        ["target_id", "kind", "lemma", "count", "valence"], word_rows)
 
@@ -420,6 +418,15 @@ def _read_deltas(path: Path) -> list[DeltaRecord]:
         delta=float(row["delta"]),
         modifier_valence=_optional_float(row["modifier_valence"]),
         modifier_delta=_optional_float(row["modifier_delta"])))
+
+
+def _norm_deltas(cfg: RunConfig) -> list[DeltaRecord]:
+    """The lexicon-based deltas of deltas.csv; there must be at least one."""
+    deltas = [d for d in _read_deltas(cfg.artifact_path("deltas.csv"))
+              if d.approach == "norms"]
+    if not deltas:
+        raise ValidationError("deltas.csv holds no lexicon-based deltas")
+    return deltas
 
 
 def _write_correlations(cfg: RunConfig, deltas: Sequence[DeltaRecord]) -> None:
@@ -553,16 +560,13 @@ def _write_iaa(cfg: RunConfig, human_records) -> None:
 
 
 def cmd_compare(cfg: RunConfig) -> None:
-    file_deltas = _read_deltas(cfg.artifact_path("deltas.csv"))
+    norm_deltas = _norm_deltas(cfg)
     label_deltas = _read_deltas(cfg.artifact_path("plm_deltas.csv"))
-    norm_deltas = [d for d in file_deltas if d.approach == "norms"]
-    if not norm_deltas:
-        raise ValidationError("deltas.csv holds no lexicon-based deltas")
 
-    breakdown_rows = [[b.approach, b.n, b.n_negative, b.n_positive, b.n_zero,
+    breakdown_rows = [[b.group, b.n, b.n_negative, b.n_positive, b.n_zero,
                        fmt_pct(b.pct_negative), fmt_pct(b.pct_positive),
                        fmt_pct(b.pct_zero)]
-                      for b in sign_breakdown(label_deltas + file_deltas)]
+                      for b in sign_breakdown(label_deltas + norm_deltas)]
     write_csv_artifact(
         cfg, "sign_breakdown.csv",
         ["approach", "n", "n_negative", "n_positive", "n_zero",
@@ -598,13 +602,10 @@ def cmd_compare(cfg: RunConfig) -> None:
 
 
 def cmd_regress(cfg: RunConfig) -> None:
-    deltas_path = cfg.artifact_path("deltas.csv")
+    deltas = _norm_deltas(cfg)
     targets_path = cfg.input_path("targets")
     metadata_path = cfg.input_path("metadata")
     targets = read_targets_csv(str(targets_path))
-    deltas = [d for d in _read_deltas(deltas_path) if d.approach == "norms"]
-    if not deltas:
-        raise ValidationError("deltas.csv holds no lexicon-based deltas")
     metadata = read_metadata_csv(str(metadata_path))
     rows = assemble_rows(deltas, metadata, targets)
 
@@ -709,7 +710,7 @@ def cmd_report(cfg: RunConfig) -> None:
     comparison_path = cfg.artifact_path("comparison.csv")
     uni_path = cfg.artifact_path("univariate.csv")
     multi_path = cfg.artifact_path("multivariate.csv")
-    deltas_path = cfg.artifact_path("deltas.csv")
+    deltas = _norm_deltas(cfg)
     freq_path = cfg.artifact_path("freq_report.csv")
     domain_path = cfg.artifact_path("domain_summary.csv")
     targets_path = cfg.input_path("targets")
@@ -728,7 +729,6 @@ def cmd_report(cfg: RunConfig) -> None:
     cfg.output_path("report/table7.csv").write_bytes(multi_path.read_bytes())
 
     targets = read_targets_csv(str(targets_path))
-    deltas = [d for d in _read_deltas(deltas_path) if d.approach == "norms"]
     counts = dict(read_csv(str(freq_path), ("target_id", "n_pnc_matches"),
                            lambda row: (row["target_id"], int(row["n_pnc_matches"]))))
     target_by_id = {t.target_id: t for t in targets}

@@ -25,7 +25,7 @@ import re
 import unicodedata
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .csvio import read_csv, utf8_lines, write_csv
 from .errors import ParseError, ValidationError
@@ -34,7 +34,6 @@ logger = logging.getLogger(__name__)
 
 DOMAINS = ("politics", "sports", "show_business", "others")
 DOC_SOURCES = ("tweet", "news_sentence", "other")
-UNIT_POLICIES = ("whole_document", "per_sentence")
 
 # variant heuristics, in generation order
 H_ORIGINAL = "original"
@@ -244,49 +243,30 @@ class _CompiledTarget:
     pnc_patterns: tuple[tuple[re.Pattern, str], ...]  # (compiled, variant_string)
     name_pattern: re.Pattern
     name_string: str
-    anchors: tuple[str, ...] | None  # None: the target is scanned in every document
+    anchors: tuple[str, ...]
 
 
-def _anchors(target: TargetSpec, variants: Sequence[tuple[str, str]],
-             name: str) -> tuple[str, ...] | None:
+def _anchors(variants: Sequence[tuple[str, str]], head: str,
+             name: str) -> tuple[str, ...]:
     """Literal strings at least one of which occurs in every match of the target.
 
-    A literal variant is its own anchor, the generated wildcard pattern
-    (modifier, gap, head) has the head, and the full-name pattern has the
-    full name. An anchor that contains another anchor of the same target is
-    dropped: wherever it matches, the shorter one matches too, with or
-    without IGNORECASE. A wildcard entry of any other shape has no anchor,
-    and then None says that the target has to be scanned in every document.
+    A literal variant is its own anchor, the wildcard pattern (modifier, gap,
+    head) has the head, and the full-name pattern has the full name. An
+    anchor that contains another anchor of the same target is dropped:
+    wherever it matches, the shorter one matches too, with or without
+    IGNORECASE.
     """
-    found = {name}
-    for variant, tag in variants:
-        if tag != H_WILDCARD:
-            found.add(variant)
-            continue
-        try:
-            mod, _, head = split_compound(target)
-        except ValidationError:
-            return None
-        if variant != re.escape(mod) + WILDCARD_GAP + re.escape(head):
-            return None
-        found.add(head)
+    found = {name, head} | {v for v, tag in variants if tag != H_WILDCARD}
     return tuple(sorted(a for a in found
                         if not any(b != a and b in a for b in found)))
 
 
-def _compile_targets(targets: Sequence[TargetSpec],
-                     variant_sets: Sequence[VariantSet] | None,
-                     flags: int) -> list[_CompiledTarget]:
-    if variant_sets is None:
-        variant_sets = [generate_variants(t) for t in targets]
-    by_id = {vs.target_id: vs for vs in variant_sets}
+def _compile_targets(targets: Sequence[TargetSpec], flags: int) -> list[_CompiledTarget]:
     compiled = []
     for target in targets:
-        vs = by_id.get(target.target_id)
-        if vs is None:
-            vs = generate_variants(target)
+        variants = generate_variants(target).variants
         patterns = []
-        for variant, tag in vs.variants:
+        for variant, tag in variants:
             source = variant if tag == H_WILDCARD else re.escape(variant)
             patterns.append((re.compile(source, flags), variant))
         name = nfc(target.full_name)
@@ -295,25 +275,9 @@ def _compile_targets(targets: Sequence[TargetSpec],
             pnc_patterns=tuple(patterns),
             name_pattern=re.compile(re.escape(name), flags),
             name_string=name,
-            anchors=_anchors(target, vs.variants, name),
+            anchors=_anchors(variants, split_compound(target)[2], name),
         ))
     return compiled
-
-
-def _anchor_gate(compiled: Sequence[_CompiledTarget], flags: int,
-                 ) -> tuple[list[int], list[tuple[Callable, list[int]]]]:
-    """Indices of the targets scanned in every document, and one search
-    function per distinct anchor with the indices of the targets that own it."""
-    always: list[int] = []
-    owners: dict[str, list[int]] = {}
-    for i, target in enumerate(compiled):
-        if target.anchors is None:
-            always.append(i)
-        else:
-            for anchor in target.anchors:
-                owners.setdefault(anchor, []).append(i)
-    return always, [(re.compile(re.escape(anchor), flags).search, idx)
-                    for anchor, idx in owners.items()]
 
 
 def _match_document(doc_id: str, text: str, candidates: Iterable[_CompiledTarget],
@@ -348,36 +312,34 @@ def _match_document(doc_id: str, text: str, candidates: Iterable[_CompiledTarget
     return found
 
 
-def match_contexts(corpus: Sequence[Document], targets: Sequence[TargetSpec],
-                   unit_policy: str = "whole_document", *,
-                   variant_sets: Sequence[VariantSet] | None = None,
+def match_contexts(corpus: Sequence[Document], targets: Sequence[TargetSpec], *,
                    case_insensitive: bool = False,
                    include_overlaps: bool = True) -> list[ContextMatch]:
     """Find every compound and full-name occurrence of each target in the corpus.
 
-    unit_policy is "whole_document" for tweet-like corpora and "per_sentence"
-    for news corpora whose documents already arrive as single sentences; the
-    scan itself is identical, the policy names the context unit. With
-    include_overlaps=False, full-name matches are dropped from documents that
-    also contain the compound for the same target. Output order is fixed by
-    the final sort.
+    Each document is one context unit, a tweet or a news sentence alike.
+    With include_overlaps=False, full-name matches are dropped from
+    documents that also contain the compound for the same target. Output
+    order is fixed by the final sort.
 
     Each document is scanned only for the targets one of whose anchors it
     contains (see _anchors); the gate is a necessary condition, so the
     result equals scanning every target in every document.
     """
-    if unit_policy not in UNIT_POLICIES:
-        raise ValidationError(f"unknown unit_policy {unit_policy!r}; expected one of {UNIT_POLICIES}")
     flags = re.IGNORECASE if case_insensitive else 0
-    compiled = _compile_targets(targets, variant_sets, flags)
-    always, gate = _anchor_gate(compiled, flags)
+    compiled = _compile_targets(targets, flags)
+    owners: dict[str, list[int]] = {}  # anchor -> indices of the targets owning it
+    for i, target in enumerate(compiled):
+        for anchor in target.anchors:
+            owners.setdefault(anchor, []).append(i)
+    gate = [(re.compile(re.escape(a), flags).search, idx) for a, idx in owners.items()]
     matches = []
     for doc in corpus:
         text = nfc(doc.text)
-        candidates = set(always)
-        for search, owners in gate:
+        candidates: set[int] = set()
+        for search, indices in gate:
             if search(text):
-                candidates.update(owners)
+                candidates.update(indices)
         matches.extend(_match_document(
             doc.doc_id, text, (compiled[i] for i in sorted(candidates)),
             include_overlaps))

@@ -63,20 +63,23 @@ def read_csv(path: str, fields: Sequence[str],
             yield line
 
     reader = csv.DictReader(lines())
-    if reader.fieldnames is None:
-        raise ParseError("empty file", path=path)
-    missing = [c for c in fields if c not in reader.fieldnames]
-    if missing:
-        raise ParseError(f"missing columns: {', '.join(missing)}",
-                         path=path, line=line_no)
     records = []
-    for row in reader:
-        try:
-            records.append(parse(row))
-        except (TypeError, ValueError) as exc:
-            short = "; the row is cut short" if None in row.values() else ""
-            raise ParseError(f"bad row: {exc}{short}", path=path,
-                             line=line_no) from exc
+    try:
+        if reader.fieldnames is None:
+            raise ParseError("empty file", path=path)
+        missing = [c for c in fields if c not in reader.fieldnames]
+        if missing:
+            raise ParseError(f"missing columns: {', '.join(missing)}",
+                             path=path, line=line_no)
+        for row in reader:
+            try:
+                records.append(parse(row))
+            except (TypeError, ValueError) as exc:
+                short = "; the row is cut short" if None in row.values() else ""
+                raise ParseError(f"bad row: {exc}{short}", path=path,
+                                 line=line_no) from exc
+    except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
+        raise ParseError(f"bad CSV: {exc}", path=path, line=line_no) from None
     return records
 
 

@@ -521,10 +521,13 @@ def elastic_net_fit(x: np.ndarray, y: np.ndarray, lam: float, alpha: float, *,
                          objective=trace[-1], objective_trace=tuple(trace))
 
 
-def lambda_max(x: np.ndarray, y: np.ndarray, alpha: float,
-               alpha_floor: float = 1e-3) -> float:
-    """Smallest penalty that zeroes every coefficient at the given alpha
-    (the alpha floor keeps the bound finite for the pure-ridge end)."""
+# lambda_max divides by max(alpha, ALPHA_FLOOR), keeping the bound finite at
+# the pure-ridge end
+ALPHA_FLOOR = 1e-3
+
+
+def lambda_max(x: np.ndarray, y: np.ndarray, alpha: float) -> float:
+    """Smallest penalty that zeroes every coefficient at the given alpha."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     n = x.shape[0]
@@ -533,7 +536,7 @@ def lambda_max(x: np.ndarray, y: np.ndarray, alpha: float,
     if x.shape[1] == 0:
         raise ValidationError("need at least one predictor")
     top = float(np.abs(xc.T @ yc).max())
-    return top / (n * max(alpha, alpha_floor))
+    return top / (n * max(alpha, ALPHA_FLOOR))
 
 
 @dataclass(frozen=True)
@@ -576,8 +579,7 @@ def _fold_error(x: np.ndarray, y: np.ndarray, train_idx: np.ndarray,
 def cv_random_search(x: np.ndarray, y: np.ndarray, *,
                      columns: Sequence[str] | None = None,
                      n_candidates: int = 25, n_repeats: int = 5, n_folds: int = 5,
-                     seed: int = 0, scoring: str = "mse",
-                     standardize: bool = True) -> CvSearchResult:
+                     seed: int = 0, scoring: str = "mse") -> CvSearchResult:
     """Tune (alpha, lambda) by random search under repeated k-fold CV.
 
     Draw order is fixed by the seed: first the candidate list (alpha uniform
@@ -598,12 +600,7 @@ def cv_random_search(x: np.ndarray, y: np.ndarray, *,
     columns = tuple(columns) if columns is not None else tuple(
         f"x{j}" for j in range(x.shape[1]))
 
-    if standardize:
-        x_std, means, stds = standardize_columns(x)
-    else:
-        x_std = x
-        means = np.zeros(x.shape[1])
-        stds = np.ones(x.shape[1])
+    x_std, means, stds = standardize_columns(x)
 
     rng = np.random.default_rng(seed)
     draws: list[tuple[float, float]] = []

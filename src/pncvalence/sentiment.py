@@ -24,7 +24,7 @@ from .corpus import ContextMatch
 from .csvio import utf8_lines
 from .errors import ClassificationError, ParseError, UndefinedCorrelationError, ValidationError
 from .stats import spearman
-from .valence import DeltaRecord, ScoreRecord
+from .valence import DeltaRecord, ScoreRecord, delta_sign
 
 if TYPE_CHECKING:
     import requests
@@ -254,39 +254,6 @@ def eq2_valence(hist: LabelHistogram, kind: str, approach: str) -> ScoreRecord |
 
 
 @dataclass(frozen=True)
-class SignBreakdown:
-    """Delta sign shares for one approach."""
-
-    approach: str
-    n: int
-    n_negative: int
-    n_positive: int
-    n_zero: int
-    pct_negative: float
-    pct_positive: float
-    pct_zero: float
-
-
-def sign_breakdown(deltas: Sequence[DeltaRecord]) -> list[SignBreakdown]:
-    """Share of negative/positive/zero compound-name shifts per approach."""
-    by_approach: dict[str, list[DeltaRecord]] = defaultdict(list)
-    for d in deltas:
-        by_approach[d.approach].append(d)
-    out = []
-    for approach in sorted(by_approach):
-        group = by_approach[approach]
-        n = len(group)
-        n_neg = sum(1 for d in group if d.delta < 0)
-        n_pos = sum(1 for d in group if d.delta > 0)
-        n_zero = n - n_neg - n_pos
-        out.append(SignBreakdown(
-            approach=approach, n=n, n_negative=n_neg, n_positive=n_pos,
-            n_zero=n_zero, pct_negative=100.0 * n_neg / n,
-            pct_positive=100.0 * n_pos / n, pct_zero=100.0 * n_zero / n))
-    return out
-
-
-@dataclass(frozen=True)
 class CompareResult:
     """Per-target classification of one label-based approach's deltas against
     the lexicon-based deltas, plus aggregate shares."""
@@ -304,10 +271,6 @@ class CompareResult:
     per_target: tuple[tuple[str, str], ...] = field(repr=False)  # (target_id, class)
 
 
-def _sign(x: float) -> int:
-    return -1 if x < 0 else (1 if x > 0 else 0)
-
-
 def compare_approaches(plm_deltas: Sequence[DeltaRecord],
                        norm_deltas: Sequence[DeltaRecord],
                        mode: str = "sign_class",
@@ -315,7 +278,7 @@ def compare_approaches(plm_deltas: Sequence[DeltaRecord],
     """Classify each shared target as agree / plm_more_negative /
     plm_more_positive between a label-based and the lexicon-based approach.
 
-    mode "sign_class" compares delta signs: equal signs agree, a smaller
+    mode "sign_class" compares delta_sign values: equal signs agree, a smaller
     sign on the label side is more negative, a larger one more positive
     (zeros order between the signs, keeping the three classes a partition).
     mode "numeric_epsilon" compares values: within epsilon agrees, below is
@@ -341,7 +304,7 @@ def compare_approaches(plm_deltas: Sequence[DeltaRecord],
         p = plm_by_id[target_id].delta
         n = norm_by_id[target_id].delta
         if mode == "sign_class":
-            sp, sn = _sign(p), _sign(n)
+            sp, sn = delta_sign(p), delta_sign(n)
             if sp == sn:
                 cls = "agree"
             elif sp < sn:

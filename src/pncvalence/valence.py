@@ -29,6 +29,20 @@ logger = logging.getLogger(__name__)
 KINDS = ("pnc", "full_name")
 POOLING_MODES = ("bag", "per_context_mean")
 
+# decimals of every valence and delta written to an artifact
+DECIMALS = 6
+
+
+def delta_sign(delta: float) -> int:
+    """-1, 0 or 1: the sign of a delta as written with DECIMALS decimals.
+
+    Every sign count and sign comparison goes through here, so a delta that
+    rounds to 0.000000 counts as zero whether it comes from memory or from a
+    delta file.
+    """
+    written = round(delta, DECIMALS)
+    return (written > 0) - (written < 0)
+
 
 @dataclass(frozen=True)
 class ScoreRecord:
@@ -100,6 +114,15 @@ def target_valence_from_contexts(target_id: str, kind: str,
                        n_context_lemmas=n_lemmas)
 
 
+def _docs_by_pair(matches: Iterable[ContextMatch]) -> dict[tuple[str, str], dict[str, None]]:
+    """(target_id, kind) -> the ids of the documents it matched, each once, in
+    the order of their first match (the dict keys)."""
+    docs: dict[tuple[str, str], dict[str, None]] = defaultdict(dict)
+    for m in matches:
+        docs[(m.target_id, m.kind)][m.doc_id] = None
+    return docs
+
+
 def target_valence(matches: Iterable[ContextMatch],
                    tagged: Mapping[str, TaggedContext], lexicon: ValenceLexicon,
                    pooling: str = "bag") -> tuple[list[ScoreRecord], list[str]]:
@@ -109,18 +132,13 @@ def target_valence(matches: Iterable[ContextMatch],
     entry are skipped with a warning. Returns the records sorted by
     (target_id, kind) plus a list of notes on unscorable pairs.
     """
-    docs_by_pair: dict[tuple[str, str], list[str]] = defaultdict(list)
-    for m in matches:
-        key = (m.target_id, m.kind)
-        if m.doc_id not in docs_by_pair[key]:
-            docs_by_pair[key].append(m.doc_id)
-
+    docs = _docs_by_pair(matches)
     records: list[ScoreRecord] = []
     notes: list[str] = []
     missing_docs: set[str] = set()
-    for (target_id, kind) in sorted(docs_by_pair):
+    for (target_id, kind) in sorted(docs):
         contexts = []
-        for doc_id in docs_by_pair[(target_id, kind)]:
+        for doc_id in docs[(target_id, kind)]:
             ctx = tagged.get(doc_id)
             if ctx is None:
                 missing_docs.add(doc_id)
@@ -189,7 +207,9 @@ def compute_deltas(scores: Sequence[ScoreRecord],
 
 
 @dataclass(frozen=True)
-class GroupSummary:
+class SignSummary:
+    """How many deltas of one group fall below, above and at zero (delta_sign)."""
+
     group: str
     n: int
     n_negative: int
@@ -198,23 +218,23 @@ class GroupSummary:
     mean_delta: float
     pct_negative: float
     pct_positive: float
+    pct_zero: float
 
 
-def summarize_deltas(deltas: Sequence[DeltaRecord], group: str) -> GroupSummary:
+def sign_summary(deltas: Sequence[DeltaRecord], group: str) -> SignSummary:
     if not deltas:
         raise ValidationError(f"group {group!r} holds no deltas")
     n = len(deltas)
-    n_neg = sum(1 for d in deltas if d.delta < 0)
-    n_pos = sum(1 for d in deltas if d.delta > 0)
-    n_zero = n - n_neg - n_pos
-    return GroupSummary(
-        group=group, n=n, n_negative=n_neg, n_positive=n_pos, n_zero=n_zero,
+    signs = Counter(delta_sign(d.delta) for d in deltas)
+    return SignSummary(
+        group=group, n=n, n_negative=signs[-1], n_positive=signs[1], n_zero=signs[0],
         mean_delta=math.fsum(d.delta for d in deltas) / n,
-        pct_negative=100.0 * n_neg / n, pct_positive=100.0 * n_pos / n)
+        pct_negative=100.0 * signs[-1] / n, pct_positive=100.0 * signs[1] / n,
+        pct_zero=100.0 * signs[0] / n)
 
 
 def domain_summary(deltas: Sequence[DeltaRecord], targets: Sequence[TargetSpec],
-                   ) -> tuple[list[GroupSummary], list[str]]:
+                   ) -> tuple[list[SignSummary], list[str]]:
     """Delta sign breakdown per domain (plus an 'all' row), for one approach's
     deltas. Targets missing from the target list are noted and skipped."""
     target_by_id = {t.target_id: t for t in targets}
@@ -228,33 +248,44 @@ def domain_summary(deltas: Sequence[DeltaRecord], targets: Sequence[TargetSpec],
             continue
         by_domain[t.domain].append(d)
         known.append(d)
-    summaries = [summarize_deltas(known, "all")] if known else []
+    summaries = [sign_summary(known, "all")] if known else []
     for domain in sorted(by_domain):
-        summaries.append(summarize_deltas(by_domain[domain], domain))
+        summaries.append(sign_summary(by_domain[domain], domain))
     return summaries, notes
 
 
-def frequent_context_words(target_id: str, kind: str,
+def sign_breakdown(deltas: Sequence[DeltaRecord]) -> list[SignSummary]:
+    """Delta sign breakdown per approach, sorted by approach."""
+    by_approach: dict[str, list[DeltaRecord]] = defaultdict(list)
+    for d in deltas:
+        by_approach[d.approach].append(d)
+    return [sign_summary(by_approach[a], a) for a in sorted(by_approach)]
+
+
+def frequent_context_words(target_ids: Sequence[str],
                            matches: Iterable[ContextMatch],
                            tagged: Mapping[str, TaggedContext],
                            k: int = 10,
                            lexicon: ValenceLexicon | None = None,
-                           ) -> list[tuple[str, int, float | None]]:
-    """Top-k most frequent content lemmas (lowercased) in one target's
-    matched contexts of the given kind, with their lexicon valence when a
-    lexicon is supplied. Ties break lexicographically."""
+                           ) -> list[tuple[str, str, str, int, float | None]]:
+    """Top-k most frequent content lemmas (lowercased) in the matched
+    contexts of each target and kind, with their lexicon valence when a
+    lexicon is supplied: (target_id, kind, lemma, count, valence) rows, in
+    target_ids order, then KINDS order. Ties break lexicographically."""
     if k < 1:
         raise ValidationError("k must be >= 1")
-    doc_ids = []
-    for m in matches:
-        if m.target_id == target_id and m.kind == kind and m.doc_id not in doc_ids:
-            doc_ids.append(m.doc_id)
-    counts: Counter = Counter()
-    for doc_id in doc_ids:
-        ctx = tagged.get(doc_id)
-        if ctx is None:
-            continue
-        for token in filter_content_tokens(ctx):
-            counts[token.effective_lemma().lower()] += 1
-    ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))[:k]
-    return [(w, c, lexicon.get(w) if lexicon is not None else None) for w, c in ranked]
+    docs = _docs_by_pair(matches)
+    rows = []
+    for target_id in target_ids:
+        for kind in KINDS:
+            counts: Counter = Counter()
+            for doc_id in docs.get((target_id, kind), ()):
+                ctx = tagged.get(doc_id)
+                if ctx is None:
+                    continue
+                for token in filter_content_tokens(ctx):
+                    counts[token.effective_lemma().lower()] += 1
+            for w, c in sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))[:k]:
+                rows.append((target_id, kind, w, c,
+                             lexicon.get(w) if lexicon is not None else None))
+    return rows

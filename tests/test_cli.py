@@ -325,6 +325,17 @@ class TestExitCodes:
         assert main(["variants", "--config", str(cfg),
                      "--out", str(tmp_path / "o")]) == 3
 
+    def test_field_over_the_csv_size_limit_is_exit_3(self, tmp_path, capsys):
+        bad = (tmp_path / "targets.csv").resolve()
+        lines = (TOY / "targets.csv").read_text(encoding="utf-8").splitlines(True)
+        lines[1] = lines[1].rstrip("\n") + "x" * 200_000 + "\n"
+        bad.write_text("".join(lines), encoding="utf-8")
+        cfg = toy_config(tmp_path / "cfg", targets=str(bad))
+        assert main(["variants", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert f"{bad}:2]" in err
+        assert "field larger than field limit" in err
+
 
 class TestOverrides:
     def test_min_freq_override_changes_retention_and_hash(self, tmp_path):
@@ -408,6 +419,7 @@ class TestConfigValidation:
         ("sentiment", {"label_files": "l"}, "label_files"),
         ("regress", {"univariate_predictors": "age"}, "univariate_predictors"),
         ("match", {"case_insensitive": "no"}, "case_insensitive"),
+        ("match", {"unit_policy": "per_paragraph"}, "unit_policy"),
     ])
     def test_bad_value_is_exit_3_naming_the_key(self, tmp_path, out, capsys,
                                                 command, change, key):
@@ -523,6 +535,44 @@ class TestStageOrder:
             assert run(command, tmp_path) == 0, command
         assert ((tmp_path / "sign_breakdown.csv").read_bytes()
                 == (out / "sign_breakdown.csv").read_bytes())
+
+
+class TestSignRule:
+    def test_figure_and_table_count_a_tiny_delta_alike(self, tmp_path):
+        # the compound's contexts rate 0.1 and 0.2 and the name's 0.15, so
+        # delta = 0.15000000000000002 - 0.15 = 2.8e-17, written as 0.000000
+        (tmp_path / "targets.csv").write_text(
+            "target_id,pnc_surface,modifier_surface,head_surface,first_name,"
+            "last_name,domain,alt_spellings\n"
+            "t1,Tore-Klose,Tore,Klose,Miroslav,Klose,sports,\n", encoding="utf-8")
+        docs = {"d1": ("Tore-Klose jubelt", "jubeln"),
+                "d2": ("Tore-Klose trauert", "trauern"),
+                "d3": ("Miroslav Klose rennt", "rennen")}
+        (tmp_path / "corpus.jsonl").write_text("".join(
+            json.dumps({"doc_id": d, "source": "tweet", "text": text}) + "\n"
+            for d, (text, _) in docs.items()), encoding="utf-8")
+        (tmp_path / "tagged.tsv").write_text("".join(
+            f"#doc:{d}\n{text.split()[-1]}\t{lemma}\tVVFIN\n\n"
+            for d, (text, lemma) in docs.items()), encoding="utf-8")
+        (tmp_path / "lexicon.tsv").write_text(
+            "jubeln\t0.1\ntrauern\t0.2\nrennen\t0.15\n", encoding="utf-8")
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({
+            "targets": "targets.csv", "corpus": "corpus.jsonl",
+            "lexicon": "lexicon.tsv", "tagged_contexts": "tagged.tsv",
+            "min_freq": 1}), encoding="utf-8")
+        for command in ("match", "score", "sentiment", "compare"):
+            assert main([command, "--config", str(cfg)]) == 0, command
+
+        out_dir = tmp_path / "out"
+        assert read_rows(out_dir / "deltas.csv")[0]["delta"] == "0.000000"
+        fig3 = next(r for r in read_rows(out_dir / "domain_summary.csv")
+                    if r["group"] == "all")
+        table2 = next(r for r in read_rows(out_dir / "sign_breakdown.csv")
+                      if r["approach"] == "norms")
+        counts = ("n", "n_negative", "n_positive", "n_zero")
+        assert [fig3[c] for c in counts] == [table2[c] for c in counts] == [
+            "1", "0", "0", "1"]
 
 
 class TestReadme:

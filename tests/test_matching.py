@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pncvalence.corpus import (H_WILDCARD, ContextMatch, Document, TargetSpec,
-                               VariantSet, dedupe_documents, frequency_filter,
+                               dedupe_documents, frequency_filter,
                                generate_variants, match_contexts,
                                pnc_match_counts, read_corpus_jsonl,
                                read_matches_csv, read_targets_csv,
@@ -30,12 +30,10 @@ def doc(doc_id, text, url=None):
     return Document(doc_id=doc_id, source="tweet", text=text, url=url)
 
 
-def brute_force(corpus, targets, variant_sets=(), case_insensitive=False,
-                include_overlaps=True):
+def brute_force(corpus, targets, case_insensitive=False, include_overlaps=True):
     """Reference matcher: every pattern of every target over every document,
     with a byte offset for every character position."""
     flags = re.IGNORECASE if case_insensitive else 0
-    supplied = {vs.target_id: vs for vs in variant_sets}
     found = []
     for d in corpus:
         text = unicodedata.normalize("NFC", d.text)
@@ -43,9 +41,8 @@ def brute_force(corpus, targets, variant_sets=(), case_insensitive=False,
         for ch in text:
             offsets.append(offsets[-1] + len(ch.encode("utf-8")))
         for t in targets:
-            vs = supplied.get(t.target_id) or generate_variants(t)
             taken, pnc_hit = set(), False
-            for variant, tag in vs.variants:
+            for variant, tag in generate_variants(t).variants:
                 source = variant if tag == H_WILDCARD else re.escape(variant)
                 for m in re.finditer(source, text, flags):
                     if m.span() in taken:
@@ -105,21 +102,6 @@ class TestGatedMatchingEqualsBruteForce:
                        include_overlaps=include_overlaps)
         assert (match_contexts(corpus, targets, **options)
                 == brute_force(corpus, targets, **options))
-
-    @pytest.mark.parametrize("case_insensitive", [False, True])
-    def test_supplied_wildcard_without_the_generated_shape(self, case_insensitive):
-        # "T.re.{0,3}K" contains neither the head "Klose" nor the full name,
-        # so only scanning the target in every document finds "Tyre+-Kuh"
-        vs = VariantSet("klose", (("Tore-Klose", "original"),
-                                  ("T.re.{0,3}K", H_WILDCARD)))
-        corpus = [doc("d1", "für Tyre+-Kuh"), doc("d2", "Miroslav Klose"),
-                  doc("d3", "nichts")]
-        matches = match_contexts(corpus, [KLOSE, MERKEL], variant_sets=[vs],
-                                 case_insensitive=case_insensitive)
-        assert matches == brute_force(corpus, [KLOSE, MERKEL], [vs],
-                                      case_insensitive=case_insensitive)
-        assert [(m.doc_id, m.matched_variant, m.byte_start) for m in matches] == [
-            ("d1", "T.re.{0,3}K", 5), ("d2", "Miroslav Klose", 0)]
 
 
 class TestMatchContexts:
@@ -218,21 +200,6 @@ class TestMatchContexts:
         shuffled = corpus[:]
         random.Random(5).shuffle(shuffled)
         assert match_contexts(shuffled, [KLOSE, MERKEL]) == base
-
-    def test_precomputed_variant_sets_accepted(self):
-        vs = generate_variants(KLOSE)
-        matches = match_contexts([doc("d1", "Tor-Klose")], [KLOSE],
-                                 variant_sets=[vs])
-        assert len(matches) == 1
-
-    def test_unit_policy_validated(self):
-        with pytest.raises(ValidationError):
-            match_contexts([], [KLOSE], unit_policy="per_paragraph")
-
-    def test_per_sentence_policy_accepted(self):
-        matches = match_contexts([doc("d1", "Tore-Klose trifft.")], [KLOSE],
-                                 unit_policy="per_sentence")
-        assert len(matches) == 1
 
 
 class TestDedupeDocuments:

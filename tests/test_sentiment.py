@@ -12,8 +12,8 @@ from pncvalence.sentiment import (AgreementResult, ContextItem, LabelHistogram,
                                   classify_contexts, compare_approaches,
                                   eq2_valence, filter_records_by_kind,
                                   kind_index, pairwise_iaa, pool_annotators,
-                                  read_label_jsonl, sign_breakdown)
-from pncvalence.valence import DeltaRecord
+                                  read_label_jsonl)
+from pncvalence.valence import DeltaRecord, sign_breakdown
 
 
 def rec(tid, cid, label, source="m1"):
@@ -147,7 +147,7 @@ class TestSignBreakdown:
         deltas = [delta("a", -1.0), delta("b", 2.0), delta("c", 0.0),
                   delta("a", -1.0, "plm:m1"), delta("b", -0.5, "plm:m1")]
         rows = sign_breakdown(deltas)
-        assert [r.approach for r in rows] == ["norms", "plm:m1"]
+        assert [r.group for r in rows] == ["norms", "plm:m1"]
         norms = rows[0]
         assert (norms.n, norms.n_negative, norms.n_positive, norms.n_zero) == (3, 1, 1, 1)
         assert norms.pct_zero == pytest.approx(100 / 3)

@@ -7,9 +7,10 @@ from pncvalence.corpus import ContextMatch, TargetSpec
 from pncvalence.errors import ValidationError
 from pncvalence.lexicon import TaggedContext, TaggedToken, ValenceLexicon
 from pncvalence.valence import (DeltaRecord, ScoreRecord, compute_deltas,
-                                domain_summary, frequent_context_words,
-                                modifier_valence, summarize_deltas,
-                                target_valence, target_valence_from_contexts)
+                                delta_sign, domain_summary,
+                                frequent_context_words, modifier_valence,
+                                sign_summary, target_valence,
+                                target_valence_from_contexts)
 
 
 def ctx(doc_id, *lemma_pos):
@@ -193,16 +194,17 @@ def delta(tid, value, approach="norms"):
 
 class TestSummaries:
     def test_summarize_counts_and_percentages(self):
-        s = summarize_deltas([delta("a", -1.0), delta("b", -0.5),
-                              delta("c", 2.0), delta("d", 0.0)], "all")
+        s = sign_summary([delta("a", -1.0), delta("b", -0.5),
+                          delta("c", 2.0), delta("d", 0.0)], "all")
         assert (s.n, s.n_negative, s.n_positive, s.n_zero) == (4, 2, 1, 1)
         assert s.pct_negative == 50.0
         assert s.pct_positive == 25.0
+        assert s.pct_zero == 25.0
         assert s.mean_delta == pytest.approx(0.125)
 
     def test_empty_group_rejected(self):
         with pytest.raises(ValidationError):
-            summarize_deltas([], "all")
+            sign_summary([], "all")
 
     def test_domain_summary_rows(self):
         targets = [target("a", domain="politics"), target("b", domain="sports"),
@@ -221,6 +223,23 @@ class TestSummaries:
         assert "zz" in notes[0]
 
 
+class TestDeltaSign:
+    @pytest.mark.parametrize("value, sign", [
+        (-1.0, -1), (1.0, 1), (0.0, 0), (-0.0, 0),
+        (0.1 + 0.2 - 0.3, 0),  # 5.6e-17 is written as 0.000000
+        (4e-7, 0), (-4e-7, 0), (6e-7, 1), (-6e-7, -1), (1e-6, 1)])
+    def test_sign_of_the_written_value(self, value, sign):
+        assert delta_sign(value) == sign
+
+    def test_agrees_with_the_written_value(self):
+        rng = random.Random(11)
+        for _ in range(10_000):
+            value = rng.uniform(-2e-6, 2e-6)
+            written = float(f"{value:.6f}")
+            assert delta_sign(value) == delta_sign(written) == (
+                (written > 0) - (written < 0))
+
+
 class TestFrequentWords:
     def test_counts_and_tie_break(self):
         tagged = {"d1": ctx("d1", ("feiern", "VVFIN"), ("gold", "NN"),
@@ -229,28 +248,38 @@ class TestFrequentWords:
                             ("der", "ART"))}
         matches = [match("a", "d1"), match("a", "d2")]
         lex = ValenceLexicon({"feiern": 7.5, "gold": 7.0})
-        top = frequent_context_words("a", "pnc", matches, tagged, k=10,
-                                     lexicon=lex)
-        assert top == [("feiern", 2, 7.5), ("gold", 2, 7.0),
-                       ("herrlich", 1, None)]
+        top = frequent_context_words(["a"], matches, tagged, k=10, lexicon=lex)
+        assert top == [("a", "pnc", "feiern", 2, 7.5), ("a", "pnc", "gold", 2, 7.0),
+                       ("a", "pnc", "herrlich", 1, None)]
 
     def test_lemmas_lowercased(self):
         tagged = {"d1": ctx("d1", ("Gold", "NN"), ("gold", "NN"))}
-        top = frequent_context_words("a", "pnc", [match("a", "d1")], tagged)
-        assert top == [("gold", 2, None)]
+        top = frequent_context_words(["a"], [match("a", "d1")], tagged)
+        assert top == [("a", "pnc", "gold", 2, None)]
 
     def test_k_truncates(self):
         tagged = {"d1": ctx("d1", ("a", "NN"), ("b", "NN"), ("c", "NN"))}
-        top = frequent_context_words("a", "pnc", [match("a", "d1")], tagged, k=2)
+        top = frequent_context_words(["a"], [match("a", "d1")], tagged, k=2)
         assert len(top) == 2
 
     def test_kind_filter(self):
         tagged = {"d1": ctx("d1", ("gut", "ADJD")),
                   "d2": ctx("d2", ("schlecht", "ADJA"))}
         matches = [match("a", "d1"), match("a", "d2", kind="full_name")]
-        top = frequent_context_words("a", "full_name", matches, tagged)
-        assert top == [("schlecht", 1, None)]
+        top = frequent_context_words(["a"], matches, tagged)
+        assert top == [("a", "pnc", "gut", 1, None),
+                       ("a", "full_name", "schlecht", 1, None)]
+
+    def test_rows_follow_target_order_then_kinds(self):
+        tagged = {"d1": ctx("d1", ("gut", "ADJD")), "d2": ctx("d2", ("alt", "ADJD")),
+                  "d3": ctx("d3", ("neu", "ADJD"))}
+        # b's matches come first, and its full_name match before its pnc one
+        matches = [match("b", "d2", kind="full_name"), match("b", "d1"),
+                   match("a", "d3"), match("c", "d1")]
+        top = frequent_context_words(["b", "a", "z"], matches, tagged)
+        assert [row[:3] for row in top] == [
+            ("b", "pnc", "gut"), ("b", "full_name", "alt"), ("a", "pnc", "neu")]
 
     def test_k_validated(self):
         with pytest.raises(ValidationError):
-            frequent_context_words("a", "pnc", [], {}, k=0)
+            frequent_context_words(["a"], [], {}, k=0)
