@@ -22,7 +22,7 @@ import json
 import logging
 import sys
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from . import __version__
 from .corpus import (ContextMatch, TargetSpec, dedupe_documents,
@@ -34,8 +34,9 @@ from .errors import (ParseError, PncValenceError, UndefinedCorrelationError,
                      ValidationError)
 from .lexicon import DUPLICATE_POLICIES, load_lexicon, read_tagged_contexts
 from .regression import (DEFAULT_MODEL_SPECS, DEFAULT_UNIVARIATE_PREDICTORS,
-                         assemble_rows, cv_random_search, encode_features,
-                         multivariate_suite, read_metadata_csv, univariate_scan)
+                         assemble_rows, check_cv_settings, cv_random_search,
+                         encode_features, multivariate_suite, parse_formula,
+                         read_metadata_csv, univariate_scan)
 from .sentiment import (COMPARE_MODES, ContextItem, ServiceConfig,
                         build_histograms, classify_contexts, compare_approaches,
                         eq2_valence, filter_records_by_kind, kind_index,
@@ -99,13 +100,19 @@ _BLOCK_TYPES: dict[str, dict[str, type | tuple[type, ...]]] = {
                 "backoff_cap": _NUMBER},
 }
 
+# every top-level key a config may set; "workers" is accepted and ignored
+_KEYS = frozenset(_DEFAULTS) | frozenset(_BLOCK_TYPES) | {
+    "targets", "corpus", "lexicon", "tagged_contexts", "metadata",
+    "human_label_file", "univariate_predictors", "model_specs",
+    "elasticnet_formula", "workers"}
+
 
 def _strings(value: object) -> bool:
     return isinstance(value, list) and all(isinstance(v, str) for v in value)
 
 
 class RunConfig:
-    """Flat JSON run configuration plus CLI overrides.
+    """Flat JSON run configuration, with out_dir settable by --out.
 
     It also records the files a command reads (inputs) and the artifacts it
     writes (outputs) as their paths are resolved, for the command's manifest.
@@ -118,7 +125,7 @@ class RunConfig:
         self.outputs: list[Path] = []
 
     @classmethod
-    def load(cls, path: str, overrides: Mapping[str, object]) -> "RunConfig":
+    def load(cls, path: str, out_dir: str | None) -> "RunConfig":
         p = Path(path)
         if not p.is_file():
             raise MissingArtifactError(f"config file not found: {path}")
@@ -130,13 +137,10 @@ class RunConfig:
             raise ValidationError("config must be a JSON object")
         merged = dict(_DEFAULTS)
         merged.update(data)
-        for key, value in overrides.items():
-            if value is not None:
-                merged[key] = value
-        if overrides.get("out_dir") is not None:
+        if out_dir is not None:
             # --out names a directory from where the command runs; a relative
             # out_dir in the file names one from the config file's directory
-            merged["out_dir"] = str(Path(overrides["out_dir"]).resolve())
+            merged["out_dir"] = str(Path(out_dir).resolve())
         cfg = cls(merged, p.parent.resolve())
         cfg._validate()
         return cfg
@@ -146,6 +150,8 @@ class RunConfig:
             if not ok:
                 raise ValidationError(message)
 
+        unknown = sorted(set(self.data) - _KEYS)
+        require(not unknown, f"unknown config key(s): {', '.join(unknown)}")
         for key in ("min_freq", "top_k_words"):
             require(isinstance(self[key], int) and self[key] >= 1,
                     f"{key} must be an integer >= 1")
@@ -177,6 +183,20 @@ class RunConfig:
                         f"{block}.{key}: unknown setting or wrong type ({value!r})")
         require(not self.get("service") or "base_url" in self.get("service"),
                 "service.base_url is required")
+
+        def check(where: str, test, *args, **kwargs) -> None:
+            try:
+                test(*args, **kwargs)
+            except ValidationError as exc:
+                raise ValidationError(f"{where}{exc}") from None
+
+        for name, formula in specs:
+            check(f"model_specs {name}: ", parse_formula, formula)
+        for predictor in self.get("univariate_predictors", []):
+            check("univariate_predictors: ", parse_formula, f"delta ~ {predictor}")
+        if "elasticnet_formula" in self.data:
+            check("elasticnet_formula: ", parse_formula, self["elasticnet_formula"])
+        check("elasticnet.", check_cv_settings, **self.get("elasticnet", {}))
 
     # config identity: everything that shapes artifact content. Where the
     # artifacts land does not, nor does "workers", a key that is accepted and
@@ -373,9 +393,7 @@ def cmd_score(cfg: RunConfig) -> None:
                       for t in dropped]
     for stage, notes in (("score", score_notes), ("delta", delta_notes),
                          ("domain", domain_notes)):
-        for note in notes:
-            item, reason = note.split(":", 1)
-            exclusion_rows.append([stage, item, reason.strip()])
+        exclusion_rows.extend([stage, item, reason] for item, reason in notes)
     write_csv_artifact(cfg, "exclusions.csv", ["stage", "item", "reason"],
                        exclusion_rows)
 
@@ -500,8 +518,8 @@ def cmd_sentiment(cfg: RunConfig) -> None:
 
     deltas, delta_notes = compute_deltas(scores)
     _write_deltas(cfg, "plm_deltas.csv", deltas)
-    for note in delta_notes:
-        logger.info("sentiment delta: %s", note)
+    for item, reason in delta_notes:
+        logger.info("sentiment delta: %s: %s", item, reason)
 
     if human_records:
         _write_iaa(cfg, human_records)
@@ -672,7 +690,7 @@ def cmd_regress(cfg: RunConfig) -> None:
             raise ValidationError("elastic net needs at least one predictor")
         search = cv_random_search(x, design.y, columns=columns, seed=cfg["seed"],
                                   **cfg.get("elasticnet", {}))
-    except (ValidationError, PncValenceError) as exc:
+    except PncValenceError as exc:
         logger.warning("elastic net skipped: %s", exc)
         write_json_artifact(cfg, "elasticnet.json",
                             {"skipped": str(exc), "formula": formula})
@@ -777,21 +795,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--verbose", action="store_true",
                         help="log progress details to stderr")
     sub = parser.add_subparsers(dest="command", required=True)
-    # options whose dest is a config key override that key
     for name, help_text, command in STAGES:
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(run=command)
         p.add_argument("--config", required=True, help="JSON run configuration")
-        p.add_argument("--out", dest="out_dir", help="override the configured out_dir")
-        p.add_argument("--min-freq", type=int, dest="min_freq",
-                       help="minimum compound match count per target")
-        p.add_argument("--seed", type=int, help="seed for all seeded steps")
-        p.add_argument("--unit", choices=list(UNIT_POLICIES), dest="unit_policy",
-                       help="context unit policy")
-        p.add_argument("--compare-mode", choices=list(COMPARE_MODES),
-                       dest="compare_mode", help="delta comparison mode")
-        p.add_argument("--epsilon", type=float,
-                       help="tolerance for numeric_epsilon comparison")
+        p.add_argument("--out", help="write artifacts here, not to the configured out_dir")
     return parser
 
 
@@ -801,19 +809,17 @@ def main(argv: Sequence[str] | None = None) -> int:
         stream=sys.stderr,
         level=logging.INFO if args.verbose else logging.WARNING,
         format="%(levelname)s %(name)s: %(message)s")
-    overrides = {k: v for k, v in vars(args).items() if k in _DEFAULTS}
     try:
-        cfg = RunConfig.load(args.config, overrides)
+        cfg = RunConfig.load(args.config, args.out)
         args.run(cfg)
         write_manifest(cfg, args.command)
     except MissingArtifactError as exc:
-        logger.error("%s", exc)
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MISSING_INPUT
     except FileNotFoundError as exc:
         print(f"error: missing file: {exc}", file=sys.stderr)
         return EXIT_MISSING_INPUT
-    except (ParseError, ValidationError, PncValenceError) as exc:
+    except PncValenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     return EXIT_OK

@@ -118,7 +118,6 @@ class DesignMatrix:
     listwise deletion.
     """
 
-    response: str
     columns: tuple[str, ...]
     x: np.ndarray
     y: np.ndarray
@@ -186,7 +185,7 @@ def encode_features(rows: Sequence[FeatureRow], formula: str) -> DesignMatrix:
     x = np.array(column_values, dtype=float).T
     y = np.array([_as_float(r.values[response], response, r.target_id) for r in kept])
     return DesignMatrix(
-        response=response, columns=tuple(columns), x=x, y=y,
+        columns=tuple(columns), x=x, y=y,
         row_ids=tuple(r.target_id for r in kept),
         reference_levels=reference_levels,
         dropped_factors=tuple(dropped_factors),
@@ -325,15 +324,14 @@ class UnivariateResult:
 
 def univariate_scan(rows: Sequence[FeatureRow],
                     predictors: Sequence[str] = DEFAULT_UNIVARIATE_PREDICTORS,
-                    response: str = "delta",
                     ) -> tuple[list[UnivariateResult], list[str]]:
-    """Fit response ~ predictor separately for each predictor. Predictors
+    """Fit delta ~ predictor separately for each predictor. Predictors
     that cannot be fitted (all values missing, single-level factor, rank
     deficiency) are skipped with a note."""
     results: list[UnivariateResult] = []
     notes: list[str] = []
     for predictor in predictors:
-        formula = f"{response} ~ {predictor}"
+        formula = f"delta ~ {predictor}"
         try:
             design = encode_features(rows, formula)
             if len(design.columns) < 2:
@@ -560,7 +558,6 @@ class CvSearchResult:
     scoring: str
     n_repeats: int
     n_folds: int
-    seed: int
     column_means: np.ndarray
     column_stds: np.ndarray
     train_r_squared: float
@@ -576,6 +573,22 @@ def _fold_error(x: np.ndarray, y: np.ndarray, train_idx: np.ndarray,
     return float((err * err).mean())
 
 
+_CV_SCORINGS = ("mse", "mae")
+# the least value each count of a CV search may take
+_CV_MINIMA = {"n_candidates": 1, "n_repeats": 1, "n_folds": 2}
+
+
+def check_cv_settings(**settings) -> None:
+    """Reject a cv_random_search setting out of range, naming it; a setting
+    not given keeps its default, which is in range."""
+    for name, least in _CV_MINIMA.items():
+        if name in settings and settings[name] < least:
+            raise ValidationError(f"{name} must be >= {least}, got {settings[name]!r}")
+    if settings.get("scoring", "mse") not in _CV_SCORINGS:
+        raise ValidationError(
+            f"scoring must be one of {_CV_SCORINGS}, got {settings['scoring']!r}")
+
+
 def cv_random_search(x: np.ndarray, y: np.ndarray, *,
                      columns: Sequence[str] | None = None,
                      n_candidates: int = 25, n_repeats: int = 5, n_folds: int = 5,
@@ -588,10 +601,8 @@ def cv_random_search(x: np.ndarray, y: np.ndarray, *,
     permutation is split into n_folds nearly equal folds. Errors are
     averaged over all repeats and folds; candidates are scored in draw order.
     """
-    if scoring not in ("mse", "mae"):
-        raise ValidationError(f"unknown scoring {scoring!r}; expected mse or mae")
-    if n_candidates < 1 or n_repeats < 1 or n_folds < 2:
-        raise ValidationError("need n_candidates >= 1, n_repeats >= 1, n_folds >= 2")
+    check_cv_settings(n_candidates=n_candidates, n_repeats=n_repeats,
+                      n_folds=n_folds, scoring=scoring)
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     n = x.shape[0]
@@ -641,7 +652,7 @@ def cv_random_search(x: np.ndarray, y: np.ndarray, *,
 
     return CvSearchResult(candidates=candidates, best=best, fit=fit,
                           scoring=scoring, n_repeats=n_repeats, n_folds=n_folds,
-                          seed=seed, column_means=means, column_stds=stds,
+                          column_means=means, column_stds=stds,
                           train_r_squared=train_r2)
 
 

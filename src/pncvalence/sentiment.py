@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import logging
 import time
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
@@ -258,13 +258,9 @@ class CompareResult:
     """Per-target classification of one label-based approach's deltas against
     the lexicon-based deltas, plus aggregate shares."""
 
-    plm_approach: str
     mode: str
     epsilon: float
     n_common: int
-    n_agree: int
-    n_plm_more_negative: int
-    n_plm_more_positive: int
     pct_agree: float
     pct_plm_more_negative: float
     pct_plm_more_positive: float
@@ -299,7 +295,6 @@ def compare_approaches(plm_deltas: Sequence[DeltaRecord],
         raise ValidationError("no target scored by both approaches; nothing to compare")
 
     per_target: list[tuple[str, str]] = []
-    n_agree = n_more_neg = n_more_pos = 0
     for target_id in common:
         p = plm_by_id[target_id].delta
         n = norm_by_id[target_id].delta
@@ -319,21 +314,14 @@ def compare_approaches(plm_deltas: Sequence[DeltaRecord],
             else:
                 cls = "plm_more_positive"
         per_target.append((target_id, cls))
-        if cls == "agree":
-            n_agree += 1
-        elif cls == "plm_more_negative":
-            n_more_neg += 1
-        else:
-            n_more_pos += 1
 
     n_common = len(common)
+    counts = Counter(cls for _, cls in per_target)
     return CompareResult(
-        plm_approach=next(iter(plm_approaches)) if plm_approaches else "",
-        mode=mode, epsilon=epsilon, n_common=n_common, n_agree=n_agree,
-        n_plm_more_negative=n_more_neg, n_plm_more_positive=n_more_pos,
-        pct_agree=100.0 * n_agree / n_common,
-        pct_plm_more_negative=100.0 * n_more_neg / n_common,
-        pct_plm_more_positive=100.0 * n_more_pos / n_common,
+        mode=mode, epsilon=epsilon, n_common=n_common,
+        pct_agree=100.0 * counts["agree"] / n_common,
+        pct_plm_more_negative=100.0 * counts["plm_more_negative"] / n_common,
+        pct_plm_more_positive=100.0 * counts["plm_more_positive"] / n_common,
         per_target=tuple(per_target))
 
 

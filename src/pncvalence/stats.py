@@ -24,17 +24,26 @@ class CorrelationResult:
         Sample coefficient in [-1, 1].
     n : int
         Number of paired observations.
-    p_value : float or None
-        Two-sided p-value from the t approximation; None when n < 3,
-        where the test statistic has no degrees of freedom.
     method : str
         "pearson" or "spearman".
+    p_value : float or None
+        Two-sided p-value from the t approximation, computed when read;
+        None when n < 3, where the test statistic has no degrees of freedom.
     """
 
     coefficient: float
     n: int
-    p_value: float | None
     method: str
+
+    @property
+    def p_value(self) -> float | None:
+        if self.n < 3:
+            return None
+        r = self.coefficient
+        denom = 1.0 - r * r
+        if denom <= 0.0:
+            return 0.0
+        return student_t_sf(abs(r) * math.sqrt((self.n - 2) / denom), self.n - 2)
 
 
 def _check_pair(x: Sequence[float], y: Sequence[float]) -> tuple[list[float], list[float]]:
@@ -60,16 +69,7 @@ def _pearson_core(xs: list[float], ys: list[float], method: str) -> CorrelationR
     r = sxy / (math.sqrt(sxx) * math.sqrt(syy))
     # guard against |r| exceeding 1 by an ulp of rounding noise
     r = max(-1.0, min(1.0, r))
-
-    p_value: float | None = None
-    if n >= 3:
-        denom = 1.0 - r * r
-        if denom <= 0.0:
-            p_value = 0.0
-        else:
-            t = abs(r) * math.sqrt((n - 2) / denom)
-            p_value = student_t_sf(t, n - 2)
-    return CorrelationResult(coefficient=r, n=n, p_value=p_value, method=method)
+    return CorrelationResult(coefficient=r, n=n, method=method)
 
 
 def pearson(x: Sequence[float], y: Sequence[float]) -> CorrelationResult:

@@ -32,6 +32,9 @@ POOLING_MODES = ("bag", "per_context_mean")
 # decimals of every valence and delta written to an artifact
 DECIMALS = 6
 
+# an item left out of scoring and the reason, e.g. ("t6/pnc", "... unscorable")
+Note = tuple[str, str]
+
 
 def delta_sign(delta: float) -> int:
     """-1, 0 or 1: the sign of a delta as written with DECIMALS decimals.
@@ -125,16 +128,16 @@ def _docs_by_pair(matches: Iterable[ContextMatch]) -> dict[tuple[str, str], dict
 
 def target_valence(matches: Iterable[ContextMatch],
                    tagged: Mapping[str, TaggedContext], lexicon: ValenceLexicon,
-                   pooling: str = "bag") -> tuple[list[ScoreRecord], list[str]]:
+                   pooling: str = "bag") -> tuple[list[ScoreRecord], list[Note]]:
     """Score every (target, kind) pair that has matches and tagged contexts.
 
     tagged maps doc_id to its tagged context; matched documents without an
     entry are skipped with a warning. Returns the records sorted by
-    (target_id, kind) plus a list of notes on unscorable pairs.
+    (target_id, kind) plus a note on each unscorable pair.
     """
     docs = _docs_by_pair(matches)
     records: list[ScoreRecord] = []
-    notes: list[str] = []
+    notes: list[Note] = []
     missing_docs: set[str] = set()
     for (target_id, kind) in sorted(docs):
         contexts = []
@@ -146,7 +149,8 @@ def target_valence(matches: Iterable[ContextMatch],
             contexts.append(ctx)
         rec = target_valence_from_contexts(target_id, kind, contexts, lexicon, pooling)
         if rec is None:
-            notes.append(f"{target_id}/{kind}: no content lemma found in lexicon; unscorable")
+            notes.append((f"{target_id}/{kind}",
+                          "no content lemma found in lexicon; unscorable"))
         else:
             records.append(rec)
     if missing_docs:
@@ -166,7 +170,7 @@ def modifier_valence(target: TargetSpec, lexicon: ValenceLexicon) -> float | Non
 def compute_deltas(scores: Sequence[ScoreRecord],
                    targets: Sequence[TargetSpec] | None = None,
                    lexicon: ValenceLexicon | None = None,
-                   ) -> tuple[list[DeltaRecord], list[str]]:
+                   ) -> tuple[list[DeltaRecord], list[Note]]:
     """Pair pnc and full_name scores per (target, approach) and take the
     difference. Targets lacking either side are reported in the notes, not
     silently dropped. For the lexicon-based approach, when targets and the
@@ -184,12 +188,12 @@ def compute_deltas(scores: Sequence[ScoreRecord],
 
     target_by_id = {t.target_id: t for t in targets} if targets else {}
     deltas: list[DeltaRecord] = []
-    notes: list[str] = []
+    notes: list[Note] = []
     for (target_id, approach) in sorted(by_pair):
         slot = by_pair[(target_id, approach)]
         if "pnc" not in slot or "full_name" not in slot:
             have = ", ".join(sorted(slot))
-            notes.append(f"{target_id}/{approach}: only {have} scored; no delta")
+            notes.append((f"{target_id}/{approach}", f"only {have} scored; no delta"))
             continue
         pnc_v = slot["pnc"].valence
         name_v = slot["full_name"].valence
@@ -234,17 +238,17 @@ def sign_summary(deltas: Sequence[DeltaRecord], group: str) -> SignSummary:
 
 
 def domain_summary(deltas: Sequence[DeltaRecord], targets: Sequence[TargetSpec],
-                   ) -> tuple[list[SignSummary], list[str]]:
+                   ) -> tuple[list[SignSummary], list[Note]]:
     """Delta sign breakdown per domain (plus an 'all' row), for one approach's
     deltas. Targets missing from the target list are noted and skipped."""
     target_by_id = {t.target_id: t for t in targets}
     by_domain: dict[str, list[DeltaRecord]] = defaultdict(list)
-    notes: list[str] = []
+    notes: list[Note] = []
     known: list[DeltaRecord] = []
     for d in deltas:
         t = target_by_id.get(d.target_id)
         if t is None:
-            notes.append(f"{d.target_id}: not in target list; skipped in domain summary")
+            notes.append((d.target_id, "not in target list; skipped in domain summary"))
             continue
         by_domain[t.domain].append(d)
         known.append(d)

@@ -339,8 +339,9 @@ class TestExitCodes:
 
 class TestOverrides:
     def test_min_freq_override_changes_retention_and_hash(self, tmp_path):
-        assert run("match", tmp_path, "--min-freq", "1") == 0
-        rows = read_rows(tmp_path / "freq_report.csv")
+        cfg = toy_config(tmp_path, min_freq=1)
+        assert main(["match", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        rows = read_rows(tmp_path / "o" / "freq_report.csv")
         by_id = {r["target_id"]: r for r in rows}
         assert by_id["t8"]["retained"] == "true"
         assert all(r["min_freq"] == "1" for r in rows)
@@ -355,13 +356,27 @@ class TestOverrides:
             written.append((out_dir / "matches.csv").read_bytes())
         assert written[0] == written[1]
 
-    def test_different_config_values_change_hash(self, tmp_path, out):
-        assert run("match", tmp_path, "--min-freq", "1") == 0
-        head_default = (out / "matches.csv").read_text(
-            encoding="utf-8").splitlines()[0]
-        head_override = (tmp_path / "matches.csv").read_text(
-            encoding="utf-8").splitlines()[0]
+    def test_different_config_values_change_hash(self, tmp_path):
+        # the two configs differ in min_freq alone
+        heads = []
+        for name, changes in (("default", {}), ("override", {"min_freq": 1})):
+            cfg = toy_config(tmp_path / name, **changes)
+            out_dir = tmp_path / name / "o"
+            assert main(["match", "--config", cfg, "--out", str(out_dir)]) == 0
+            heads.append((out_dir / "matches.csv").read_text(
+                encoding="utf-8").splitlines()[0])
+        head_default, head_override = heads
         assert head_default != head_override
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--min-freq", "1"), ("--seed", "3"), ("--unit", "per_sentence"),
+        ("--compare-mode", "numeric_epsilon"), ("--epsilon", "0.5"),
+    ])
+    def test_setting_flags_are_usage_errors(self, tmp_path, flag, value):
+        # every setting comes from the config file; --out is the only option
+        with pytest.raises(SystemExit) as exc:
+            run("variants", tmp_path, flag, value)
+        assert exc.value.code == 2
 
 
 class TestLiveClassification:
@@ -420,6 +435,14 @@ class TestConfigValidation:
         ("regress", {"univariate_predictors": "age"}, "univariate_predictors"),
         ("match", {"case_insensitive": "no"}, "case_insensitive"),
         ("match", {"unit_policy": "per_paragraph"}, "unit_policy"),
+        ("regress", {"elasticnet": {"scoring": "rmse"}}, "elasticnet.scoring"),
+        ("regress", {"univariate_predictors": ["age", "agee"]},
+         "univariate_predictors"),
+        ("regress", {"model_specs": [["simple", "delta ~ pnc_valence"],
+                                     ["typo", "delta ~ pnc_valenc"]]},
+         "model_specs"),
+        ("match", {"min_freqq": 1}, "min_freqq"),
+        ("regress", {"elasticnet_formula": "delta ~ agee"}, "elasticnet_formula"),
     ])
     def test_bad_value_is_exit_3_naming_the_key(self, tmp_path, out, capsys,
                                                 command, change, key):
@@ -528,6 +551,17 @@ class TestModuleEntryPoint:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
 
+    def test_sentiment_stage_loads_no_scipy(self, tmp_path, out):
+        run_dir = tmp_path / "o"
+        shutil.copytree(out, run_dir)
+        argv = ["sentiment", "--config", CONFIG, "--out", str(run_dir)]
+        proc = run_python(
+            "-c", "import sys; from pncvalence.cli import main; "
+            f"code = main({argv!r}); print(code, 'scipy' in sys.modules)",
+            timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "0 False"
+
 
 class TestStageOrder:
     def test_sign_breakdown_does_not_depend_on_stage_order(self, tmp_path, out):
@@ -535,6 +569,24 @@ class TestStageOrder:
             assert run(command, tmp_path) == 0, command
         assert ((tmp_path / "sign_breakdown.csv").read_bytes()
                 == (out / "sign_breakdown.csv").read_bytes())
+
+
+class TestExclusions:
+    def test_keeps_a_target_id_with_a_colon(self, tmp_path):
+        # the toy t6 is unscorable; renamed, its id holds the separator
+        # that the exclusion notes use between item and reason
+        targets = tmp_path / "targets.csv"
+        targets.write_text(
+            (TOY / "targets.csv").read_text(encoding="utf-8").replace("\nt6,", "\nt:6,"),
+            encoding="utf-8")
+        cfg = toy_config(tmp_path, targets=str(targets))
+        for command in ("match", "score"):
+            assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        rows = {(r["stage"], r["item"]): r["reason"]
+                for r in read_rows(tmp_path / "o" / "exclusions.csv")}
+        assert rows[("score", "t:6/full_name")] == (
+            "no content lemma found in lexicon; unscorable")
+        assert ("score", "t:6/pnc") in rows
 
 
 class TestSignRule:

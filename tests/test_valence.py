@@ -127,7 +127,7 @@ class TestTargetValence:
         tagged = {"d1": ctx("d1", ("unbekannt", "NN"))}
         records, notes = target_valence([match("a", "d1")], tagged, LEX)
         assert records == []
-        assert notes == ["a/pnc: no content lemma found in lexicon; unscorable"]
+        assert notes == [("a/pnc", "no content lemma found in lexicon; unscorable")]
 
     def test_missing_tagged_doc_skipped_with_warning(self, caplog):
         tagged = {"d1": ctx("d1", ("gut", "ADJD"))}
@@ -153,7 +153,7 @@ class TestDeltas:
     def test_missing_side_noted(self):
         deltas, notes = compute_deltas([self.score("a", "pnc", 5.0)])
         assert deltas == []
-        assert notes == ["a/norms: only pnc scored; no delta"]
+        assert notes == [("a/norms", "only pnc scored; no delta")]
 
     def test_duplicate_score_rejected(self):
         with pytest.raises(ValidationError, match="duplicate"):
@@ -220,7 +220,7 @@ class TestSummaries:
     def test_domain_summary_unknown_target_noted(self):
         summaries, notes = domain_summary([delta("zz", 1.0)], [target("a")])
         assert summaries == []
-        assert "zz" in notes[0]
+        assert notes == [("zz", "not in target list; skipped in domain summary")]
 
 
 class TestDeltaSign:
