@@ -20,7 +20,9 @@ import argparse
 import hashlib
 import json
 import logging
+import math
 import sys
+from dataclasses import asdict
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -111,6 +113,11 @@ def _strings(value: object) -> bool:
     return isinstance(value, list) and all(isinstance(v, str) for v in value)
 
 
+def _typed(value: object, types: type | tuple[type, ...]) -> bool:
+    # a JSON true or false is a Python int, but no count, seed or setting
+    return isinstance(value, types) and not isinstance(value, bool)
+
+
 class RunConfig:
     """Flat JSON run configuration, with out_dir settable by --out.
 
@@ -153,11 +160,11 @@ class RunConfig:
         unknown = sorted(set(self.data) - _KEYS)
         require(not unknown, f"unknown config key(s): {', '.join(unknown)}")
         for key in ("min_freq", "top_k_words"):
-            require(isinstance(self[key], int) and self[key] >= 1,
+            require(_typed(self[key], int) and self[key] >= 1,
                     f"{key} must be an integer >= 1")
-        require(isinstance(self["seed"], int), "seed must be an integer")
+        require(_typed(self["seed"], int), "seed must be an integer")
         epsilon = self["epsilon"]
-        require(isinstance(epsilon, _NUMBER) and epsilon >= 0,
+        require(_typed(epsilon, _NUMBER) and epsilon >= 0,
                 "epsilon must be a number >= 0")
         for key, choices in (("unit_policy", UNIT_POLICIES),
                              ("duplicate_policy", DUPLICATE_POLICIES),
@@ -179,7 +186,7 @@ class RunConfig:
             settings = self.get(block, {})
             require(isinstance(settings, dict), f"{block} must be an object")
             for key, value in settings.items():
-                require(key in types and isinstance(value, types[key]),
+                require(key in types and _typed(value, types[key]),
                         f"{block}.{key}: unknown setting or wrong type ({value!r})")
         require(not self.get("service") or "base_url" in self.get("service"),
                 "service.base_url is required")
@@ -197,6 +204,8 @@ class RunConfig:
         if "elasticnet_formula" in self.data:
             check("elasticnet_formula: ", parse_formula, self["elasticnet_formula"])
         check("elasticnet.", check_cv_settings, **self.get("elasticnet", {}))
+        if self.get("service"):
+            check("service.", ServiceConfig, **self["service"])
 
     # config identity: everything that shapes artifact content. Where the
     # artifacts land does not, nor does "workers", a key that is accepted and
@@ -273,12 +282,23 @@ def write_csv_artifact(cfg: RunConfig, name: str, header: Sequence[str],
     return path
 
 
+def _finite(value):
+    # strict JSON has no NaN or Infinity; None is written as null
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    if isinstance(value, dict):
+        return {k: _finite(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite(v) for v in value]
+    return value
+
+
 def write_json_artifact(cfg: RunConfig, name: str, payload: dict) -> Path:
     path = cfg.output_path(name)
     body = {"meta": cfg.meta()}
     body.update(payload)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(body, fh, ensure_ascii=False, indent=2, sort_keys=False)
+        json.dump(_finite(body), fh, ensure_ascii=False, indent=2, allow_nan=False)
         fh.write("\n")
     return path
 
@@ -484,14 +504,11 @@ def cmd_sentiment(cfg: RunConfig) -> None:
         for rec in read_label_jsonl(str(cfg.input_file(rel, "label"))):
             model_records.setdefault(rec.source_id, []).append(rec)
 
-    service = cfg.get("service")
-    if service:
-        live_records = _classify_live(cfg, service, matches)
+    if cfg.get("service"):
+        live_records = _classify_live(cfg, kinds)
         cfg.output_path("labels_live.jsonl").write_text("".join(
-            json.dumps({"target_id": rec.target_id, "context_id": rec.context_id,
-                        "label": rec.label, "source_id": rec.source_id},
-                       ensure_ascii=False) + "\n"
-            for rec in live_records), encoding="utf-8")
+            json.dumps(asdict(rec), ensure_ascii=False) + "\n" for rec in live_records),
+            encoding="utf-8")
         for rec in live_records:
             model_records.setdefault(rec.source_id, []).append(rec)
 
@@ -538,24 +555,18 @@ def _label_scores(records, kinds, approach: str) -> list[ScoreRecord]:
     return out
 
 
-def _classify_live(cfg: RunConfig, service: dict, matches):
+def _classify_live(cfg: RunConfig, kinds):
+    # the kind index holds each (target, document) once, in first-match order
     corpus = {d.doc_id: d for d in read_corpus_jsonl(str(cfg.input_path("corpus")))}
-    seen: set[tuple[str, str]] = set()
     items = []
-    for m in matches:
-        key = (m.target_id, m.doc_id)
-        if key in seen:
-            continue
-        seen.add(key)
-        doc = corpus.get(m.doc_id)
+    for target_id, doc_id in kinds:
+        doc = corpus.get(doc_id)
         if doc is None:
-            logger.warning("matched doc %s missing from corpus; skipped", m.doc_id)
+            logger.warning("matched doc %s missing from corpus; skipped", doc_id)
             continue
-        items.append(ContextItem(target_id=m.target_id, context_id=m.doc_id,
-                                 text=doc.text))
-    settings = {k: v for k, v in service.items() if k != "model_id"}
-    records, errors = classify_contexts(items, ServiceConfig(**settings),
-                                        service.get("model_id", "live"))
+        items.append(ContextItem(target_id=target_id, context_id=doc_id, text=doc.text))
+    service = ServiceConfig(**cfg["service"])
+    records, errors = classify_contexts(items, service, service.model_id)
     for err in errors:
         logger.warning("classification: %s", err)
     return records
@@ -568,10 +579,9 @@ def _write_iaa(cfg: RunConfig, human_records) -> None:
     rows.append(["mean", "", "", "", fmt_val(result.mean_rho)])
     annotators = sorted({r.source_id for r in human_records})
     if len(annotators) >= 3:
-        for left_out in annotators:
-            reduced = pairwise_iaa(human_records, exclude=[left_out])
-            rows.append(["mean_excluding", left_out, "", "",
-                         fmt_val(reduced.mean_rho)])
+        rows.extend(["mean_excluding", left_out, "", "",
+                     fmt_val(result.mean_rho_without(left_out))]
+                    for left_out in annotators)
     write_csv_artifact(
         cfg, "iaa.csv",
         ["kind", "annotator_a", "annotator_b", "n_shared", "rho"], rows)
@@ -601,7 +611,7 @@ def cmd_compare(cfg: RunConfig) -> None:
         result = compare_approaches(by_approach[approach], norm_deltas,
                                     mode=cfg["compare_mode"],
                                     epsilon=float(cfg["epsilon"]))
-        agg_rows.append([approach, result.mode, fmt_val(result.epsilon),
+        agg_rows.append([approach, cfg["compare_mode"], fmt_val(cfg["epsilon"]),
                          result.n_common,
                          fmt_pct(result.pct_plm_more_negative),
                          fmt_pct(result.pct_plm_more_positive),
@@ -629,9 +639,10 @@ def cmd_regress(cfg: RunConfig) -> None:
 
     uni_results, uni_notes = univariate_scan(
         rows, cfg.get("univariate_predictors", DEFAULT_UNIVARIATE_PREDICTORS))
-    uni_rows = [[u.predictor, u.level, u.n, fmt_val(u.intercept), fmt_val(u.slope),
-                 fmt_p(u.slope_p_value), fmt_val(u.r_squared),
-                 fmt_val(u.adj_r_squared), fmt_p(u.model_p_value), u.stars]
+    uni_rows = [[u.predictor, u.level, u.fit.n, fmt_val(u.fit.coefficients[0]),
+                 fmt_val(u.fit.coefficients[u.column]), fmt_p(u.fit.p_values[u.column]),
+                 fmt_val(u.fit.r_squared), fmt_val(u.fit.adj_r_squared),
+                 fmt_p(u.fit.f_p_value), u.stars]
                 for u in uni_results]
     uni_out = write_csv_artifact(
         cfg, "univariate.csv",
@@ -640,9 +651,9 @@ def cmd_regress(cfg: RunConfig) -> None:
 
     multi_results, multi_notes = multivariate_suite(
         rows, cfg.get("model_specs") or DEFAULT_MODEL_SPECS)
-    multi_rows = [[m.model, m.formula, m.n, fmt_val(m.r_squared),
-                   fmt_val(m.adj_r_squared), fmt_val(m.residual_se),
-                   fmt_val(m.f_statistic), fmt_p(m.f_p_value), m.stars]
+    multi_rows = [[m.model, m.formula, m.fit.n, fmt_val(m.fit.r_squared),
+                   fmt_val(m.fit.adj_r_squared), fmt_val(m.fit.residual_se),
+                   fmt_val(m.fit.f_statistic), fmt_p(m.fit.f_p_value), m.stars]
                   for m in multi_results]
     write_csv_artifact(
         cfg, "multivariate.csv",
@@ -656,12 +667,12 @@ def cmd_regress(cfg: RunConfig) -> None:
             {
                 "model": m.model,
                 "formula": m.formula,
-                "n": m.n,
-                "r_squared": m.r_squared,
-                "adj_r_squared": m.adj_r_squared,
-                "residual_se": m.residual_se,
-                "f_statistic": m.f_statistic,
-                "f_p_value": m.f_p_value,
+                "n": m.fit.n,
+                "r_squared": m.fit.r_squared,
+                "adj_r_squared": m.fit.adj_r_squared,
+                "residual_se": m.fit.residual_se,
+                "f_statistic": m.fit.f_statistic,
+                "f_p_value": m.fit.f_p_value,
                 "reference_levels": dict(m.design.reference_levels),
                 "dropped_factors": list(m.design.dropped_factors),
                 "excluded_rows": list(m.design.excluded_ids),
@@ -680,8 +691,7 @@ def cmd_regress(cfg: RunConfig) -> None:
     write_json_artifact(cfg, "regression.json", detail)
 
     formula = cfg.get("elasticnet_formula",
-                      "delta ~ pnc_valence + modifier_valence + age + gender"
-                      " + domain + nationality + birthplace + party + frame")
+                      dict(DEFAULT_MODEL_SPECS)["all_except_name_valence"])
     try:
         design = encode_features(rows, formula)
         x = design.x[:, 1:]

@@ -19,7 +19,6 @@ matches, exactly as if every target were scanned in every document.
 
 from __future__ import annotations
 
-import json
 import logging
 import re
 import unicodedata
@@ -27,7 +26,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .csvio import read_csv, utf8_lines, write_csv
+from .csvio import read_csv, read_jsonl, write_csv
 from .errors import ParseError, ValidationError
 
 logger = logging.getLogger(__name__)
@@ -441,41 +440,30 @@ def read_targets_csv(path: str) -> list[TargetSpec]:
 
 def read_corpus_jsonl(path: str) -> list[Document]:
     """Load a corpus: one Document JSON object per line."""
-    docs: list[Document] = []
     seen: set[str] = set()
-    for line_no, line in utf8_lines(path):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON: {exc}", path=path, line=line_no) from exc
-        if not isinstance(obj, dict):
-            raise ParseError(f"expected a JSON object, got {type(obj).__name__}",
-                             path=path, line=line_no)
+
+    def parse(obj: dict) -> Document:
         doc_id = str(obj.get("doc_id", "")).strip()
         if not doc_id:
-            raise ParseError("missing doc_id", path=path, line=line_no)
+            raise ValueError("missing doc_id")
         if doc_id in seen:
-            raise ParseError(f"duplicate doc_id {doc_id!r}", path=path, line=line_no)
+            raise ValueError(f"duplicate doc_id {doc_id!r}")
         seen.add(doc_id)
         source = obj.get("source", "other")
         if source not in DOC_SOURCES:
-            raise ParseError(f"unknown source {source!r}", path=path, line=line_no)
+            raise ValueError(f"unknown source {source!r}")
         text = obj.get("text", "")
         if not isinstance(text, str):
-            raise ParseError(f"text of doc {doc_id!r} is not a string",
-                             path=path, line=line_no)
+            raise ValueError(f"text of doc {doc_id!r} is not a string")
         if not text:
-            raise ParseError(f"empty text for doc {doc_id!r}", path=path, line=line_no)
+            raise ValueError(f"empty text for doc {doc_id!r}")
         for key in ("url", "date"):
             if not isinstance(obj.get(key), (str, type(None))):
-                raise ParseError(f"{key} of doc {doc_id!r} is not a string",
-                                 path=path, line=line_no)
-        docs.append(Document(doc_id=doc_id, source=source, text=text,
-                             url=obj.get("url"), date=obj.get("date")))
-    return docs
+                raise ValueError(f"{key} of doc {doc_id!r} is not a string")
+        return Document(doc_id=doc_id, source=source, text=text,
+                        url=obj.get("url"), date=obj.get("date"))
+
+    return read_jsonl(path, parse)
 
 
 def write_matches_csv(matches: Sequence[ContextMatch], path: str,

@@ -1,13 +1,14 @@
 """CSV files: optional `#` comment lines, a header, then one row per record.
 
-Every CSV file the package reads or writes, and the lexicon's TSV lines,
-pass through here, so comment lines, line numbers and errors are handled
-the same way for all of them.
+Every CSV file the package reads or writes, the lexicon's TSV lines and
+the JSON-lines inputs pass through here, so comment lines, line numbers
+and errors are handled the same way for all of them.
 """
 
 from __future__ import annotations
 
 import csv
+import json
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 from .errors import ParseError
@@ -80,6 +81,39 @@ def read_csv(path: str, fields: Sequence[str],
                                  line=line_no) from exc
     except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
         raise ParseError(f"bad CSV: {exc}", path=path, line=line_no) from None
+    return records
+
+
+# the id fields of the JSON-lines inputs; each is a string or an integer
+JSONL_ID_FIELDS = ("doc_id", "target_id", "context_id", "source_id")
+
+
+def read_jsonl(path: str, parse: Callable[[dict], T]) -> list[T]:
+    """Parse every non-blank line of a JSON-lines file, each one JSON object
+    whose JSONL_ID_FIELDS, where present, are strings or integers. parse
+    turns an object into a record, raising KeyError for a missing field or
+    ValueError or TypeError for a bad value; errors name path:line."""
+    records = []
+    for line_no, line in utf8_lines(path):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            obj = json.loads(line)
+            if not isinstance(obj, dict):
+                raise ValueError(f"expected a JSON object, got {type(obj).__name__}")
+            for key in JSONL_ID_FIELDS:
+                value = obj.get(key, "")
+                if isinstance(value, bool) or not isinstance(value, (str, int)):
+                    raise ValueError(f"{key} must be a string or an integer, "
+                                     f"got {json.dumps(value)}")
+            records.append(parse(obj))
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"invalid JSON: {exc}", path=path, line=line_no) from exc
+        except KeyError as exc:
+            raise ParseError(f"missing field {exc}", path=path, line=line_no) from exc
+        except (TypeError, ValueError) as exc:
+            raise ParseError(str(exc), path=path, line=line_no) from exc
     return records
 
 

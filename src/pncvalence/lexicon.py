@@ -25,24 +25,26 @@ VALENCE_MAX = 10.0
 DUPLICATE_POLICIES = ("first_wins", "seeded_random")
 
 
-def _norm_key(form: str) -> str:
+def lemma_key(form: str) -> str:
+    """The key a lemma is stored and counted under: NFC-normalized, lowercased."""
     return unicodedata.normalize("NFC", form).lower()
 
 
 class ValenceLexicon:
-    """Lemma -> valence mapping with case-insensitive, NFC-normalized lookup."""
+    """Lemma -> valence mapping with case-insensitive, NFC-normalized lookup:
+    entries is keyed by lemma_key, and get and `in` key the form looked up."""
 
     def __init__(self, entries: dict[str, float]):
-        self._entries = {_norm_key(k): float(v) for k, v in entries.items()}
+        self._entries = entries
 
     def __len__(self) -> int:
         return len(self._entries)
 
     def __contains__(self, form: str) -> bool:
-        return _norm_key(form) in self._entries
+        return lemma_key(form) in self._entries
 
     def get(self, form: str) -> float | None:
-        return self._entries.get(_norm_key(form))
+        return self._entries.get(lemma_key(form))
 
     def items(self):
         return self._entries.items()
@@ -52,7 +54,7 @@ def load_lexicon(path: str, duplicate_policy: str = "first_wins",
                  seed: int | None = None) -> ValenceLexicon:
     """Load a two-column TSV (form, valence score in 0..10).
 
-    Keys are lowercased and NFC-normalized, which can collide distinct input
+    Each form is keyed once, by lemma_key, which can collide distinct input
     rows; duplicate_policy picks the survivor. "first_wins" keeps the first
     occurrence. "seeded_random" draws one of the collected scores per key
     with random.Random(seed), visiting keys in first-appearance order, so a
@@ -62,7 +64,6 @@ def load_lexicon(path: str, duplicate_policy: str = "first_wins",
         raise ValidationError(
             f"unknown duplicate_policy {duplicate_policy!r}; expected one of {DUPLICATE_POLICIES}")
     collected: dict[str, list[float]] = {}
-    order: list[str] = []
     for line_no, line in data_lines(path):
         line = line.rstrip("\r\n")
         if not line.strip():
@@ -72,7 +73,7 @@ def load_lexicon(path: str, duplicate_policy: str = "first_wins",
             raise ParseError(f"expected 2 tab-separated fields, got {len(parts)}",
                              path=path, line=line_no)
         form, raw_score = parts
-        key = _norm_key(form.strip())
+        key = lemma_key(form.strip())
         if not key:
             raise ParseError("empty form", path=path, line=line_no)
         try:
@@ -82,23 +83,15 @@ def load_lexicon(path: str, duplicate_policy: str = "first_wins",
                              path=path, line=line_no) from exc
         if not VALENCE_MIN <= score <= VALENCE_MAX:
             raise ParseError(f"score {score} outside [0, 10]", path=path, line=line_no)
-        if key not in collected:
-            collected[key] = []
-            order.append(key)
-        collected[key].append(score)
+        collected.setdefault(key, []).append(score)
 
     if not collected:
         raise ParseError("lexicon holds no entries", path=path)
 
-    entries: dict[str, float] = {}
     if duplicate_policy == "first_wins":
-        for key in order:
-            entries[key] = collected[key][0]
-    else:
-        rng = random.Random(seed)
-        for key in order:
-            entries[key] = rng.choice(collected[key])
-    return ValenceLexicon(entries)
+        return ValenceLexicon({key: scores[0] for key, scores in collected.items()})
+    rng = random.Random(seed)
+    return ValenceLexicon({key: rng.choice(scores) for key, scores in collected.items()})
 
 
 @dataclass(frozen=True)

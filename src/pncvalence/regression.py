@@ -308,18 +308,13 @@ def fit_design(design: DesignMatrix) -> OlsFit:
 class UnivariateResult:
     """One row of the single-predictor scan: numeric predictors yield one
     row (level is empty), factors one row per non-reference level sharing
-    the model's fit statistics."""
+    the model's fit. The row's slope is fit's coefficient at column."""
 
     predictor: str
     level: str
-    n: int
-    intercept: float
-    slope: float
-    slope_p_value: float | None
-    r_squared: float
-    adj_r_squared: float
-    model_p_value: float | None
+    column: int
     stars: str
+    fit: OlsFit
 
 
 def univariate_scan(rows: Sequence[FeatureRow],
@@ -345,25 +340,16 @@ def univariate_scan(rows: Sequence[FeatureRow],
         for j, column in enumerate(design.columns[1:], start=1):
             level = column.split("=", 1)[1] if "=" in column else ""
             results.append(UnivariateResult(
-                predictor=predictor, level=level, n=fit.n,
-                intercept=float(fit.coefficients[0]),
-                slope=float(fit.coefficients[j]),
-                slope_p_value=fit.p_values[j],
-                r_squared=fit.r_squared, adj_r_squared=fit.adj_r_squared,
-                model_p_value=fit.f_p_value, stars=stars))
+                predictor=predictor, level=level, column=j, stars=stars, fit=fit))
     return results, notes
 
 
 @dataclass(frozen=True)
 class MultivariateResult:
+    """One named model's fit; its fit statistics are those of fit."""
+
     model: str
     formula: str
-    n: int
-    r_squared: float
-    adj_r_squared: float
-    residual_se: float
-    f_statistic: float | None
-    f_p_value: float | None
     stars: str
     fit: OlsFit
     design: DesignMatrix
@@ -384,10 +370,8 @@ def multivariate_suite(rows: Sequence[FeatureRow],
             notes.append(f"{name}: skipped ({exc})")
             continue
         results.append(MultivariateResult(
-            model=name, formula=formula, n=fit.n, r_squared=fit.r_squared,
-            adj_r_squared=fit.adj_r_squared, residual_se=fit.residual_se,
-            f_statistic=fit.f_statistic, f_p_value=fit.f_p_value,
-            stars=significance_stars(fit.f_p_value), fit=fit, design=design))
+            model=name, formula=formula, stars=significance_stars(fit.f_p_value),
+            fit=fit, design=design))
     return results, notes
 
 

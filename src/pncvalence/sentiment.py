@@ -13,7 +13,6 @@ all-positive to 10, and all-neutral to 5, commensurable with lexicon scores.
 
 from __future__ import annotations
 
-import json
 import logging
 import time
 from collections import Counter, defaultdict
@@ -21,8 +20,8 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from .corpus import ContextMatch
-from .csvio import utf8_lines
-from .errors import ClassificationError, ParseError, UndefinedCorrelationError, ValidationError
+from .csvio import read_jsonl
+from .errors import ClassificationError, UndefinedCorrelationError, ValidationError
 from .stats import spearman
 from .valence import DeltaRecord, ScoreRecord, delta_sign
 
@@ -75,15 +74,26 @@ class ServiceConfig:
     """Connection settings for a sentiment classification HTTP service.
 
     The service takes POST <base_url>/classify with {"texts": [...]} and
-    answers {"labels": [...]} of equal length.
+    answers {"labels": [...]} of equal length. A setting out of range
+    raises ValidationError naming it.
     """
 
     base_url: str
+    model_id: str = "live"
     batch_size: int = 32
     timeout: float = 30.0
     max_retries: int = 3
     backoff_base: float = 0.5
     backoff_cap: float = 8.0
+
+    def __post_init__(self) -> None:
+        for key, ok, bound in (("batch_size", self.batch_size >= 1, ">= 1"),
+                               ("max_retries", self.max_retries >= 0, ">= 0"),
+                               ("timeout", self.timeout > 0, "> 0"),
+                               ("backoff_base", self.backoff_base >= 0, ">= 0"),
+                               ("backoff_cap", self.backoff_cap >= 0, ">= 0")):
+            if not ok:
+                raise ValidationError(f"{key} must be {bound}, got {getattr(self, key)!r}")
 
 
 def classify_contexts(items: Sequence[ContextItem], config: ServiceConfig,
@@ -98,8 +108,6 @@ def classify_contexts(items: Sequence[ContextItem], config: ServiceConfig,
     otherwise valid response is recorded as a per-item error and the run
     continues. Returns (records, per-item error messages).
     """
-    if config.batch_size < 1:
-        raise ValidationError("batch_size must be >= 1")
     import requests  # imported on first use: only live classification needs it
 
     own_session = session is None
@@ -168,33 +176,21 @@ def _classify_batch(sess: requests.Session, url: str,
 def read_label_jsonl(path: str) -> list[LabelRecord]:
     """Load label records, one JSON object per line. A (target, context,
     source) triple may appear only once."""
-    records: list[LabelRecord] = []
     seen: set[tuple[str, str, str]] = set()
-    for line_no, line in utf8_lines(path):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON: {exc}", path=path, line=line_no) from exc
-        if not isinstance(obj, dict):
-            raise ParseError(f"expected a JSON object, got {type(obj).__name__}",
-                             path=path, line=line_no)
-        try:
-            rec = LabelRecord(
-                target_id=str(obj["target_id"]), context_id=str(obj["context_id"]),
-                label=str(obj["label"]), source_id=str(obj["source_id"]))
-        except KeyError as exc:
-            raise ParseError(f"missing field {exc}", path=path, line=line_no) from exc
+
+    def parse(obj: dict) -> LabelRecord:
+        rec = LabelRecord(
+            target_id=str(obj["target_id"]), context_id=str(obj["context_id"]),
+            label=str(obj["label"]), source_id=str(obj["source_id"]))
         if rec.label not in LABELS:
-            raise ParseError(f"unknown label {rec.label!r}", path=path, line=line_no)
+            raise ValueError(f"unknown label {rec.label!r}")
         key = (rec.target_id, rec.context_id, rec.source_id)
         if key in seen:
-            raise ParseError(f"duplicate label for {key}", path=path, line=line_no)
+            raise ValueError(f"duplicate label for {key}")
         seen.add(key)
-        records.append(rec)
-    return records
+        return rec
+
+    return read_jsonl(path, parse)
 
 
 def build_histograms(records: Iterable[LabelRecord]) -> list[LabelHistogram]:
@@ -258,8 +254,6 @@ class CompareResult:
     """Per-target classification of one label-based approach's deltas against
     the lexicon-based deltas, plus aggregate shares."""
 
-    mode: str
-    epsilon: float
     n_common: int
     pct_agree: float
     pct_plm_more_negative: float
@@ -318,7 +312,7 @@ def compare_approaches(plm_deltas: Sequence[DeltaRecord],
     n_common = len(common)
     counts = Counter(cls for _, cls in per_target)
     return CompareResult(
-        mode=mode, epsilon=epsilon, n_common=n_common,
+        n_common=n_common,
         pct_agree=100.0 * counts["agree"] / n_common,
         pct_plm_more_negative=100.0 * counts["plm_more_negative"] / n_common,
         pct_plm_more_positive=100.0 * counts["plm_more_positive"] / n_common,
@@ -336,29 +330,33 @@ class PairAgreement:
 @dataclass(frozen=True)
 class AgreementResult:
     pairs: tuple[PairAgreement, ...]
-    mean_rho: float | None
+
+    @property
+    def mean_rho(self) -> float | None:
+        return self.mean_rho_without(None)
+
+    def mean_rho_without(self, annotator: str | None) -> float | None:
+        """Mean rho of the defined pairs, in pair order, leaving out the
+        pairs of annotator; None when no such pair is defined."""
+        defined = [p.rho for p in self.pairs if p.rho is not None
+                   and annotator not in (p.annotator_a, p.annotator_b)]
+        return sum(defined) / len(defined) if defined else None
 
 
-def pairwise_iaa(records: Sequence[LabelRecord],
-                 exclude: Sequence[str] = ()) -> AgreementResult:
+def pairwise_iaa(records: Sequence[LabelRecord]) -> AgreementResult:
     """Inter-annotator agreement: Spearman correlation per annotator pair
     over their shared items, labels encoded ordinally (negative < neutral <
     positive). Pairs with fewer than two shared items, or whose shared
-    labels are all tied on either side, have undefined agreement. mean_rho
-    averages the defined pairs; excluding an annotator recomputes without
-    their labels."""
-    excluded = set(exclude)
+    labels are all tied on either side, have undefined agreement, which
+    the means leave out."""
     by_annotator: dict[str, dict[tuple[str, str], str]] = defaultdict(dict)
     for rec in records:
-        if rec.source_id in excluded:
-            continue
         by_annotator[rec.source_id][(rec.target_id, rec.context_id)] = rec.label
     annotators = sorted(by_annotator)
     if len(annotators) < 2:
         raise ValidationError("pairwise agreement needs at least two annotators")
 
     pairs: list[PairAgreement] = []
-    defined: list[float] = []
     for i, a in enumerate(annotators):
         for b in annotators[i + 1:]:
             shared = sorted(set(by_annotator[a]) & set(by_annotator[b]))
@@ -372,7 +370,4 @@ def pairwise_iaa(records: Sequence[LabelRecord],
                     rho = None
             pairs.append(PairAgreement(annotator_a=a, annotator_b=b,
                                        n_shared=len(shared), rho=rho))
-            if rho is not None:
-                defined.append(rho)
-    mean_rho = sum(defined) / len(defined) if defined else None
-    return AgreementResult(pairs=tuple(pairs), mean_rho=mean_rho)
+    return AgreementResult(pairs=tuple(pairs))

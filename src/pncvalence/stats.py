@@ -2,7 +2,8 @@
 
 Pearson and Spearman coefficients are computed from first principles with
 compensated summation; p-values come from the two-sided Student t survival
-function, evaluated through the regularized incomplete beta function.
+function, which is the F survival function with one numerator degree of
+freedom, evaluated through the regularized incomplete beta function.
 """
 
 from __future__ import annotations
@@ -116,8 +117,7 @@ def spearman(x: Sequence[float], y: Sequence[float]) -> CorrelationResult:
 def student_t_sf(t: float, df: int) -> float:
     """Two-sided survival probability P(|T| >= t) for Student's t.
 
-    Evaluated as the regularized incomplete beta function
-    I_{df/(df+t^2)}(df/2, 1/2), which is exact for the t distribution.
+    T squared follows F(1, df), so this is fisher_f_sf(t * t, 1, df).
 
     Parameters
     ----------
@@ -126,23 +126,15 @@ def student_t_sf(t: float, df: int) -> float:
     df : int
         Degrees of freedom, at least 1.
     """
-    if int(df) != df or df < 1:
-        raise ValidationError(f"degrees of freedom must be a positive integer, got {df!r}")
     t = float(t)
-    if math.isnan(t):
-        raise ValidationError("t statistic is NaN")
-    if math.isinf(t):
-        return 0.0
-    from scipy import special  # imported on first use: stages without p-values skip it
-
-    x = df / (df + t * t)
-    return float(special.betainc(0.5 * df, 0.5, x))
+    return fisher_f_sf(t * t, 1, df)
 
 
 def fisher_f_sf(f: float, df1: int, df2: int) -> float:
     """Survival probability P(F >= f) for the F distribution.
 
-    Used for the overall-significance test of a regression fit.
+    Used for the overall-significance test of a regression fit, and with
+    df1 = 1 for the t tests.
     """
     if int(df1) != df1 or df1 < 1 or int(df2) != df2 or df2 < 1:
         raise ValidationError(f"degrees of freedom must be positive integers, got ({df1!r}, {df2!r})")
@@ -153,7 +145,7 @@ def fisher_f_sf(f: float, df1: int, df2: int) -> float:
         return 1.0
     if math.isinf(f):
         return 0.0
-    from scipy import special
+    from scipy import special  # imported on first use: stages without p-values skip it
 
     x = df2 / (df2 + df1 * f)
     return float(special.betainc(0.5 * df2, 0.5 * df1, x))

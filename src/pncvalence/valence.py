@@ -22,7 +22,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .corpus import ContextMatch, TargetSpec
 from .errors import ValidationError
-from .lexicon import TaggedContext, ValenceLexicon, filter_content_tokens
+from .lexicon import TaggedContext, ValenceLexicon, filter_content_tokens, lemma_key
 
 logger = logging.getLogger(__name__)
 
@@ -272,10 +272,11 @@ def frequent_context_words(target_ids: Sequence[str],
                            k: int = 10,
                            lexicon: ValenceLexicon | None = None,
                            ) -> list[tuple[str, str, str, int, float | None]]:
-    """Top-k most frequent content lemmas (lowercased) in the matched
-    contexts of each target and kind, with their lexicon valence when a
-    lexicon is supplied: (target_id, kind, lemma, count, valence) rows, in
-    target_ids order, then KINDS order. Ties break lexicographically."""
+    """Top-k most frequent content lemmas in the matched contexts of each
+    target and kind, counted by lemma_key as the lexicon keys them, with
+    their lexicon valence when a lexicon is supplied: (target_id, kind,
+    lemma, count, valence) rows, in target_ids order, then KINDS order.
+    Ties break lexicographically."""
     if k < 1:
         raise ValidationError("k must be >= 1")
     docs = _docs_by_pair(matches)
@@ -288,7 +289,7 @@ def frequent_context_words(target_ids: Sequence[str],
                 if ctx is None:
                     continue
                 for token in filter_content_tokens(ctx):
-                    counts[token.effective_lemma().lower()] += 1
+                    counts[lemma_key(token.effective_lemma())] += 1
             for w, c in sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))[:k]:
                 rows.append((target_id, kind, w, c,
                              lexicon.get(w) if lexicon is not None else None))

@@ -424,6 +424,11 @@ class TestLiveClassification:
         assert "corpus.jsonl" in {e["file"] for e in manifest["inputs"]}
 
 
+# a service address; each config below that names it is rejected before
+# any request is sent
+LOCAL = "http://127.0.0.1:9"
+
+
 class TestConfigValidation:
     @pytest.mark.parametrize("command, change, key", [
         ("score", {"top_k_words": "x"}, "top_k_words"),
@@ -443,6 +448,24 @@ class TestConfigValidation:
          "model_specs"),
         ("match", {"min_freqq": 1}, "min_freqq"),
         ("regress", {"elasticnet_formula": "delta ~ agee"}, "elasticnet_formula"),
+        ("sentiment", {"service": {"base_url": LOCAL, "timeout": 0}}, "service.timeout"),
+        ("sentiment", {"service": {"base_url": LOCAL, "batch_size": 0}},
+         "service.batch_size"),
+        ("sentiment", {"service": {"base_url": LOCAL, "max_retries": -1}},
+         "service.max_retries"),
+        ("sentiment", {"service": {"base_url": LOCAL, "backoff_base": -0.5}},
+         "service.backoff_base"),
+        ("sentiment", {"service": {"base_url": LOCAL, "backoff_cap": -1}},
+         "service.backoff_cap"),
+        ("match", {"min_freq": True}, "min_freq"),
+        ("score", {"top_k_words": True}, "top_k_words"),
+        ("match", {"seed": False}, "seed"),
+        ("compare", {"epsilon": True}, "epsilon"),
+        ("regress", {"elasticnet": {"n_candidates": True}}, "elasticnet.n_candidates"),
+        ("sentiment", {"service": {"base_url": LOCAL, "batch_size": True}},
+         "service.batch_size"),
+        ("sentiment", {"service": {"base_url": LOCAL, "timeout": True}},
+         "service.timeout"),
     ])
     def test_bad_value_is_exit_3_naming_the_key(self, tmp_path, out, capsys,
                                                 command, change, key):
@@ -451,6 +474,56 @@ class TestConfigValidation:
         cfg = toy_config(tmp_path, **change)
         assert main([command, "--config", cfg, "--out", str(run_dir)]) == 3
         assert key in capsys.readouterr().err
+
+
+def saturated(rows, deltas):
+    # three complete rows for three columns (intercept, age, gender)
+    for row in rows:
+        if row["target_id"] not in ("t1", "t2", "t3"):
+            row["age"] = ""
+    return "delta ~ age + gender"
+
+
+def perfect(rows, deltas):
+    # age equal to delta: a fit with no residual
+    for row in rows:
+        row["age"] = deltas.get(row["target_id"], "")
+    return "delta ~ age"
+
+
+class TestStrictJson:
+    @pytest.mark.parametrize("model", [saturated, perfect])
+    def test_non_finite_values_are_written_as_null(self, tmp_path, out, model):
+        run_dir = tmp_path / "o"
+        shutil.copytree(out, run_dir)
+        rows = read_rows(TOY / "metadata.csv")
+        deltas = {r["target_id"]: r["delta"] for r in read_rows(out / "deltas.csv")}
+        formula = model(rows, deltas)
+        metadata = tmp_path / "metadata.csv"
+        with open(metadata, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+            writer.writeheader()
+            writer.writerows(rows)
+        cfg = toy_config(tmp_path, metadata=str(metadata),
+                         model_specs=[[model.__name__, formula]],
+                         univariate_predictors=["age"])
+        assert main(["regress", "--config", cfg, "--out", str(run_dir)]) == 0
+
+        def reject(constant):
+            raise ValueError(f"not strict JSON: {constant}")
+
+        fit = json.loads((run_dir / "regression.json").read_text(encoding="utf-8"),
+                         parse_constant=reject)["models"][0]
+        if model is saturated:
+            assert fit["n"] == 3
+            assert fit["adj_r_squared"] is None and fit["residual_se"] is None
+            assert all(c["std_error"] is None and c["t_value"] is None
+                       for c in fit["coefficients"])
+        else:
+            assert fit["r_squared"] == 1.0
+            assert fit["f_statistic"] is None
+        for path in run_dir.glob("*.json"):
+            json.loads(path.read_text(encoding="utf-8"), parse_constant=reject)
 
 
 def bad_value_in_row_1(path):

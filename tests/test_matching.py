@@ -385,6 +385,8 @@ class TestFileInterfaces:
         (b'{"doc_id": "d2", "source": "tweet", "text": "a", "url": [1]}',
          "url of doc"),
         (b'{"doc_id": "d2", "source": "tweet", "text": "Kn\xffast"}', "not UTF-8"),
+        (b'{"doc_id": null, "source": "tweet", "text": "a"}',
+         "doc_id must be a string or an integer"),
     ])
     def test_corpus_bad_line_names_its_line(self, tmp_path, bad_line, message):
         p = tmp_path / "corpus.jsonl"

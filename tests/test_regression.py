@@ -234,8 +234,9 @@ class TestUnivariateScan:
         assert (r.predictor, r.level) == ("pnc_valence", "")
         design = encode_features(rows, "delta ~ pnc_valence")
         fit = fit_design(design)
-        assert r.slope == pytest.approx(float(fit.coefficients[1]))
-        assert r.model_p_value == fit.f_p_value
+        assert r.column == 1
+        assert r.fit.coefficients[r.column] == pytest.approx(float(fit.coefficients[1]))
+        assert r.fit.f_p_value == fit.f_p_value
         assert r.stars == significance_stars(fit.f_p_value)
         assert notes == []
 
@@ -246,7 +247,8 @@ class TestUnivariateScan:
         assert [(r.predictor, r.level) for r in results] == [
             ("frame", "b"), ("frame", "c")]
         # shared fit statistics across the factor's rows
-        assert results[0].r_squared == results[1].r_squared
+        assert results[0].fit is results[1].fit
+        assert [r.column for r in results] == [1, 2]
         assert results[0].stars == results[1].stars
 
     def test_unusable_predictors_noted(self):
@@ -273,7 +275,7 @@ class TestMultivariateSuite:
         assert notes == []
         personal = results[0]
         assert personal.formula == "delta ~ age + gender"
-        assert 0.0 <= personal.r_squared <= 1.0
+        assert 0.0 <= personal.fit.r_squared <= 1.0
         assert personal.fit.n == 40
 
     def test_unfittable_model_noted(self):

@@ -128,6 +128,17 @@ class TestLabelJsonl:
         with pytest.raises(ParseError, match="missing field"):
             read_label_jsonl(str(p))
 
+    @pytest.mark.parametrize("field, value", [
+        ("context_id", {"a": 1}), ("target_id", None), ("source_id", 1.5)])
+    def test_id_must_be_string_or_integer(self, tmp_path, field, value):
+        row = {"target_id": "a", "context_id": 7, "label": "neutral", "source_id": "m1"}
+        p = tmp_path / "labels.jsonl"
+        p.write_text(json.dumps(row) + "\n" + json.dumps(dict(row, **{field: value}))
+                     + "\n", encoding="utf-8")
+        with pytest.raises(ParseError, match=f"{field} must be a string or an integer") as exc:
+            read_label_jsonl(str(p))
+        assert exc.value.line == 2
+
     def test_non_object_line_rejected(self, tmp_path):
         p = tmp_path / "labels.jsonl"
         p.write_text('{"target_id": "a", "context_id": "c1", '
@@ -255,15 +266,18 @@ class TestPairwiseIaa:
         rhos = {(p.annotator_a, p.annotator_b): p.rho for p in full.pairs}
         assert rhos[("a1", "a3")] == pytest.approx(1.0)
         assert full.mean_rho == pytest.approx((0.5 + 1.0 + 0.5) / 3)
-        without_a2 = pairwise_iaa(records, exclude=["a2"])
-        assert len(without_a2.pairs) == 1
-        assert without_a2.mean_rho == pytest.approx(1.0)
+        # leaving an annotator out equals recomputing without their labels
+        assert full.mean_rho_without("a2") == pytest.approx(1.0)
+        for left_out in ("a1", "a2", "a3"):
+            reduced = pairwise_iaa([r for r in records if r.source_id != left_out])
+            assert len(reduced.pairs) == 1
+            assert full.mean_rho_without(left_out) == reduced.mean_rho
 
     def test_needs_two_annotators(self):
         with pytest.raises(ValidationError):
             pairwise_iaa([rec("t", "c1", "neutral", "a1")])
         with pytest.raises(ValidationError):
-            pairwise_iaa(self.annotations(), exclude=["a2"])
+            pairwise_iaa([r for r in self.annotations() if r.source_id != "a2"])
 
     def test_result_type(self):
         assert isinstance(pairwise_iaa(self.annotations()), AgreementResult)

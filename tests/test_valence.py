@@ -1,5 +1,6 @@
 import math
 import random
+import unicodedata
 
 import pytest
 
@@ -256,6 +257,14 @@ class TestFrequentWords:
         tagged = {"d1": ctx("d1", ("Gold", "NN"), ("gold", "NN"))}
         top = frequent_context_words(["a"], [match("a", "d1")], tagged)
         assert top == [("a", "pnc", "gold", 2, None)]
+
+    def test_nfc_and_nfd_spellings_count_as_one_lemma(self):
+        nfc = unicodedata.normalize("NFC", "größe")
+        nfd = unicodedata.normalize("NFD", "größe")
+        tagged = {"d1": ctx("d1", (nfc, "NN"), (nfd, "NN"))}
+        lex = ValenceLexicon({nfc: 6.0})
+        top = frequent_context_words(["a"], [match("a", "d1")], tagged, lexicon=lex)
+        assert top == [("a", "pnc", nfc, 2, 6.0)]
 
     def test_k_truncates(self):
         tagged = {"d1": ctx("d1", ("a", "NN"), ("b", "NN"), ("c", "NN"))}
