@@ -118,6 +118,11 @@ def _typed(value: object, types: type | tuple[type, ...]) -> bool:
     return isinstance(value, types) and not isinstance(value, bool)
 
 
+def _not_json(constant: str):
+    # json.loads would read NaN, Infinity and -Infinity as floats
+    raise ValueError(f"{constant} is not a JSON value")
+
+
 class RunConfig:
     """Flat JSON run configuration, with out_dir settable by --out.
 
@@ -137,8 +142,8 @@ class RunConfig:
         if not p.is_file():
             raise MissingArtifactError(f"config file not found: {path}")
         try:
-            data = json.loads(p.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
+            data = json.loads(p.read_text(encoding="utf-8"), parse_constant=_not_json)
+        except ValueError as exc:
             raise ParseError(f"config is not valid JSON: {exc}", path=path) from exc
         if not isinstance(data, dict):
             raise ValidationError("config must be a JSON object")
@@ -162,7 +167,8 @@ class RunConfig:
         for key in ("min_freq", "top_k_words"):
             require(_typed(self[key], int) and self[key] >= 1,
                     f"{key} must be an integer >= 1")
-        require(_typed(self["seed"], int), "seed must be an integer")
+        require(_typed(self["seed"], int) and self["seed"] >= 0,
+                "seed must be an integer >= 0")
         epsilon = self["epsilon"]
         require(_typed(epsilon, _NUMBER) and epsilon >= 0,
                 "epsilon must be a number >= 0")

@@ -11,6 +11,8 @@ from __future__ import annotations
 import random
 import unicodedata
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 from .csvio import data_lines, utf8_lines
 from .errors import ParseError, ValidationError
@@ -26,8 +28,9 @@ DUPLICATE_POLICIES = ("first_wins", "seeded_random")
 
 
 def lemma_key(form: str) -> str:
-    """The key a lemma is stored and counted under: NFC-normalized, lowercased."""
-    return unicodedata.normalize("NFC", form).lower()
+    """The key a lemma is stored and counted under: lowercased, then
+    NFC-normalized, so that the key of a key is the key itself."""
+    return unicodedata.normalize("NFC", form.lower())
 
 
 class ValenceLexicon:
@@ -35,19 +38,16 @@ class ValenceLexicon:
     entries is keyed by lemma_key, and get and `in` key the form looked up."""
 
     def __init__(self, entries: dict[str, float]):
-        self._entries = entries
+        self.entries = entries
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self.entries)
 
     def __contains__(self, form: str) -> bool:
-        return lemma_key(form) in self._entries
+        return lemma_key(form) in self.entries
 
     def get(self, form: str) -> float | None:
-        return self._entries.get(lemma_key(form))
-
-    def items(self):
-        return self._entries.items()
+        return self.entries.get(lemma_key(form))
 
 
 def load_lexicon(path: str, duplicate_policy: str = "first_wins",
@@ -94,8 +94,7 @@ def load_lexicon(path: str, duplicate_policy: str = "first_wins",
     return ValenceLexicon({key: rng.choice(scores) for key, scores in collected.items()})
 
 
-@dataclass(frozen=True)
-class TaggedToken:
+class TaggedToken(NamedTuple):
     surface: str
     lemma: str
     pos: str
@@ -113,6 +112,13 @@ class TaggedContext:
     doc_id: str
     tokens: tuple[TaggedToken, ...]
 
+    @cached_property
+    def content_keys(self) -> tuple[str, ...]:
+        """The lemma_key of each content word's effective lemma, in token
+        order: the one content-word rule that scoring and counting read."""
+        return tuple([lemma_key(t.effective_lemma()) for t in self.tokens
+                      if t.pos in CONTENT_POS_TAGS])
+
 
 def read_tagged_contexts(path: str) -> list[TaggedContext]:
     """Parse pre-tagged contexts.
@@ -121,45 +127,27 @@ def read_tagged_contexts(path: str) -> list[TaggedContext]:
     surface<TAB>lemma<TAB>pos, and a blank line (or the next header, or end
     of file) terminates it.
     """
-    contexts: list[TaggedContext] = []
-    seen: set[str] = set()
-    doc_id: str | None = None
-    tokens: list[TaggedToken] = []
-
-    def flush():
-        nonlocal doc_id, tokens
-        if doc_id is not None:
-            contexts.append(TaggedContext(doc_id=doc_id, tokens=tuple(tokens)))
-        doc_id = None
-        tokens = []
-
+    blocks: dict[str, list[TaggedToken]] = {}
+    tokens: list[TaggedToken] | None = None  # the open block's, if any
     for line_no, line in utf8_lines(path):
         line = line.rstrip("\r\n")
         if line.startswith("#doc:"):
-            flush()
             doc_id = line[len("#doc:"):].strip()
             if not doc_id:
                 raise ParseError("empty doc id in header", path=path, line=line_no)
-            if doc_id in seen:
+            if doc_id in blocks:
                 raise ParseError(f"duplicate context for doc {doc_id!r}",
                                  path=path, line=line_no)
-            seen.add(doc_id)
+            tokens = blocks[doc_id] = []
             continue
         if not line.strip():
-            flush()
+            tokens = None
             continue
-        if doc_id is None:
+        if tokens is None:
             raise ParseError("token line outside any #doc: block", path=path, line=line_no)
         parts = line.split("\t")
         if len(parts) != 3:
             raise ParseError(f"expected 3 tab-separated fields, got {len(parts)}",
                              path=path, line=line_no)
-        tokens.append(TaggedToken(surface=parts[0], lemma=parts[1], pos=parts[2]))
-    flush()
-    return contexts
-
-
-def filter_content_tokens(context: TaggedContext) -> list[TaggedToken]:
-    """Tokens whose part-of-speech marks a content word."""
-    return [t for t in context.tokens if t.pos in CONTENT_POS_TAGS]
-
+        tokens.append(TaggedToken(*parts))
+    return [TaggedContext(doc_id, tuple(tokens)) for doc_id, tokens in blocks.items()]

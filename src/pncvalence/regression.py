@@ -471,10 +471,7 @@ def elastic_net_fit(x: np.ndarray, y: np.ndarray, lam: float, alpha: float, *,
     for n_sweeps in range(1, max_sweeps + 1):
         max_step = 0.0
         for j in range(p):
-            if z[j] == 0.0:
-                if beta[j] != 0.0:
-                    resid += xc[:, j] * beta[j]
-                    beta[j] = 0.0
+            if z[j] == 0.0:  # a constant column keeps its zero coefficient
                 continue
             old = beta[j]
             rho = float(xc[:, j] @ resid) / n + z[j] * old

@@ -160,7 +160,7 @@ def _classify_batch(sess: requests.Session, url: str,
                 context_ids=ids)
         try:
             labels = resp.json()["labels"]
-        except (ValueError, KeyError) as exc:
+        except (ValueError, KeyError, TypeError) as exc:
             raise ClassificationError(f"malformed response: {exc}", context_ids=ids) from exc
         if not isinstance(labels, list) or len(labels) != len(batch):
             raise ClassificationError(

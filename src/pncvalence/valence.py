@@ -22,7 +22,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .corpus import ContextMatch, TargetSpec
 from .errors import ValidationError
-from .lexicon import TaggedContext, ValenceLexicon, filter_content_tokens, lemma_key
+from .lexicon import TaggedContext, ValenceLexicon
 
 logger = logging.getLogger(__name__)
 
@@ -78,15 +78,6 @@ class DeltaRecord:
     modifier_delta: float | None = None
 
 
-def _resolved_valences(context: TaggedContext, lexicon: ValenceLexicon) -> list[float]:
-    out = []
-    for token in filter_content_tokens(context):
-        v = lexicon.get(token.effective_lemma())
-        if v is not None:
-            out.append(v)
-    return out
-
-
 def target_valence_from_contexts(target_id: str, kind: str,
                                  contexts: Sequence[TaggedContext],
                                  lexicon: ValenceLexicon,
@@ -103,7 +94,8 @@ def target_valence_from_contexts(target_id: str, kind: str,
     if pooling not in POOLING_MODES:
         raise ValidationError(f"unknown pooling {pooling!r}; expected one of {POOLING_MODES}")
 
-    per_context = [_resolved_valences(c, lexicon) for c in contexts]
+    per_context = [[v for v in map(lexicon.entries.get, c.content_keys) if v is not None]
+                   for c in contexts]
     n_lemmas = sum(len(vs) for vs in per_context)
     if n_lemmas == 0:
         return None
@@ -288,9 +280,8 @@ def frequent_context_words(target_ids: Sequence[str],
                 ctx = tagged.get(doc_id)
                 if ctx is None:
                     continue
-                for token in filter_content_tokens(ctx):
-                    counts[lemma_key(token.effective_lemma())] += 1
+                counts.update(ctx.content_keys)
             for w, c in sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))[:k]:
                 rows.append((target_id, kind, w, c,
-                             lexicon.get(w) if lexicon is not None else None))
+                             lexicon.entries.get(w) if lexicon is not None else None))
     return rows

@@ -466,6 +466,7 @@ class TestConfigValidation:
          "service.batch_size"),
         ("sentiment", {"service": {"base_url": LOCAL, "timeout": True}},
          "service.timeout"),
+        ("regress", {"seed": -1}, "seed"),
     ])
     def test_bad_value_is_exit_3_naming_the_key(self, tmp_path, out, capsys,
                                                 command, change, key):
@@ -474,6 +475,20 @@ class TestConfigValidation:
         cfg = toy_config(tmp_path, **change)
         assert main([command, "--config", cfg, "--out", str(run_dir)]) == 3
         assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, change", [
+        ("compare", {"epsilon": float("inf")}),
+        ("sentiment", {"service": {"base_url": LOCAL, "timeout": float("inf")}}),
+    ])
+    def test_non_json_constant_is_exit_3(self, tmp_path, out, capsys, command, change):
+        # with the upstream artifacts in place, the parsed inf would reach
+        # the stage: compare writes it, and the service client crashes on it
+        run_dir = tmp_path / "o"
+        shutil.copytree(out, run_dir)
+        cfg = toy_config(tmp_path, **change)  # json.dumps writes inf as Infinity
+        assert main([command, "--config", cfg, "--out", str(run_dir)]) == 3
+        err = capsys.readouterr().err
+        assert "Infinity" in err and cfg in err
 
 
 def saturated(rows, deltas):

@@ -1,9 +1,10 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pncvalence.errors import ParseError, ValidationError
 from pncvalence.lexicon import (CONTENT_POS_TAGS, TaggedContext, TaggedToken,
-                                filter_content_tokens, load_lexicon,
-                                read_tagged_contexts)
+                                lemma_key, load_lexicon, read_tagged_contexts)
 
 
 def write_lexicon(tmp_path, body, name="lex.tsv"):
@@ -43,7 +44,7 @@ class TestLoadLexicon:
         for s in (0, 7, 1234):
             a = load_lexicon(path, "seeded_random", seed=s)
             b = load_lexicon(path, "seeded_random", seed=s)
-            assert dict(a.items()) == dict(b.items())
+            assert a.entries == b.entries
 
     def test_unknown_policy_rejected(self, tmp_path):
         path = write_lexicon(tmp_path, "wort\t5.0\n")
@@ -74,6 +75,22 @@ class TestLoadLexicon:
     def test_empty_file_rejected(self, tmp_path):
         with pytest.raises(ParseError):
             load_lexicon(write_lexicon(tmp_path, "# nur Kommentar\n"))
+
+
+class TestLemmaKey:
+    def test_one_key_per_lowercase_lemma(self):
+        # T + combining diaeresis lowercases to t + diaeresis, which NFC
+        # composes to the precomposed letter
+        assert lemma_key("T\u0308") == lemma_key("\u1e97") == "\u1e97"
+
+    # capitals whose lowercase letter composes with a following mark, such
+    # marks, and any letter or combining mark
+    @given(st.text(st.sampled_from("HJTWYİΑΗΙΡΥΩ")
+                   | st.sampled_from("\u0300\u0301\u0308\u030a\u030c\u0331\u0342\u0345")
+                   | st.characters(whitelist_categories=("Lu", "Ll", "Lt", "Mn"))))
+    @settings(max_examples=500)
+    def test_key_of_a_key_is_itself(self, form):
+        assert lemma_key(lemma_key(form)) == lemma_key(form)
 
 
 def tok(surface, lemma=None, pos="NN"):
@@ -131,8 +148,19 @@ class TestContentFilter:
             tok("läuft", "laufen", pos="VVFIN"), tok("und", pos="KON"),
             tok("gesehen", "sehen", pos="VVPP"), tok("er", pos="PPER"),
         ))
-        kept = [t.surface for t in filter_content_tokens(ctx)]
-        assert kept == ["Hund", "schnell", "läuft", "gesehen"]
+        assert list(ctx.content_keys) == ["hund", "schnell", "laufen", "sehen"]
+
+    @given(st.lists(st.tuples(
+        st.sampled_from(["Tor", "TORE", "Gru\u0308n", "ÄRGER", "x"]),
+        st.sampled_from(["", "<unknown>", "Tor", "SCHO\u0308N", "Ärger"]),
+        st.sampled_from(["NN", "ADJD", "VVPP", "NE", "ART", "$."])), max_size=12))
+    @settings(max_examples=200)
+    def test_content_keys_apply_the_content_rule(self, triples):
+        tokens = tuple(TaggedToken(*t) for t in triples)
+        ctx = TaggedContext(doc_id="d", tokens=tokens)
+        assert list(ctx.content_keys) == [lemma_key(t.effective_lemma()) for t in tokens
+                                          if t.pos in CONTENT_POS_TAGS]
+        assert ctx.content_keys is ctx.content_keys  # derived once, then kept
 
     def test_tag_inventory(self):
         assert CONTENT_POS_TAGS == {"NN", "ADJA", "ADJD", "VVFIN", "VVIMP",

@@ -393,6 +393,12 @@ class TestClassifyContexts:
             with pytest.raises(ClassificationError, match="malformed"):
                 classify_contexts(items(1), config(stub.base_url), "plm:m1")
 
+    @pytest.mark.parametrize("body", [[["positive"]], None], ids=["array", "null"])
+    def test_reply_that_is_no_object_is_malformed(self, body):
+        with StubService([(200, body)]) as stub:
+            with pytest.raises(ClassificationError, match="malformed"):
+                classify_contexts(items(1), config(stub.base_url), "plm:m1")
+
     def test_length_mismatch_rejected(self):
         with StubService([(200, {"labels": ["positive"]})]) as stub:
             with pytest.raises(ClassificationError, match="expected 2 labels"):
