@@ -31,7 +31,7 @@ from .corpus import (ContextMatch, TargetSpec, dedupe_documents,
                      frequency_filter, generate_variants, match_contexts,
                      pnc_match_counts, read_corpus_jsonl, read_matches_csv,
                      read_targets_csv, write_matches_csv)
-from .csvio import read_csv, write_csv
+from .csvio import parse_json, read_csv, write_csv
 from .errors import (ParseError, PncValenceError, UndefinedCorrelationError,
                      ValidationError)
 from .lexicon import DUPLICATE_POLICIES, load_lexicon, read_tagged_contexts
@@ -142,7 +142,7 @@ class RunConfig:
         if not p.is_file():
             raise MissingArtifactError(f"config file not found: {path}")
         try:
-            data = json.loads(p.read_text(encoding="utf-8"), parse_constant=_not_json)
+            data = parse_json(p.read_text(encoding="utf-8"), parse_constant=_not_json)
         except ValueError as exc:
             raise ParseError(f"config is not valid JSON: {exc}", path=path) from exc
         if not isinstance(data, dict):

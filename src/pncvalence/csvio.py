@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import json
+import re
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 from .errors import ParseError
@@ -84,6 +85,26 @@ def read_csv(path: str, fields: Sequence[str],
     return records
 
 
+# json.loads turns an unpaired \uD800-\uDFFF escape into a lone surrogate,
+# which no UTF-8 output, path or hash can take
+_SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
+
+
+def parse_json(text: str, **kwargs) -> object:
+    """json.loads(text, **kwargs), which also raises ValueError for nesting
+    too deep to parse and for a string holding an unpaired surrogate. Only
+    text with a surrogate escape is checked for the latter."""
+    try:
+        obj = json.loads(text, **kwargs)
+        if _SURROGATE_ESCAPE.search(text):
+            json.dumps(obj, ensure_ascii=False).encode("utf-8")
+    except RecursionError:
+        raise ValueError("JSON nested too deeply") from None
+    except UnicodeEncodeError:
+        raise ValueError("a string holds an unpaired surrogate escape") from None
+    return obj
+
+
 # the id fields of the JSON-lines inputs; each is a string or an integer
 JSONL_ID_FIELDS = ("doc_id", "target_id", "context_id", "source_id")
 
@@ -99,7 +120,7 @@ def read_jsonl(path: str, parse: Callable[[dict], T]) -> list[T]:
         if not line:
             continue
         try:
-            obj = json.loads(line)
+            obj = parse_json(line)
             if not isinstance(obj, dict):
                 raise ValueError(f"expected a JSON object, got {type(obj).__name__}")
             for key in JSONL_ID_FIELDS:

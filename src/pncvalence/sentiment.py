@@ -2,8 +2,9 @@
 label-distribution valence measure.
 
 Besides lexicon lookups, contexts can be scored by sentiment labels from
-pretrained classifiers or human annotators. A target's valence under a label
-source is derived from the label distribution over its contexts:
+pretrained classifiers or human annotators; a live classifier service is
+reached with the standard library's urllib. A target's valence under a
+label source is derived from the label distribution over its contexts:
 
     v(t) = (n_positive + 0.5 * n_neutral) / L_t * 10
 
@@ -13,20 +14,18 @@ all-positive to 10, and all-neutral to 5, commensurable with lexicon scores.
 
 from __future__ import annotations
 
+import json
 import logging
 import time
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .corpus import ContextMatch
 from .csvio import read_jsonl
 from .errors import ClassificationError, UndefinedCorrelationError, ValidationError
 from .stats import spearman
 from .valence import DeltaRecord, ScoreRecord, delta_sign
-
-if TYPE_CHECKING:
-    import requests
 
 logger = logging.getLogger(__name__)
 
@@ -87,7 +86,10 @@ class ServiceConfig:
     backoff_cap: float = 8.0
 
     def __post_init__(self) -> None:
-        for key, ok, bound in (("batch_size", self.batch_size >= 1, ">= 1"),
+        # urllib would also open file:, ftp: and data: URLs
+        http = self.base_url.lower().startswith(("http://", "https://"))
+        for key, ok, bound in (("base_url", http, "an http:// or https:// URL"),
+                               ("batch_size", self.batch_size >= 1, ">= 1"),
                                ("max_retries", self.max_retries >= 0, ">= 0"),
                                ("timeout", self.timeout > 0, "> 0"),
                                ("backoff_base", self.backoff_base >= 0, ">= 0"),
@@ -97,9 +99,7 @@ class ServiceConfig:
 
 
 def classify_contexts(items: Sequence[ContextItem], config: ServiceConfig,
-                      source_id: str,
-                      session: requests.Session | None = None,
-                      ) -> tuple[list[LabelRecord], list[str]]:
+                      source_id: str) -> tuple[list[LabelRecord], list[str]]:
     """Label every context via the HTTP service.
 
     Transient failures (connection errors, 5xx) are retried per batch with
@@ -108,37 +108,32 @@ def classify_contexts(items: Sequence[ContextItem], config: ServiceConfig,
     otherwise valid response is recorded as a per-item error and the run
     continues. Returns (records, per-item error messages).
     """
-    import requests  # imported on first use: only live classification needs it
-
-    own_session = session is None
-    sess = session or requests.Session()
     url = config.base_url.rstrip("/") + "/classify"
     records: list[LabelRecord] = []
     errors: list[str] = []
-    try:
-        for start in range(0, len(items), config.batch_size):
-            batch = items[start:start + config.batch_size]
-            labels = _classify_batch(sess, url, batch, config)
-            for item, label in zip(batch, labels):
-                if label not in LABELS:
-                    errors.append(
-                        f"{item.target_id}/{item.context_id}: unknown label {label!r}")
-                    continue
-                records.append(LabelRecord(
-                    target_id=item.target_id, context_id=item.context_id,
-                    label=label, source_id=source_id))
-    finally:
-        if own_session:
-            sess.close()
+    for start in range(0, len(items), config.batch_size):
+        batch = items[start:start + config.batch_size]
+        labels = _classify_batch(url, batch, config)
+        for item, label in zip(batch, labels):
+            if label not in LABELS:
+                errors.append(
+                    f"{item.target_id}/{item.context_id}: unknown label {label!r}")
+                continue
+            records.append(LabelRecord(
+                target_id=item.target_id, context_id=item.context_id,
+                label=label, source_id=source_id))
     return records, errors
 
 
-def _classify_batch(sess: requests.Session, url: str,
-                    batch: Sequence[ContextItem], config: ServiceConfig) -> list[str]:
-    import requests
+def _classify_batch(url: str, batch: Sequence[ContextItem],
+                    config: ServiceConfig) -> list[str]:
+    # imported on first use: only live classification speaks HTTP
+    import http.client
+    import urllib.error
+    import urllib.request
 
     ids = [item.context_id for item in batch]
-    payload = {"texts": [item.text for item in batch]}
+    data = json.dumps({"texts": [item.text for item in batch]}).encode("utf-8")
     last_error = None
     for attempt in range(config.max_retries + 1):
         if attempt:
@@ -147,19 +142,26 @@ def _classify_batch(sess: requests.Session, url: str,
                         len(batch), delay, attempt + 1)
             time.sleep(delay)
         try:
-            resp = sess.post(url, json=payload, timeout=config.timeout)
-        except requests.RequestException as exc:
+            request = urllib.request.Request(
+                url, data=data, headers={"Content-Type": "application/json"},
+                method="POST")
+            with urllib.request.urlopen(request, timeout=config.timeout) as resp:
+                status, body = resp.status, resp.read()
+        except urllib.error.HTTPError as exc:  # a status outside 2xx
+            exc.close()
+            status, body = exc.code, b""
+        except (OSError, ValueError, http.client.HTTPException) as exc:
+            # no reply: refused, timed out, cut off, or a malformed URL
             last_error = f"request failed: {exc}"
             continue
-        if resp.status_code >= 500:
-            last_error = f"server error {resp.status_code}"
+        if status >= 500:
+            last_error = f"server error {status}"
             continue
-        if resp.status_code != 200:
+        if status != 200:
             raise ClassificationError(
-                f"classification rejected with status {resp.status_code}",
-                context_ids=ids)
+                f"classification rejected with status {status}", context_ids=ids)
         try:
-            labels = resp.json()["labels"]
+            labels = json.loads(body)["labels"]
         except (ValueError, KeyError, TypeError) as exc:
             raise ClassificationError(f"malformed response: {exc}", context_ids=ids) from exc
         if not isinstance(labels, list) or len(labels) != len(batch):

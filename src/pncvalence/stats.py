@@ -3,7 +3,9 @@
 Pearson and Spearman coefficients are computed from first principles with
 compensated summation; p-values come from the two-sided Student t survival
 function, which is the F survival function with one numerator degree of
-freedom, evaluated through the regularized incomplete beta function.
+freedom, evaluated through the regularized incomplete beta function. That
+function is computed here, by its continued fraction, so the package needs
+no special-function library.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import UndefinedCorrelationError, ValidationError
+from .errors import ConvergenceError, UndefinedCorrelationError, ValidationError
 
 
 @dataclass(frozen=True)
@@ -145,7 +147,49 @@ def fisher_f_sf(f: float, df1: int, df2: int) -> float:
         return 1.0
     if math.isinf(f):
         return 0.0
-    from scipy import special  # imported on first use: stages without p-values skip it
-
+    # P(F >= f) = I_x(a, b) = 1 - I_y(b, a), with y = 1 - x formed from f:
+    # 1.0 - x would lose the digits of a small y
+    a, b = 0.5 * df2, 0.5 * df1
     x = df2 / (df2 + df1 * f)
-    return float(special.betainc(0.5 * df2, 0.5 * df1, x))
+    if x > (a + 1.0) / (a + b + 2.0):
+        return 1.0 - _betainc(b, a, df1 * f / (df2 + df1 * f))
+    return _betainc(a, b, x)
+
+
+_EPS = 2.0 ** -52
+_TINY = 1e-300  # stands in for a zero denominator in the Lentz recurrences
+_MAX_TERMS = 10_000
+
+
+def _betainc(a: float, b: float, x: float) -> float:
+    """Regularized incomplete beta function I_x(a, b) for a, b > 0 and
+    x <= (a + 1) / (a + b + 2), where its continued fraction converges fast;
+    above that bound, use I_x(a, b) = 1 - I_{1-x}(b, a).
+
+    The continued fraction of Press et al., Numerical Recipes (3rd ed.,
+    section 6.4), evaluated by the modified Lentz method (Lentz, Appl. Opt.
+    1976). The prefactor x^a (1-x)^b / (a B(a, b)) is formed in log space,
+    so a deep tail keeps its digits until it underflows. Raises
+    ConvergenceError if _MAX_TERMS pairs of terms do not converge.
+    """
+    if x <= 0.0:
+        return 0.0
+
+    def nonzero(v: float) -> float:
+        return v if abs(v) > _TINY else _TINY
+
+    c, d = 1.0, 1.0 / nonzero(1.0 - (a + b) * x / (a + 1.0))
+    h = d
+    for m in range(1, _MAX_TERMS + 1):
+        # the even term, then the odd term, of the fraction
+        for term in (m * (b - m) * x / ((a + 2 * m - 1) * (a + 2 * m)),
+                     -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1))):
+            d = 1.0 / nonzero(1.0 + term * d)
+            c = nonzero(1.0 + term / c)
+            h *= d * c
+        if abs(d * c - 1.0) <= _EPS:
+            log_front = (math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
+                         + a * math.log(x) + b * math.log1p(-x))
+            return math.exp(log_front) * h / a
+    raise ConvergenceError(
+        f"incomplete beta continued fraction did not converge (a={a!r}, b={b!r}, x={x!r})")

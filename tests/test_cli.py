@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from pncvalence.cli import main
+from pncvalence.corpus import read_corpus_jsonl
 
 TOY = Path(__file__).parent / "data" / "toy"
 CONFIG = str(TOY / "config.json")
@@ -467,6 +468,7 @@ class TestConfigValidation:
         ("sentiment", {"service": {"base_url": LOCAL, "timeout": True}},
          "service.timeout"),
         ("regress", {"seed": -1}, "seed"),
+        ("sentiment", {"service": {"base_url": "file:///etc"}}, "service.base_url"),
     ])
     def test_bad_value_is_exit_3_naming_the_key(self, tmp_path, out, capsys,
                                                 command, change, key):
@@ -599,6 +601,42 @@ class TestNonUtf8Input:
         assert f"{bad}:{line}]" in capsys.readouterr().err
 
 
+class TestJsonOutsideUtf8OrRecursionLimit:
+    """JSON that json.loads cannot turn into usable values without a
+    JSONDecodeError: nesting past the recursion limit, and an unpaired
+    surrogate escape, which no UTF-8 output or hash can take."""
+
+    DEEP = "[" * 100_000
+    LONE = '{"doc_id": "lone", "source": "tweet", "text": "\\ud800 Tore-Klose feiert"}'
+
+    @pytest.mark.parametrize("line", [DEEP, LONE], ids=["deep", "surrogate"])
+    def test_corpus_line_is_exit_3_with_path_and_line(self, tmp_path, capsys, line):
+        bad = (tmp_path / "corpus.jsonl").resolve()
+        lines = (TOY / "corpus.jsonl").read_text(encoding="utf-8").splitlines(True)
+        lines.insert(1, line + "\n")
+        bad.write_text("".join(lines), encoding="utf-8")
+        cfg = toy_config(tmp_path / "cfg", corpus=str(bad))
+        assert main(["match", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+        assert f"{bad}:2]" in capsys.readouterr().err
+
+    def test_surrogate_pair_escape_is_a_character(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        path.write_text('{"doc_id": "d", "text": "\\ud83d\\ude00 Tore-Klose"}\n',
+                        encoding="utf-8")
+        assert [d.text for d in read_corpus_jsonl(str(path))] == ["\U0001f600 Tore-Klose"]
+
+    def test_deep_config_is_exit_3(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(self.DEEP, encoding="utf-8")
+        assert main(["variants", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
+        assert str(cfg) in capsys.readouterr().err
+
+    def test_lone_surrogate_in_config_is_exit_3(self, tmp_path, capsys):
+        cfg = toy_config(tmp_path, annotators=["\ud800"])  # written as an escape
+        assert main(["variants", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+        assert cfg in capsys.readouterr().err
+
+
 class TestOutDir:
     def test_out_override_is_relative_to_working_directory(
             self, tmp_path, monkeypatch):
@@ -632,23 +670,24 @@ class TestModuleEntryPoint:
         assert (tmp_path / "variants.csv").is_file()
 
     def test_importing_the_cli_loads_neither_scipy_nor_requests(self):
+        # nor an HTTP client: only live classification speaks HTTP
         proc = run_python(
-            "-c", "import sys, pncvalence.cli; "
-            "print(sorted({'scipy', 'requests'} & set(sys.modules)))",
+            "-c", "import sys, pncvalence.cli; print(sorted({'scipy', 'requests', "
+            "'urllib.request', 'http.client'} & set(sys.modules)))",
             timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
 
-    def test_sentiment_stage_loads_no_scipy(self, tmp_path, out):
-        run_dir = tmp_path / "o"
-        shutil.copytree(out, run_dir)
-        argv = ["sentiment", "--config", CONFIG, "--out", str(run_dir)]
+    def test_toy_pipeline_loads_neither_scipy_nor_requests(self, tmp_path):
+        argvs = [[command, "--config", CONFIG, "--out", str(tmp_path)]
+                 for command in ALL_COMMANDS]
         proc = run_python(
             "-c", "import sys; from pncvalence.cli import main; "
-            f"code = main({argv!r}); print(code, 'scipy' in sys.modules)",
-            timeout=120)
+            f"codes = [main(argv) for argv in {argvs!r}]; "
+            "print(codes, sorted({'scipy', 'requests'} & set(sys.modules)))",
+            timeout=300)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines()[-1] == "0 False"
+        assert proc.stdout.splitlines()[-1] == f"{[0] * len(ALL_COMMANDS)} []"
 
 
 class TestStageOrder:

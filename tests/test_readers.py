@@ -1,0 +1,103 @@
+"""Every input reader either returns records or raises ParseError or
+ValidationError, whatever bytes its file holds; no other exception may
+escape to the command line as a traceback."""
+
+import json
+from pathlib import Path
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from pncvalence.cli import _DELTA_FIELDS, _read_deltas
+from pncvalence.corpus import (MATCHES_FIELDS, TARGETS_FIELDS, read_corpus_jsonl,
+                               read_matches_csv, read_targets_csv)
+from pncvalence.errors import ValidationError
+from pncvalence.lexicon import load_lexicon, read_tagged_contexts
+from pncvalence.regression import METADATA_FIELDS, read_metadata_csv
+from pncvalence.sentiment import read_label_jsonl
+
+# characters that carry meaning in one of the formats, plus a few that
+# normalise, case-fold or fall outside the BMP
+SPECIAL = ',;"\t\r\n#{}[]:-_.\\ 0123456789eEaäAÄßẞ̈ \U0001f600'
+fragments = st.text(alphabet=st.characters(codec="utf-8") | st.sampled_from(SPECIAL),
+                    max_size=12)
+# unpaired surrogates: a JSON escape of one, or bytes that are not UTF-8
+surrogates = st.text(st.characters(categories=["Cs"]), min_size=1, max_size=2)
+numbers = st.one_of(st.integers(-10**6, 10**6).map(str),
+                    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+                    st.sampled_from(["", "nan", "-inf", "1e400", "0x10", "1_0"]))
+cell = st.one_of(fragments, numbers, st.sampled_from(
+    ["politics", "sports", "pnc", "full_name", "norms", "NN", "ADJA", "<unknown>",
+     "Tore-Klose", "Tore", "Klose", "A-B"]))
+
+
+def csv_lines(fields):
+    # a header of the reader's columns, shuffled and cut, over rows of cells
+    header = st.permutations(list(fields)).flatmap(
+        lambda cols: st.integers(0, len(cols)).map(lambda k: cols[k:]))
+    row = st.lists(cell | surrogates, max_size=len(fields) + 2).map(",".join)
+    return st.tuples(header.map(",".join), st.lists(row, max_size=6)).map(
+        lambda hr: [hr[0], *hr[1]])
+
+
+def tsv_lines(width):
+    line = st.one_of(st.lists(cell | surrogates, max_size=width + 1).map("\t".join),
+                     fragments.map(lambda s: "#doc:" + s), st.just(""))
+    return st.lists(line, max_size=10)
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | fragments | surrogates,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(fragments, inner, max_size=3),
+    max_leaves=8)
+
+
+def jsonl_lines(keys):
+    obj = st.dictionaries(st.sampled_from(keys) | fragments,
+                          json_values | cell, max_size=len(keys) + 1)
+    nested = st.integers(1, 3000).map(lambda depth: "[" * depth)
+    line = st.one_of(obj.map(json.dumps), json_values.map(json.dumps), fragments,
+                     nested)
+    return st.lists(line, max_size=6)
+
+
+def contents(lines):
+    joined = lines.flatmap(lambda ls: st.sampled_from(["\n", "\r\n", "\r"]).map(
+        lambda end: end.join(ls)))
+    return st.one_of(st.binary(max_size=200),
+                     joined.map(lambda s: s.encode("utf-8", "surrogatepass")))
+
+
+READERS = {
+    "targets": (read_targets_csv,
+                csv_lines(TARGETS_FIELDS + ("modifier_lemma",))),
+    "corpus": (read_corpus_jsonl,
+               jsonl_lines(["doc_id", "source", "text", "url", "date"])),
+    "lexicon": (load_lexicon, tsv_lines(2)),
+    "tagged_contexts": (read_tagged_contexts, tsv_lines(3)),
+    "labels": (read_label_jsonl,
+               jsonl_lines(["target_id", "context_id", "label", "source_id"])),
+    "metadata": (read_metadata_csv, csv_lines(METADATA_FIELDS)),
+    "matches": (read_matches_csv, csv_lines(MATCHES_FIELDS)),
+    "deltas": (lambda path: _read_deltas(Path(path)), csv_lines(_DELTA_FIELDS)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(READERS))
+def test_reader_returns_or_raises_a_validation_error(tmp_path, name):
+    read, lines = READERS[name]
+    path = tmp_path / name
+
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(contents(lines))
+    def check(data):
+        path.write_bytes(data)
+        try:
+            read(str(path))
+        except ValidationError:  # ParseError included
+            pass
+
+    check()

@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, stats as scipy_stats
 
-from pncvalence.errors import UndefinedCorrelationError, ValidationError
+from pncvalence import stats
+from pncvalence.errors import (ConvergenceError, UndefinedCorrelationError,
+                               ValidationError)
 from pncvalence.stats import (average_ranks, fisher_f_sf, pearson, spearman,
                               student_t_sf)
 
@@ -198,3 +200,45 @@ class TestFisherFSf:
             fisher_f_sf(1.0, 0, 5)
         with pytest.raises(ValidationError):
             fisher_f_sf(1.0, 3, -1)
+
+
+class TestClosedFormTails:
+    """Tails whose incomplete beta has a closed form, checked without a
+    reference library."""
+
+    STATISTICS = (1e-6, 0.01, 0.3, 1.0, 2.5, 9.0, 40.0, 1e3, 1e8)
+
+    @pytest.mark.parametrize("t", STATISTICS)
+    def test_t_with_one_degree_of_freedom(self, t):
+        assert student_t_sf(t, 1) == pytest.approx(
+            2 / math.pi * math.atan(1 / t), rel=1e-12)
+
+    @pytest.mark.parametrize("t", STATISTICS)
+    def test_t_with_two_degrees_of_freedom(self, t):
+        # 1 - t / sqrt(2 + t^2), written without the cancellation
+        root = math.sqrt(2 + t * t)
+        assert student_t_sf(t, 2) == pytest.approx(
+            2 / (root * (root + t)), rel=1e-12)
+
+    @pytest.mark.parametrize("d2", (1, 2, 7, 30, 282, 400))
+    @pytest.mark.parametrize("f", (1e-3, 0.5, 2.0, 30.0, 700.0, 6100.0))
+    def test_f_with_two_numerator_degrees_of_freedom(self, f, d2):
+        assert fisher_f_sf(f, 2, d2) == pytest.approx(
+            (d2 / (d2 + 2 * f)) ** (d2 / 2), rel=1e-12)
+
+    def test_deep_tail_keeps_its_digits(self):
+        p = fisher_f_sf(6100.0, 2, 400)
+        assert 1e-300 < p < 1e-299
+        assert p == pytest.approx((400 / 12600) ** 200, rel=1e-12)
+        # 1.12469252490834e-306 by mpmath at 50 digits
+        assert fisher_f_sf(2601.89, 20, 282) == pytest.approx(
+            1.12469252490834e-306, rel=1e-12)
+
+    def test_statistic_beyond_the_float_range(self):
+        assert fisher_f_sf(1e308, 2, 5) == 0.0  # 2 * f overflows
+        assert fisher_f_sf(1e-320, 2, 5) == 1.0
+
+    def test_fraction_that_does_not_converge_raises(self, monkeypatch):
+        monkeypatch.setattr(stats, "_MAX_TERMS", 1)
+        with pytest.raises(ConvergenceError):
+            fisher_f_sf(1.0, 40, 40)
