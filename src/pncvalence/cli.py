@@ -34,19 +34,19 @@ from .corpus import (ContextMatch, TargetSpec, dedupe_documents,
 from .csvio import parse_json, read_csv, write_csv
 from .errors import (ParseError, PncValenceError, UndefinedCorrelationError,
                      ValidationError)
-from .lexicon import DUPLICATE_POLICIES, load_lexicon, read_tagged_contexts
+from .lexicon import load_lexicon, read_tagged_contexts
 from .regression import (DEFAULT_MODEL_SPECS, DEFAULT_UNIVARIATE_PREDICTORS,
                          assemble_rows, check_cv_settings, cv_random_search,
                          encode_features, multivariate_suite, parse_formula,
                          read_metadata_csv, univariate_scan)
-from .sentiment import (COMPARE_MODES, ContextItem, ServiceConfig,
-                        build_histograms, classify_contexts, compare_approaches,
-                        eq2_valence, filter_records_by_kind, kind_index,
-                        pairwise_iaa, pool_annotators, read_label_jsonl)
+from .sentiment import (ContextItem, ServiceConfig, build_histograms,
+                        classify_contexts, compare_approaches, eq2_valence,
+                        filter_records_by_kind, kind_index, pairwise_iaa,
+                        pool_annotators, read_label_jsonl)
 from .stats import pearson, spearman
-from .valence import (DECIMALS, DeltaRecord, KINDS, POOLING_MODES, ScoreRecord,
-                      compute_deltas, domain_summary, frequent_context_words,
-                      sign_breakdown, target_valence)
+from .valence import (DECIMALS, DeltaRecord, KINDS, ScoreRecord, compute_deltas,
+                      domain_summary, frequent_context_words, sign_breakdown,
+                      target_valence)
 
 logger = logging.getLogger(__name__)
 
@@ -81,12 +81,7 @@ _DEFAULTS: dict[str, object] = {
     "unit_policy": "whole_document",
     "case_insensitive": False,
     "include_overlaps": True,
-    "dedupe_urls": True,
-    "duplicate_policy": "first_wins",
-    "pooling": "bag",
     "top_k_words": 10,
-    "compare_mode": "sign_class",
-    "epsilon": 0.0,
     "annotators": [],
     "label_files": [],
     "out_dir": "out",
@@ -95,8 +90,7 @@ _DEFAULTS: dict[str, object] = {
 # keys the config's nested objects may set, with the types their values take
 _NUMBER = (int, float)
 _BLOCK_TYPES: dict[str, dict[str, type | tuple[type, ...]]] = {
-    "elasticnet": {"n_candidates": int, "n_repeats": int, "n_folds": int,
-                   "scoring": str},
+    "elasticnet": {"n_candidates": int, "n_repeats": int, "n_folds": int},
     "service": {"base_url": str, "model_id": str, "batch_size": int,
                 "max_retries": int, "timeout": _NUMBER, "backoff_base": _NUMBER,
                 "backoff_cap": _NUMBER},
@@ -169,16 +163,10 @@ class RunConfig:
                     f"{key} must be an integer >= 1")
         require(_typed(self["seed"], int) and self["seed"] >= 0,
                 "seed must be an integer >= 0")
-        epsilon = self["epsilon"]
-        require(_typed(epsilon, _NUMBER) and epsilon >= 0,
-                "epsilon must be a number >= 0")
-        for key, choices in (("unit_policy", UNIT_POLICIES),
-                             ("duplicate_policy", DUPLICATE_POLICIES),
-                             ("pooling", POOLING_MODES),
-                             ("compare_mode", COMPARE_MODES)):
-            require(self[key] in choices,
-                    f"{key} must be one of {choices}, got {self[key]!r}")
-        for key in ("case_insensitive", "include_overlaps", "dedupe_urls"):
+        require(self["unit_policy"] in UNIT_POLICIES,
+                f"unit_policy must be one of {UNIT_POLICIES}, "
+                f"got {self['unit_policy']!r}")
+        for key in ("case_insensitive", "include_overlaps"):
             require(isinstance(self[key], bool), f"{key} must be true or false")
         for key in ("annotators", "label_files", "univariate_predictors"):
             require(_strings(self.get(key, [])), f"{key} must be a list of strings")
@@ -351,10 +339,9 @@ def cmd_match(cfg: RunConfig) -> None:
     targets = read_targets_csv(str(targets_path))
     corpus = read_corpus_jsonl(str(corpus_path))
     n_raw = len(corpus)
-    if cfg["dedupe_urls"]:
-        corpus = dedupe_documents(corpus)
-        if len(corpus) != n_raw:
-            logger.info("url dedupe removed %d document(s)", n_raw - len(corpus))
+    corpus = dedupe_documents(corpus)
+    if len(corpus) != n_raw:
+        logger.info("url dedupe removed %d document(s)", n_raw - len(corpus))
     matches = match_contexts(
         corpus, targets, case_insensitive=cfg["case_insensitive"],
         include_overlaps=cfg["include_overlaps"])
@@ -395,15 +382,12 @@ def cmd_score(cfg: RunConfig) -> None:
     matches_path = cfg.artifact_path("matches.csv")
 
     targets = read_targets_csv(str(targets_path))
-    lexicon = load_lexicon(str(lexicon_path),
-                           duplicate_policy=cfg["duplicate_policy"],
-                           seed=cfg["seed"])
+    lexicon = load_lexicon(str(lexicon_path))
     tagged = {c.doc_id: c for c in read_tagged_contexts(str(tagged_path))}
     matches = read_matches_csv(str(matches_path))
     matches, retained, dropped = _retained_matches(cfg, targets, matches)
 
-    scores, score_notes = target_valence(
-        matches, tagged, lexicon, pooling=cfg["pooling"])
+    scores, score_notes = target_valence(matches, tagged, lexicon)
     deltas, delta_notes = compute_deltas(scores, targets, lexicon)
     summaries, domain_notes = domain_summary(deltas, targets)
 
@@ -614,11 +598,9 @@ def cmd_compare(cfg: RunConfig) -> None:
     agg_rows = []
     detail_rows = []
     for approach in sorted(by_approach):
-        result = compare_approaches(by_approach[approach], norm_deltas,
-                                    mode=cfg["compare_mode"],
-                                    epsilon=float(cfg["epsilon"]))
-        agg_rows.append([approach, cfg["compare_mode"], fmt_val(cfg["epsilon"]),
-                         result.n_common,
+        result = compare_approaches(by_approach[approach], norm_deltas)
+        # mode and epsilon stay as fixed columns: deltas compare by sign alone
+        agg_rows.append([approach, "sign_class", fmt_val(0.0), result.n_common,
                          fmt_pct(result.pct_plm_more_negative),
                          fmt_pct(result.pct_plm_more_positive),
                          fmt_pct(result.pct_agree)])
@@ -713,7 +695,7 @@ def cmd_regress(cfg: RunConfig) -> None:
     else:
         write_json_artifact(cfg, "elasticnet.json", {
             "formula": formula,
-            "scoring": search.scoring,
+            "scoring": "mse",  # CV error is always the mean squared error
             "n_candidates": len(search.candidates),
             "n_repeats": search.n_repeats,
             "n_folds": search.n_folds,

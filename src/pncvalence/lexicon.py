@@ -8,14 +8,13 @@ that valence lookups operate on.
 
 from __future__ import annotations
 
-import random
 import unicodedata
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
 from .csvio import data_lines, utf8_lines
-from .errors import ParseError, ValidationError
+from .errors import ParseError
 
 # STTS tags counted as content words: common nouns, adjectives, full verbs.
 CONTENT_POS_TAGS = frozenset(
@@ -23,8 +22,6 @@ CONTENT_POS_TAGS = frozenset(
 
 VALENCE_MIN = 0.0
 VALENCE_MAX = 10.0
-
-DUPLICATE_POLICIES = ("first_wins", "seeded_random")
 
 
 def lemma_key(form: str) -> str:
@@ -50,20 +47,13 @@ class ValenceLexicon:
         return self.entries.get(lemma_key(form))
 
 
-def load_lexicon(path: str, duplicate_policy: str = "first_wins",
-                 seed: int | None = None) -> ValenceLexicon:
+def load_lexicon(path: str) -> ValenceLexicon:
     """Load a two-column TSV (form, valence score in 0..10).
 
     Each form is keyed once, by lemma_key, which can collide distinct input
-    rows; duplicate_policy picks the survivor. "first_wins" keeps the first
-    occurrence. "seeded_random" draws one of the collected scores per key
-    with random.Random(seed), visiting keys in first-appearance order, so a
-    fixed seed yields a fixed lexicon.
+    rows; the first row of a key wins. Every row is still checked.
     """
-    if duplicate_policy not in DUPLICATE_POLICIES:
-        raise ValidationError(
-            f"unknown duplicate_policy {duplicate_policy!r}; expected one of {DUPLICATE_POLICIES}")
-    collected: dict[str, list[float]] = {}
+    entries: dict[str, float] = {}
     for line_no, line in data_lines(path):
         line = line.rstrip("\r\n")
         if not line.strip():
@@ -83,15 +73,11 @@ def load_lexicon(path: str, duplicate_policy: str = "first_wins",
                              path=path, line=line_no) from exc
         if not VALENCE_MIN <= score <= VALENCE_MAX:
             raise ParseError(f"score {score} outside [0, 10]", path=path, line=line_no)
-        collected.setdefault(key, []).append(score)
+        entries.setdefault(key, score)
 
-    if not collected:
+    if not entries:
         raise ParseError("lexicon holds no entries", path=path)
-
-    if duplicate_policy == "first_wins":
-        return ValenceLexicon({key: scores[0] for key, scores in collected.items()})
-    rng = random.Random(seed)
-    return ValenceLexicon({key: rng.choice(scores) for key, scores in collected.items()})
+    return ValenceLexicon(entries)
 
 
 class TaggedToken(NamedTuple):

@@ -222,8 +222,10 @@ def ols_fit(x: np.ndarray, y: np.ndarray,
     """Least-squares fit of y on x (x must already carry its intercept
     column if one is wanted), solved via QR decomposition.
 
-    Columns that the QR factor shows to be linearly dependent raise
-    RankDeficiencyError naming them.
+    A column whose R diagonal is negligible against the column's own largest
+    entry is linearly dependent on the columns before it; such columns raise
+    RankDeficiencyError naming them. The test does not depend on how the
+    columns are scaled against each other.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -243,8 +245,8 @@ def ols_fit(x: np.ndarray, y: np.ndarray,
 
     q, r = np.linalg.qr(x)
     diag = np.abs(np.diag(r))
-    tol = max(n, p) * np.finfo(float).eps * (diag.max() if p else 0.0)
-    bad = [columns[j] for j in range(p) if diag[j] <= tol]
+    tol = max(n, p) * np.finfo(float).eps * np.abs(x).max(axis=0, initial=0.0)
+    bad = [columns[j] for j in range(p) if diag[j] <= tol[j]]
     if bad:
         raise RankDeficiencyError(bad)
 
@@ -536,7 +538,6 @@ class CvSearchResult:
     candidates: tuple[CvCandidate, ...]
     best: CvCandidate
     fit: ElasticNetFit
-    scoring: str
     n_repeats: int
     n_folds: int
     column_means: np.ndarray
@@ -545,16 +546,13 @@ class CvSearchResult:
 
 
 def _fold_error(x: np.ndarray, y: np.ndarray, train_idx: np.ndarray,
-                val_idx: np.ndarray, lam: float, alpha: float, scoring: str) -> float:
+                val_idx: np.ndarray, lam: float, alpha: float) -> float:
+    """Mean squared error on the validation rows of a fit on the training rows."""
     fit = elastic_net_fit(x[train_idx], y[train_idx], lam, alpha)
-    pred = fit.predict(x[val_idx])
-    err = y[val_idx] - pred
-    if scoring == "mae":
-        return float(np.abs(err).mean())
+    err = y[val_idx] - fit.predict(x[val_idx])
     return float((err * err).mean())
 
 
-_CV_SCORINGS = ("mse", "mae")
 # the least value each count of a CV search may take
 _CV_MINIMA = {"n_candidates": 1, "n_repeats": 1, "n_folds": 2}
 
@@ -565,25 +563,23 @@ def check_cv_settings(**settings) -> None:
     for name, least in _CV_MINIMA.items():
         if name in settings and settings[name] < least:
             raise ValidationError(f"{name} must be >= {least}, got {settings[name]!r}")
-    if settings.get("scoring", "mse") not in _CV_SCORINGS:
-        raise ValidationError(
-            f"scoring must be one of {_CV_SCORINGS}, got {settings['scoring']!r}")
 
 
 def cv_random_search(x: np.ndarray, y: np.ndarray, *,
                      columns: Sequence[str] | None = None,
                      n_candidates: int = 25, n_repeats: int = 5, n_folds: int = 5,
-                     seed: int = 0, scoring: str = "mse") -> CvSearchResult:
+                     seed: int = 0) -> CvSearchResult:
     """Tune (alpha, lambda) by random search under repeated k-fold CV.
 
     Draw order is fixed by the seed: first the candidate list (alpha uniform
     on [0, 1], lambda log-uniform on [1e-4 * lambda_max(alpha),
     lambda_max(alpha)]), then one row permutation per repeat; each
-    permutation is split into n_folds nearly equal folds. Errors are
-    averaged over all repeats and folds; candidates are scored in draw order.
+    permutation is split into n_folds nearly equal folds. Mean squared
+    validation errors are averaged over all repeats and folds; candidates
+    are scored in draw order.
     """
     check_cv_settings(n_candidates=n_candidates, n_repeats=n_repeats,
-                      n_folds=n_folds, scoring=scoring)
+                      n_folds=n_folds)
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     n = x.shape[0]
@@ -615,8 +611,7 @@ def cv_random_search(x: np.ndarray, y: np.ndarray, *,
 
     def evaluate(draw: tuple[float, float]) -> float:
         alpha, lam = draw
-        errors = [_fold_error(x_std, y, tr, va, lam, alpha, scoring)
-                  for tr, va in folds]
+        errors = [_fold_error(x_std, y, tr, va, lam, alpha) for tr, va in folds]
         return float(np.mean(errors))
 
     mean_errors = [evaluate(d) for d in draws]
@@ -632,7 +627,7 @@ def cv_random_search(x: np.ndarray, y: np.ndarray, *,
     train_r2 = 1.0 - float(resid @ resid) / tss if tss > 0 else 0.0
 
     return CvSearchResult(candidates=candidates, best=best, fit=fit,
-                          scoring=scoring, n_repeats=n_repeats, n_folds=n_folds,
+                          n_repeats=n_repeats, n_folds=n_folds,
                           column_means=means, column_stds=stds,
                           train_r_squared=train_r2)
 
@@ -643,9 +638,15 @@ def cv_random_search(x: np.ndarray, y: np.ndarray, *,
 METADATA_FIELDS = ("target_id", "age", "gender", "nationality", "birthplace",
                    "party", "frame")
 
+# the largest |age| accepted: n * age**2, the scale of the least-squares and
+# standardisation sums, stays finite for fewer than 1e8 rows
+AGE_LIMIT = 1e150
+
 
 def read_metadata_csv(path: str) -> dict[str, dict[str, float | str | None]]:
-    """Load per-target metadata. Empty cells become None; age is numeric."""
+    """Load per-target metadata. Empty cells become None; age is a number
+    no larger than AGE_LIMIT in magnitude, so NaN and infinities are
+    rejected too."""
     seen: set[str] = set()
 
     def parse(row) -> tuple[str, dict[str, float | str | None]]:
@@ -662,9 +663,12 @@ def read_metadata_csv(path: str) -> dict[str, dict[str, float | str | None]]:
                 fields[key] = None
             elif key == "age":
                 try:
-                    fields[key] = float(raw)
+                    age = float(raw)
                 except ValueError:
                     raise ValueError(f"non-numeric age {raw!r}") from None
+                if not abs(age) <= AGE_LIMIT:
+                    raise ValueError(f"age {raw!r} is not a number within ±{AGE_LIMIT:g}")
+                fields[key] = age
             else:
                 fields[key] = raw
         return target_id, fields

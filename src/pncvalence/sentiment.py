@@ -32,8 +32,6 @@ logger = logging.getLogger(__name__)
 LABELS = ("negative", "neutral", "positive")
 _LABEL_RANK = {"negative": 0, "neutral": 1, "positive": 2}
 
-COMPARE_MODES = ("sign_class", "numeric_epsilon")
-
 
 @dataclass(frozen=True)
 class LabelRecord:
@@ -264,22 +262,14 @@ class CompareResult:
 
 
 def compare_approaches(plm_deltas: Sequence[DeltaRecord],
-                       norm_deltas: Sequence[DeltaRecord],
-                       mode: str = "sign_class",
-                       epsilon: float = 0.0) -> CompareResult:
+                       norm_deltas: Sequence[DeltaRecord]) -> CompareResult:
     """Classify each shared target as agree / plm_more_negative /
     plm_more_positive between a label-based and the lexicon-based approach.
 
-    mode "sign_class" compares delta_sign values: equal signs agree, a smaller
-    sign on the label side is more negative, a larger one more positive
-    (zeros order between the signs, keeping the three classes a partition).
-    mode "numeric_epsilon" compares values: within epsilon agrees, below is
-    more negative, above more positive.
+    The two deltas compare by delta_sign: equal signs agree, a smaller sign
+    on the label side is more negative, a larger one more positive (zeros
+    order between the signs, keeping the three classes a partition).
     """
-    if mode not in COMPARE_MODES:
-        raise ValidationError(f"unknown mode {mode!r}; expected one of {COMPARE_MODES}")
-    if epsilon < 0:
-        raise ValidationError("epsilon must be >= 0")
     plm_approaches = {d.approach for d in plm_deltas}
     if len(plm_approaches) > 1:
         raise ValidationError(
@@ -292,23 +282,14 @@ def compare_approaches(plm_deltas: Sequence[DeltaRecord],
 
     per_target: list[tuple[str, str]] = []
     for target_id in common:
-        p = plm_by_id[target_id].delta
-        n = norm_by_id[target_id].delta
-        if mode == "sign_class":
-            sp, sn = delta_sign(p), delta_sign(n)
-            if sp == sn:
-                cls = "agree"
-            elif sp < sn:
-                cls = "plm_more_negative"
-            else:
-                cls = "plm_more_positive"
+        sp = delta_sign(plm_by_id[target_id].delta)
+        sn = delta_sign(norm_by_id[target_id].delta)
+        if sp == sn:
+            cls = "agree"
+        elif sp < sn:
+            cls = "plm_more_negative"
         else:
-            if abs(p - n) <= epsilon:
-                cls = "agree"
-            elif p < n:
-                cls = "plm_more_negative"
-            else:
-                cls = "plm_more_positive"
+            cls = "plm_more_positive"
         per_target.append((target_id, cls))
 
     n_common = len(common)

@@ -27,7 +27,6 @@ from .lexicon import TaggedContext, ValenceLexicon
 logger = logging.getLogger(__name__)
 
 KINDS = ("pnc", "full_name")
-POOLING_MODES = ("bag", "per_context_mean")
 
 # decimals of every valence and delta written to an artifact
 DECIMALS = 6
@@ -80,33 +79,20 @@ class DeltaRecord:
 
 def target_valence_from_contexts(target_id: str, kind: str,
                                  contexts: Sequence[TaggedContext],
-                                 lexicon: ValenceLexicon,
-                                 pooling: str = "bag") -> ScoreRecord | None:
-    """Score one (target, kind) from its matched contexts; None when no
-    content lemma resolves in the lexicon.
-
-    pooling="bag" averages over the pooled lemma bag of all contexts (the
-    default measure). pooling="per_context_mean" averages per-context means
-    instead, weighting each context equally regardless of length.
-    """
+                                 lexicon: ValenceLexicon) -> ScoreRecord | None:
+    """Score one (target, kind) by the mean over the pooled lemma bag of its
+    matched contexts; None when no content lemma resolves in the lexicon."""
     if kind not in KINDS:
         raise ValidationError(f"unknown kind {kind!r}; expected one of {KINDS}")
-    if pooling not in POOLING_MODES:
-        raise ValidationError(f"unknown pooling {pooling!r}; expected one of {POOLING_MODES}")
 
-    per_context = [[v for v in map(lexicon.entries.get, c.content_keys) if v is not None]
-                   for c in contexts]
-    n_lemmas = sum(len(vs) for vs in per_context)
-    if n_lemmas == 0:
+    bag = [v for c in contexts for v in map(lexicon.entries.get, c.content_keys)
+           if v is not None]
+    if not bag:
         return None
-    if pooling == "bag":
-        valence = math.fsum(v for vs in per_context for v in vs) / n_lemmas
-    else:
-        means = [math.fsum(vs) / len(vs) for vs in per_context if vs]
-        valence = math.fsum(means) / len(means)
+    valence = math.fsum(bag) / len(bag)
     return ScoreRecord(target_id=target_id, kind=kind, approach="norms",
                        valence=valence, n_contexts=len(contexts),
-                       n_context_lemmas=n_lemmas)
+                       n_context_lemmas=len(bag))
 
 
 def _docs_by_pair(matches: Iterable[ContextMatch]) -> dict[tuple[str, str], dict[str, None]]:
@@ -120,7 +106,7 @@ def _docs_by_pair(matches: Iterable[ContextMatch]) -> dict[tuple[str, str], dict
 
 def target_valence(matches: Iterable[ContextMatch],
                    tagged: Mapping[str, TaggedContext], lexicon: ValenceLexicon,
-                   pooling: str = "bag") -> tuple[list[ScoreRecord], list[Note]]:
+                   ) -> tuple[list[ScoreRecord], list[Note]]:
     """Score every (target, kind) pair that has matches and tagged contexts.
 
     tagged maps doc_id to its tagged context; matched documents without an
@@ -139,7 +125,7 @@ def target_valence(matches: Iterable[ContextMatch],
                 missing_docs.add(doc_id)
                 continue
             contexts.append(ctx)
-        rec = target_valence_from_contexts(target_id, kind, contexts, lexicon, pooling)
+        rec = target_valence_from_contexts(target_id, kind, contexts, lexicon)
         if rec is None:
             notes.append((f"{target_id}/{kind}",
                           "no content lemma found in lexicon; unscorable"))

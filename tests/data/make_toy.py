@@ -496,21 +496,15 @@ CONFIG = {
     "unit_policy": "whole_document",
     "case_insensitive": False,
     "include_overlaps": True,
-    "dedupe_urls": True,
-    "duplicate_policy": "first_wins",
-    "pooling": "bag",
     "workers": 1,
     "top_k_words": 5,
-    "compare_mode": "sign_class",
-    "epsilon": 0.0,
     "univariate_predictors": ["name_valence", "pnc_valence", "modifier_valence",
                               "age", "gender", "domain", "party", "nationality"],
     "model_specs": [["personal", "delta ~ age + gender"],
                     ["compound", "delta ~ modifier_valence + pnc_valence"],
                     ["simple", "delta ~ pnc_valence"]],
     "elasticnet_formula": "delta ~ pnc_valence + modifier_valence + age",
-    "elasticnet": {"n_candidates": 8, "n_repeats": 3, "n_folds": 5,
-                   "scoring": "mse"},
+    "elasticnet": {"n_candidates": 8, "n_repeats": 3, "n_folds": 5},
 }
 
 

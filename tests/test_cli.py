@@ -6,6 +6,7 @@ import shutil
 import subprocess
 import sys
 import threading
+import warnings
 from http.server import BaseHTTPRequestHandler, HTTPServer
 from pathlib import Path
 
@@ -469,6 +470,12 @@ class TestConfigValidation:
          "service.timeout"),
         ("regress", {"seed": -1}, "seed"),
         ("sentiment", {"service": {"base_url": "file:///etc"}}, "service.base_url"),
+        # settings that no longer exist are unknown keys, even at their old
+        # defaults
+        ("score", {"pooling": "bag"}, "pooling"),
+        ("score", {"duplicate_policy": "first_wins"}, "duplicate_policy"),
+        ("compare", {"compare_mode": "sign_class"}, "compare_mode"),
+        ("match", {"dedupe_urls": True}, "dedupe_urls"),
     ])
     def test_bad_value_is_exit_3_naming_the_key(self, tmp_path, out, capsys,
                                                 command, change, key):
@@ -479,12 +486,13 @@ class TestConfigValidation:
         assert key in capsys.readouterr().err
 
     @pytest.mark.parametrize("command, change", [
-        ("compare", {"epsilon": float("inf")}),
+        ("compare", {"service": {"base_url": LOCAL, "backoff_cap": float("inf")}}),
         ("sentiment", {"service": {"base_url": LOCAL, "timeout": float("inf")}}),
     ])
     def test_non_json_constant_is_exit_3(self, tmp_path, out, capsys, command, change):
-        # with the upstream artifacts in place, the parsed inf would reach
-        # the stage: compare writes it, and the service client crashes on it
+        # with the upstream artifacts in place, the parsed inf would pass
+        # every range check: compare, which reads no service setting, would
+        # succeed, and the service client crashes on an infinite timeout
         run_dir = tmp_path / "o"
         shutil.copytree(out, run_dir)
         cfg = toy_config(tmp_path, **change)  # json.dumps writes inf as Infinity
@@ -541,6 +549,50 @@ class TestStrictJson:
             assert fit["f_statistic"] is None
         for path in run_dir.glob("*.json"):
             json.loads(path.read_text(encoding="utf-8"), parse_constant=reject)
+
+
+def metadata_with_t1_age(tmp_path, age):
+    """A copy of the toy metadata.csv with t1's age replaced; t1 is data row 1,
+    on line 2."""
+    rows = read_rows(TOY / "metadata.csv")
+    assert rows[0]["target_id"] == "t1"
+    rows[0]["age"] = age
+    metadata = (tmp_path / "metadata.csv").resolve()
+    with open(metadata, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]), lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(rows)
+    return metadata
+
+
+class TestHugeAge:
+    def test_age_far_beyond_the_others_fits_every_model(self, tmp_path, out):
+        # one age dwarfs every other value; the gender column beside it is
+        # still independent, and the rank test must say so
+        run_dir = tmp_path / "o"
+        shutil.copytree(out, run_dir)
+        cfg = toy_config(tmp_path, metadata=str(metadata_with_t1_age(tmp_path, "1e15")))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["regress", "--config", cfg, "--out", str(run_dir)]) == 0
+        detail = json.loads((run_dir / "regression.json").read_text(encoding="utf-8"))
+        assert detail["multivariate_notes"] == []
+        assert [m["model"] for m in detail["models"]] == ["personal", "compound", "simple"]
+        assert "age" in {r["predictor"] for r in read_rows(run_dir / "univariate.csv")}
+        net = json.loads((run_dir / "elasticnet.json").read_text(encoding="utf-8"))
+        assert "skipped" not in net and net["column_stds"]["age"] > 0
+
+    def test_age_beyond_the_limit_is_exit_3_with_path_and_line(
+            self, tmp_path, out, capsys):
+        # its squares would overflow in the elastic net's standardisation
+        run_dir = tmp_path / "o"
+        shutil.copytree(out, run_dir)
+        metadata = metadata_with_t1_age(tmp_path, "1e308")
+        cfg = toy_config(tmp_path, metadata=str(metadata))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["regress", "--config", cfg, "--out", str(run_dir)]) == 3
+        assert f"{metadata}:2]" in capsys.readouterr().err
 
 
 def bad_value_in_row_1(path):

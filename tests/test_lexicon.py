@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pncvalence.errors import ParseError, ValidationError
+from pncvalence.errors import ParseError
 from pncvalence.lexicon import (CONTENT_POS_TAGS, TaggedContext, TaggedToken,
                                 lemma_key, load_lexicon, read_tagged_contexts)
 
@@ -32,24 +32,10 @@ class TestLoadLexicon:
         assert len(lex) == 1
 
     def test_first_wins_policy(self, tmp_path):
-        path = write_lexicon(tmp_path, "Wort\t2.0\nwort\t8.0\n")
-        assert load_lexicon(path, "first_wins").get("wort") == 2.0
-
-    def test_seeded_random_policy_is_reproducible(self, tmp_path):
+        # three rows share the key "wort"; the first one is kept
         path = write_lexicon(tmp_path, "Wort\t2.0\nwort\t8.0\nWORT\t5.0\nx\t1.0\n")
-        picks = {load_lexicon(path, "seeded_random", seed=s).get("wort")
-                 for s in range(30)}
-        assert picks <= {2.0, 8.0, 5.0}
-        assert len(picks) > 1  # the seed really drives the choice
-        for s in (0, 7, 1234):
-            a = load_lexicon(path, "seeded_random", seed=s)
-            b = load_lexicon(path, "seeded_random", seed=s)
-            assert a.entries == b.entries
-
-    def test_unknown_policy_rejected(self, tmp_path):
-        path = write_lexicon(tmp_path, "wort\t5.0\n")
-        with pytest.raises(ValidationError):
-            load_lexicon(path, "last_wins")
+        lex = load_lexicon(path)
+        assert lex.entries == {"wort": 2.0, "x": 1.0}
 
     def test_parse_error_reports_line(self, tmp_path):
         path = write_lexicon(tmp_path, "wort\t5.0\nkaputt 3.0\n")
@@ -62,6 +48,9 @@ class TestLoadLexicon:
             load_lexicon(write_lexicon(tmp_path, "wort\t10.5\n"))
         with pytest.raises(ParseError):
             load_lexicon(write_lexicon(tmp_path, "wort\t-0.1\n"))
+        # a row whose key an earlier row already holds is checked all the same
+        with pytest.raises(ParseError, match=r"outside \[0, 10\]"):
+            load_lexicon(write_lexicon(tmp_path, "wort\t2.0\nWort\t12.0\n"))
 
     def test_boundary_scores_accepted(self, tmp_path):
         lex = load_lexicon(write_lexicon(tmp_path, "a\t0.0\nb\t10.0\n"))

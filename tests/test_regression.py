@@ -8,7 +8,7 @@ from scipy import stats as scipy_stats
 from pncvalence.corpus import TargetSpec
 from pncvalence.errors import (ConvergenceError, ParseError,
                                RankDeficiencyError, ValidationError)
-from pncvalence.regression import (DEFAULT_MODEL_SPECS,
+from pncvalence.regression import (AGE_LIMIT, DEFAULT_MODEL_SPECS,
                                    DEFAULT_UNIVARIATE_PREDICTORS, INTERCEPT,
                                    FeatureRow, assemble_rows, cv_random_search,
                                    elastic_net_fit, elastic_net_objective,
@@ -198,6 +198,31 @@ class TestOlsFit:
         with pytest.raises(RankDeficiencyError) as exc:
             ols_fit(x, np.arange(float(n)), [INTERCEPT, "a", "a_doubled"])
         assert "a_doubled" in exc.value.columns
+
+    def test_rank_test_ignores_column_scale(self):
+        # one age of 1e15 must not make the gender column look collinear
+        rng = np.random.default_rng(5)
+        n = 12
+        age = rng.uniform(30, 70, n)
+        age[0] = 1e15
+        male = (np.arange(n) % 2).astype(float)
+        y = rng.normal(size=n)
+        fit = ols_fit(np.column_stack([np.ones(n), age, male]), y,
+                      [INTERCEPT, "age", "male"])
+        shrunk = ols_fit(np.column_stack([np.ones(n), age * 1e-15, male]), y,
+                         [INTERCEPT, "age", "male"])
+        assert fit.coefficients[[0, 2]] == pytest.approx(
+            shrunk.coefficients[[0, 2]], rel=1e-9)
+        assert fit.coefficients[1] * 1e15 == pytest.approx(
+            shrunk.coefficients[1], rel=1e-9)
+
+    def test_dependent_column_found_at_any_scale(self):
+        n = 10
+        xs = np.linspace(1, 2, n) * 1e150
+        x = np.column_stack([np.ones(n), xs, 2 * xs])
+        with pytest.raises(RankDeficiencyError) as exc:
+            ols_fit(x, np.arange(float(n)), [INTERCEPT, "a", "a_doubled"])
+        assert exc.value.columns == ["a_doubled"]
 
     def test_more_columns_than_rows_rejected(self):
         with pytest.raises(ValidationError, match="at least"):
@@ -443,14 +468,10 @@ class TestCvRandomSearch:
         assert np.all(res.column_stds > 0)
         assert -1.0 <= res.train_r_squared <= 1.0
 
-    def test_mae_scoring(self):
-        res = self.search(seed=15, scoring="mae")
-        assert res.scoring == "mae"
-
     def test_validation(self):
         x, y = make_problem(n=10, p=2)
-        with pytest.raises(ValidationError):
-            cv_random_search(x, y, scoring="rmse")
+        with pytest.raises(ValidationError, match="n_candidates"):
+            cv_random_search(x, y, n_candidates=0)
         with pytest.raises(ValidationError):
             cv_random_search(x, y, n_folds=11)
 
@@ -483,6 +504,18 @@ class TestMetadataAssembly:
             "t1,51,male,,,,\nt1,52,male,,,,\n", encoding="utf-8")
         with pytest.raises(ParseError, match="duplicate"):
             read_metadata_csv(str(p))
+
+    def test_age_limit(self, tmp_path):
+        p = tmp_path / "meta.csv"
+        header = "target_id,age,gender,nationality,birthplace,party,frame\n"
+        p.write_text(header + "t1,1e150,,,,,\nt2,-1e150,,,,,\n", encoding="utf-8")
+        meta = read_metadata_csv(str(p))
+        assert (meta["t1"]["age"], meta["t2"]["age"]) == (AGE_LIMIT, -AGE_LIMIT)
+        for age in ("1.0000001e150", "-1e308", "inf", "nan"):
+            p.write_text(header + f"t1,51,,,,,\nt2,{age},,,,,\n", encoding="utf-8")
+            with pytest.raises(ParseError, match="not a number within") as exc:
+                read_metadata_csv(str(p))
+            assert exc.value.line == 3
 
     def test_assemble_rows_joins_sources(self):
         deltas = [DeltaRecord(target_id="t1", approach="norms", pnc_valence=6.0,

@@ -191,14 +191,6 @@ class TestCompareApproaches:
                                        [delta("a", 0.0)]).per_target) == {
             "a": "agree"}
 
-    def test_numeric_epsilon_mode(self):
-        plm = [delta("a", 1.0, "plm:m1"), delta("b", 0.4, "plm:m1"),
-               delta("c", 2.0, "plm:m1")]
-        norms = [delta("a", 1.2), delta("b", 1.0), delta("c", 1.0)]
-        res = compare_approaches(plm, norms, mode="numeric_epsilon", epsilon=0.3)
-        assert dict(res.per_target) == {"a": "agree", "b": "plm_more_negative",
-                                        "c": "plm_more_positive"}
-
     def test_only_common_targets_counted(self):
         res = compare_approaches([delta("a", 1.0, "plm:m1"),
                                   delta("x", 1.0, "plm:m1")],
@@ -213,14 +205,6 @@ class TestCompareApproaches:
         with pytest.raises(ValidationError, match="one label-based approach"):
             compare_approaches([delta("a", 1.0, "plm:m1"),
                                 delta("b", 1.0, "plm:m2")], [delta("a", 1.0)])
-
-    def test_bad_mode_and_epsilon(self):
-        with pytest.raises(ValidationError):
-            compare_approaches([delta("a", 1.0, "plm:m1")], [delta("a", 1.0)],
-                               mode="fuzzy")
-        with pytest.raises(ValidationError):
-            compare_approaches([delta("a", 1.0, "plm:m1")], [delta("a", 1.0)],
-                               mode="numeric_epsilon", epsilon=-0.1)
 
 
 class TestPairwiseIaa:

@@ -59,26 +59,9 @@ class TestContextValence:
         assert target_valence_from_contexts("t", "pnc", contexts, LEX) is None
         assert target_valence_from_contexts("t", "pnc", [], LEX) is None
 
-    def test_per_context_mean_pooling(self):
-        contexts = [ctx("d1", ("gut", "ADJD"), ("schlecht", "ADJA")),
-                    ctx("d2", ("mittel", "NN"))]
-        bag = target_valence_from_contexts("t", "pnc", contexts, LEX, "bag")
-        per = target_valence_from_contexts("t", "pnc", contexts, LEX,
-                                           "per_context_mean")
-        assert bag.valence == pytest.approx((8 + 2 + 5) / 3)
-        assert per.valence == pytest.approx((5.0 + 5.0) / 2)
-
-    def test_empty_contexts_do_not_skew_per_context_mean(self):
-        contexts = [ctx("d1", ("gut", "ADJD")), ctx("d2", ("der", "ART"))]
-        per = target_valence_from_contexts("t", "pnc", contexts, LEX,
-                                           "per_context_mean")
-        assert per.valence == 8.0
-
     def test_invalid_kind_and_pooling(self):
         with pytest.raises(ValidationError):
             target_valence_from_contexts("t", "modifier", [], LEX)
-        with pytest.raises(ValidationError):
-            target_valence_from_contexts("t", "pnc", [], LEX, pooling="median")
 
     def test_brute_force_randomized(self):
         rng = random.Random(77)
