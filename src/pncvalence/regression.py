@@ -6,8 +6,9 @@ univariate and multivariate ordinary least squares with the usual inference
 
     (1/2n) * ||y - X b||^2 + lambda * (alpha * ||b||_1 + (1-alpha)/2 * ||b||^2)
 
-fitted by cyclic coordinate descent, with alpha and lambda tuned by random
-search under repeated k-fold cross-validation.
+fitted by cyclic coordinate descent on the Gram form of each training set,
+with alpha and lambda tuned by random search under repeated k-fold
+cross-validation whose fits all run as one lockstep batch.
 
 Factors are one-hot encoded against a reference category, the
 lexicographically smallest observed level. Rows with a missing response or
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import logging
 import math
+from array import array
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -380,26 +382,33 @@ def multivariate_suite(rows: Sequence[FeatureRow],
 # ---------------------------------------------------------------------------
 # elastic net
 
+# a fit stops after the first sweep in which every coefficient moves by less
+# than STEP_TOL, and fails after MAX_SWEEPS sweeps
+STEP_TOL = 1e-7
+MAX_SWEEPS = 100_000
+
+
+def _constant_columns(x: np.ndarray) -> np.ndarray:
+    """Columns whose values are all equal. Decided from the values: the mean
+    of equal floats is often not exactly that float, so a centred constant
+    column need not come out zero."""
+    return x.min(axis=0) == x.max(axis=0)
+
+
 def standardize_columns(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Center each column and scale it to unit standard deviation.
 
-    Constant columns are centered only (scale recorded as 0); downstream the
-    coordinate update leaves their coefficient at zero. Returns
-    (standardized x, means, stds).
+    Constant columns become exactly zero and their scale is recorded as 0;
+    downstream their coefficient stays at zero. Returns (standardized x,
+    means, stds).
     """
     x = np.asarray(x, dtype=float)
     means = x.mean(axis=0)
-    stds = x.std(axis=0)
-    scale = np.where(stds > 0, stds, 1.0)
-    return (x - means) / scale, means, stds
-
-
-def _soft_threshold(value: float, threshold: float) -> float:
-    if value > threshold:
-        return value - threshold
-    if value < -threshold:
-        return value + threshold
-    return 0.0
+    constant = _constant_columns(x)
+    stds = np.where(constant, 0.0, x.std(axis=0))
+    xs = (x - means) / np.where(stds > 0, stds, 1.0)
+    xs[:, constant] = 0.0
+    return xs, means, stds
 
 
 def elastic_net_objective(x: np.ndarray, y: np.ndarray, beta: np.ndarray,
@@ -430,9 +439,137 @@ class ElasticNetFit:
         return self.intercept + np.asarray(x, dtype=float) @ self.coefficients
 
 
+@dataclass(frozen=True)
+class _Centred:
+    """One training set, centred, with its Gram form over m rows:
+    gram = xcᵀxc/m, cov = xcᵀyc/m and yy = ycᵀyc/m. Constant columns are
+    exactly zero in xc, so their rows of gram and cov are too."""
+
+    x_mean: np.ndarray
+    y_mean: float
+    xc: np.ndarray
+    yc: np.ndarray
+    gram: np.ndarray
+    cov: np.ndarray
+    yy: float
+
+
+def _centre(x: np.ndarray, y: np.ndarray) -> _Centred:
+    m = x.shape[0]
+    x_mean = x.mean(axis=0)
+    y_mean = float(y.mean())
+    xc = x - x_mean
+    xc[:, _constant_columns(x)] = 0.0
+    yc = y - y_mean
+    return _Centred(x_mean=x_mean, y_mean=y_mean, xc=xc, yc=yc,
+                    gram=xc.T @ xc / m, cov=xc.T @ yc / m,
+                    yy=float(yc @ yc) / m)
+
+
+def _objectives(cov: np.ndarray, grad: np.ndarray, yy: np.ndarray,
+                beta: np.ndarray, lam: np.ndarray, alpha: np.ndarray) -> np.ndarray:
+    """elastic_net_objective of each row, from the Gram form: the loss
+    yy/2 - covᵀβ + βᵀ gram β/2 is yy/2 - βᵀ(cov + grad)/2, because
+    gram β = cov - grad. Sums run along each row only."""
+    loss = 0.5 * yy - 0.5 * (beta * (cov + grad)).sum(axis=1)
+    return loss + lam * (alpha * np.abs(beta).sum(axis=1)
+                         + 0.5 * (1 - alpha) * (beta * beta).sum(axis=1))
+
+
+def _descend(sets: Sequence[_Centred], fold: np.ndarray, lam: np.ndarray,
+             alpha: np.ndarray, *, max_sweeps: int, tol: float,
+             ) -> tuple[np.ndarray, list[array]]:
+    """Cyclic coordinate descent on many elastic-net problems in lockstep.
+
+    Row r fits the training set sets[fold[r]] at penalty lam[r] and mix
+    alpha[r]. Each row keeps its coefficients beta and its gradient
+    grad = cov - gram beta. A coordinate step is the closed-form
+    soft-threshold update of every running row at once, followed by an O(p)
+    update of grad: the covariance updates of Friedman, Hastie & Tibshirani
+    (JSS 2010, section 2.2). After each sweep a row's objective must not have
+    increased; a row stops once its largest step in the sweep is below tol.
+    A row does the same arithmetic whatever else is in the batch.
+
+    Returns the coefficients, one row per problem, and each row's objective
+    before its first sweep and after each one. A row that increases its
+    objective or still runs after max_sweeps raises ConvergenceError
+    carrying its trace.
+    """
+    gram = np.stack([s.gram for s in sets])
+    gram_cols = [np.ascontiguousarray(gram[:, :, j]) for j in range(gram.shape[1])]
+    cov = np.stack([s.cov for s in sets])[fold]
+    yy = np.array([s.yy for s in sets])[fold]
+    curv = np.diagonal(gram, axis1=1, axis2=2)[fold]
+    thresh = lam * alpha
+    # a constant column has no curvature; dividing by inf keeps it at zero
+    denom = np.where(curv > 0, curv + (lam * (1.0 - alpha))[:, None], np.inf)
+    beta = np.zeros(cov.shape)
+    grad = cov.copy()
+    rows = np.arange(len(fold))
+    row_fold = fold
+    done_beta = np.zeros(cov.shape)
+    prev = _objectives(cov, grad, yy, beta, lam, alpha)
+    # 8 bytes a row and sweep: a failing search keeps every row's trace
+    # until the last sweep
+    traces = [array("d", [value]) for value in prev.tolist()]
+
+    for sweep in range(1, max_sweeps + 1):
+        start = beta.copy()
+        for j in range(cov.shape[1]):
+            old = beta[:, j]
+            rho = grad[:, j] + curv[:, j] * old
+            new = (rho - np.minimum(np.maximum(rho, -thresh), thresh)) / denom[:, j]
+            change = old - new
+            beta[:, j] = new
+            grad += np.take(gram_cols[j], row_fold, axis=0) * change[:, None]
+
+        obj = _objectives(cov, grad, yy, beta, lam, alpha)
+        for r, value in zip(rows.tolist(), obj.tolist()):
+            traces[r].append(value)
+        for k in np.flatnonzero(obj > prev + 1e-12 * np.maximum(1.0, np.abs(prev))):
+            # the Gram form cancels digits near convergence; judge this
+            # sweep again from the residuals before calling it an increase
+            data = sets[row_fold[k]]
+            before, after = (float(elastic_net_objective(
+                data.xc, data.yc, b[k], lam[k], alpha[k])) for b in (start, beta))
+            trace = traces[rows[k]]
+            trace[-2], trace[-1] = before, after
+            obj[k] = after
+            if after > before + 1e-12 * max(1.0, abs(before)):
+                raise ConvergenceError(
+                    f"objective increased from {before!r} to {after!r} in sweep {sweep}",
+                    trace=trace)
+
+        step = np.abs(beta - start).max(axis=1, initial=0.0)
+        running = step >= tol
+        if not running.all():
+            done_beta[rows[~running]] = beta[~running]
+            if not running.any():
+                return done_beta, traces
+            (rows, row_fold, beta, grad, cov, yy, curv, denom, thresh, lam, alpha,
+             step, obj) = (a[running] for a in (
+                 rows, row_fold, beta, grad, cov, yy, curv, denom, thresh, lam, alpha,
+                 step, obj))
+        prev = obj
+
+    raise ConvergenceError(
+        f"no convergence after {max_sweeps} sweeps (last step {step[0]:.3g})",
+        trace=traces[rows[0]])
+
+
+def _check_problem(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if x.ndim != 2 or y.ndim != 1 or x.shape[0] != y.shape[0]:
+        raise ValidationError(f"incompatible shapes x{x.shape} y{y.shape}")
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise ValidationError("predictors and response must be finite")
+    return x, y
+
+
 def elastic_net_fit(x: np.ndarray, y: np.ndarray, lam: float, alpha: float, *,
                     columns: Sequence[str] | None = None,
-                    max_sweeps: int = 100_000, tol: float = 1e-7) -> ElasticNetFit:
+                    max_sweeps: int = MAX_SWEEPS, tol: float = STEP_TOL) -> ElasticNetFit:
     """Cyclic coordinate descent on the elastic-net objective.
 
     x holds predictors only (no intercept column); predictors and response
@@ -440,14 +577,10 @@ def elastic_net_fit(x: np.ndarray, y: np.ndarray, lam: float, alpha: float, *,
     mean(y) - mean(x) . beta. Each coordinate update is the closed-form
     soft-threshold step; the objective is checked to be non-increasing after
     every sweep, and failure to reach the tolerance within max_sweeps raises
-    ConvergenceError carrying the objective trace.
+    ConvergenceError carrying the objective trace. The fit is a batch of one
+    for the solver cv_random_search runs on all its folds at once.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.ndim != 2 or y.ndim != 1 or x.shape[0] != y.shape[0]:
-        raise ValidationError(f"incompatible shapes x{x.shape} y{y.shape}")
-    if not (np.isfinite(x).all() and np.isfinite(y).all()):
-        raise ValidationError("predictors and response must be finite")
+    x, y = _check_problem(x, y)
     if lam < 0:
         raise ValidationError("lambda must be >= 0")
     if not 0.0 <= alpha <= 1.0:
@@ -457,48 +590,13 @@ def elastic_net_fit(x: np.ndarray, y: np.ndarray, lam: float, alpha: float, *,
         raise ValidationError("need at least one row")
     columns = tuple(columns) if columns is not None else tuple(f"x{j}" for j in range(p))
 
-    x_mean = x.mean(axis=0) if p else np.zeros(0)
-    y_mean = float(y.mean())
-    xc = x - x_mean
-    yc = y - y_mean
-    z = (xc * xc).sum(axis=0) / n  # per-coordinate curvature
-
-    beta = np.zeros(p)
-    resid = yc.copy()
-    trace: list[float] = [elastic_net_objective(xc, yc, beta, lam, alpha)]
-    thresh = lam * alpha
-    ridge = lam * (1.0 - alpha)
-
-    n_sweeps = 0
-    for n_sweeps in range(1, max_sweeps + 1):
-        max_step = 0.0
-        for j in range(p):
-            if z[j] == 0.0:  # a constant column keeps its zero coefficient
-                continue
-            old = beta[j]
-            rho = float(xc[:, j] @ resid) / n + z[j] * old
-            new = _soft_threshold(rho, thresh) / (z[j] + ridge)
-            if new != old:
-                resid += xc[:, j] * (old - new)
-                beta[j] = new
-                max_step = max(max_step, abs(new - old))
-        objective = elastic_net_objective(xc, yc, beta, lam, alpha)
-        prev = trace[-1]
-        trace.append(objective)
-        if objective > prev + 1e-12 * max(1.0, abs(prev)):
-            raise ConvergenceError(
-                f"objective increased from {prev!r} to {objective!r} in sweep {n_sweeps}",
-                trace=trace)
-        if max_step < tol:
-            break
-    else:
-        raise ConvergenceError(
-            f"no convergence after {max_sweeps} sweeps (last step {max_step:.3g})",
-            trace=trace)
-
-    intercept = y_mean - float(x_mean @ beta)
-    return ElasticNetFit(columns=columns, coefficients=beta, intercept=intercept,
-                         lam=lam, alpha=alpha, n_sweeps=n_sweeps,
+    data = _centre(x, y)
+    beta, (trace,) = _descend(
+        [data], np.zeros(1, dtype=int), np.array([lam], dtype=float),
+        np.array([alpha], dtype=float), max_sweeps=max_sweeps, tol=tol)
+    intercept = data.y_mean - float(data.x_mean @ beta[0])
+    return ElasticNetFit(columns=columns, coefficients=beta[0], intercept=intercept,
+                         lam=lam, alpha=alpha, n_sweeps=len(trace) - 1,
                          objective=trace[-1], objective_trace=tuple(trace))
 
 
@@ -545,14 +643,6 @@ class CvSearchResult:
     train_r_squared: float
 
 
-def _fold_error(x: np.ndarray, y: np.ndarray, train_idx: np.ndarray,
-                val_idx: np.ndarray, lam: float, alpha: float) -> float:
-    """Mean squared error on the validation rows of a fit on the training rows."""
-    fit = elastic_net_fit(x[train_idx], y[train_idx], lam, alpha)
-    err = y[val_idx] - fit.predict(x[val_idx])
-    return float((err * err).mean())
-
-
 # the least value each count of a CV search may take
 _CV_MINIMA = {"n_candidates": 1, "n_repeats": 1, "n_folds": 2}
 
@@ -574,14 +664,14 @@ def cv_random_search(x: np.ndarray, y: np.ndarray, *,
     Draw order is fixed by the seed: first the candidate list (alpha uniform
     on [0, 1], lambda log-uniform on [1e-4 * lambda_max(alpha),
     lambda_max(alpha)]), then one row permutation per repeat; each
-    permutation is split into n_folds nearly equal folds. Mean squared
-    validation errors are averaged over all repeats and folds; candidates
-    are scored in draw order.
+    permutation is split into n_folds nearly equal folds. Each training fold
+    is centred once, and the fits of every candidate on every fold run as
+    one batch. Mean squared validation errors are averaged over all repeats
+    and folds; candidates are scored in draw order.
     """
     check_cv_settings(n_candidates=n_candidates, n_repeats=n_repeats,
                       n_folds=n_folds)
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    x, y = _check_problem(x, y)
     n = x.shape[0]
     if n < n_folds:
         raise ValidationError(f"{n_folds}-fold CV needs at least {n_folds} rows, got {n}")
@@ -601,20 +691,26 @@ def cv_random_search(x: np.ndarray, y: np.ndarray, *,
         draws.append((alpha, lam))
     permutations = [rng.permutation(n) for _ in range(n_repeats)]
 
-    folds: list[tuple[np.ndarray, np.ndarray]] = []
+    sets: list[_Centred] = []
+    val_folds: list[np.ndarray] = []
     for perm in permutations:
         parts = np.array_split(perm, n_folds)
         for k in range(n_folds):
-            val_idx = parts[k]
             train_idx = np.concatenate([parts[i] for i in range(n_folds) if i != k])
-            folds.append((train_idx, val_idx))
+            sets.append(_centre(x_std[train_idx], y[train_idx]))
+            val_folds.append(parts[k])
 
-    def evaluate(draw: tuple[float, float]) -> float:
-        alpha, lam = draw
-        errors = [_fold_error(x_std, y, tr, va, lam, alpha) for tr, va in folds]
-        return float(np.mean(errors))
-
-    mean_errors = [evaluate(d) for d in draws]
+    # row i * len(sets) + f fits candidate i on training set f
+    alphas, lams = (np.repeat(v, len(sets)) for v in zip(*draws))
+    beta, _ = _descend(sets, np.tile(np.arange(len(sets)), n_candidates),
+                          lams, alphas, max_sweeps=MAX_SWEEPS, tol=STEP_TOL)
+    errors = np.empty((n_candidates, len(sets)))
+    for f, (data, val_idx) in enumerate(zip(sets, val_folds)):
+        coef = beta[f::len(sets)]
+        pred = (data.y_mean - coef @ data.x_mean)[:, None] + coef @ x_std[val_idx].T
+        err = y[val_idx] - pred
+        errors[:, f] = (err * err).mean(axis=1)
+    mean_errors = errors.mean(axis=1).tolist()
 
     candidates = tuple(
         CvCandidate(index=i, alpha=a, lam=l, mean_error=e)

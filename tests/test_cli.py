@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from pncvalence import regression
 from pncvalence.cli import main
 from pncvalence.corpus import read_corpus_jsonl
 
@@ -593,6 +594,23 @@ class TestHugeAge:
             warnings.simplefilter("error")
             assert main(["regress", "--config", cfg, "--out", str(run_dir)]) == 3
         assert f"{metadata}:2]" in capsys.readouterr().err
+
+
+class TestElasticNetSkipped:
+    def test_convergence_failure_writes_the_skipped_form(self, tmp_path, out,
+                                                         monkeypatch):
+        # one sweep is too few for the toy CV search to converge
+        run_dir = tmp_path / "o"
+        shutil.copytree(out, run_dir)
+        monkeypatch.setattr(regression, "MAX_SWEEPS", 1)
+        assert run("regress", run_dir) == 0
+        net = json.loads((run_dir / "elasticnet.json").read_text(encoding="utf-8"))
+        assert set(net) == {"meta", "skipped", "formula"}
+        assert net["skipped"].startswith("no convergence after 1 sweeps")
+        assert net["formula"] == json.loads(
+            (out / "elasticnet.json").read_text(encoding="utf-8"))["formula"]
+        for name in ("regression.json", "univariate.csv", "multivariate.csv"):
+            assert (run_dir / name).read_bytes() == (out / name).read_bytes(), name
 
 
 def bad_value_in_row_1(path):

@@ -10,7 +10,8 @@ from pncvalence.errors import (ConvergenceError, ParseError,
                                RankDeficiencyError, ValidationError)
 from pncvalence.regression import (AGE_LIMIT, DEFAULT_MODEL_SPECS,
                                    DEFAULT_UNIVARIATE_PREDICTORS, INTERCEPT,
-                                   FeatureRow, assemble_rows, cv_random_search,
+                                   MAX_SWEEPS, STEP_TOL, FeatureRow, _centre,
+                                   _descend, assemble_rows, cv_random_search,
                                    elastic_net_fit, elastic_net_objective,
                                    encode_features, fit_design, lambda_max,
                                    multivariate_suite, ols_fit, parse_formula,
@@ -332,6 +333,21 @@ class TestStandardize:
         assert np.all(xs[:, 0] == 0.0)
         assert stds[0] == 0.0
 
+    def test_constant_column_with_inexact_mean(self):
+        # the mean of 253 copies of this value is not the value itself, so
+        # centring alone leaves a column of rounding noise
+        column = np.full(253, -130.09456497604953)
+        assert column.mean() != column[0]
+        x, y = make_problem(n=253, p=2, seed=73)
+        x = np.column_stack([x, column])
+        xs, means, stds = standardize_columns(x)
+        assert stds[2] == 0.0
+        assert np.all(xs[:, 2] == 0.0)
+        assert elastic_net_fit(x, y, 0.0, 0.5).coefficients[2] == 0.0
+        search = cv_random_search(x, y, n_candidates=3, n_repeats=1, n_folds=3)
+        assert search.column_stds[2] == 0.0
+        assert search.fit.coefficients[2] == 0.0
+
 
 def make_problem(n=60, p=4, seed=0, rho=0.0):
     rng = np.random.default_rng(seed)
@@ -427,6 +443,116 @@ class TestElasticNet:
             elastic_net_fit(x, y, lam=0.1, alpha=1.5)
         with pytest.raises(ValidationError):
             elastic_net_fit(x, y[:5], lam=0.1, alpha=0.5)
+
+
+def reference_fit(x, y, lam, alpha, tol=1e-7):
+    """The residual-form coordinate descent the batched Gram-form solver
+    replaced: one fit at a time, an n-length dot and axpy per coordinate.
+    Returns (intercept, coefficients)."""
+    n, p = x.shape
+    x_mean, y_mean = x.mean(axis=0), float(y.mean())
+    xc, resid = x - x_mean, y - y_mean
+    z = (xc * xc).sum(axis=0) / n
+    thresh, ridge = lam * alpha, lam * (1.0 - alpha)
+    beta = np.zeros(p)
+    while True:
+        max_step = 0.0
+        for j in range(p):
+            if z[j] == 0.0:
+                continue
+            old = beta[j]
+            rho = float(xc[:, j] @ resid) / n + z[j] * old
+            shrunk = rho - thresh if rho > thresh else rho + thresh if rho < -thresh else 0.0
+            new = shrunk / (z[j] + ridge)
+            if new != old:
+                resid += xc[:, j] * (old - new)
+                beta[j] = new
+                max_step = max(max_step, abs(new - old))
+        if max_step < tol:
+            return y_mean - float(x_mean @ beta), beta
+
+
+def reference_cv_errors(x, y, seed, n_candidates, n_repeats, n_folds):
+    """Mean validation errors of cv_random_search's draws and folds, each
+    fit made by reference_fit."""
+    xs, _, _ = standardize_columns(x)
+    rng = np.random.default_rng(seed)
+    draws = []
+    for _ in range(n_candidates):
+        alpha = float(rng.uniform(0.0, 1.0))
+        lam_hi = lambda_max(xs, y, alpha)
+        draws.append((alpha, math.exp(rng.uniform(math.log(lam_hi * 1e-4),
+                                                  math.log(lam_hi)))))
+    folds = []
+    for _ in range(n_repeats):
+        parts = np.array_split(rng.permutation(len(y)), n_folds)
+        folds += [(np.concatenate(parts[:k] + parts[k + 1:]), parts[k])
+                  for k in range(n_folds)]
+    errors = []
+    for alpha, lam in draws:
+        per_fold = []
+        for train, val in folds:
+            intercept, beta = reference_fit(xs[train], y[train], lam, alpha)
+            err = y[val] - (intercept + xs[val] @ beta)
+            per_fold.append(float((err * err).mean()))
+        errors.append(float(np.mean(per_fold)))
+    return errors
+
+
+class TestBatchedSolver:
+    def test_cv_matches_the_residual_form(self):
+        x, y = make_problem(n=40, p=4, seed=91, rho=0.9)
+        settings = {"n_candidates": 8, "n_repeats": 2, "n_folds": 4}
+        search = cv_random_search(x, y, seed=5, **settings)
+        expect = reference_cv_errors(x, y, 5, **settings)
+        for cand, error in zip(search.candidates, expect):
+            assert cand.mean_error == pytest.approx(error, rel=1e-12, abs=0.0)
+        assert search.best.index == min(range(len(expect)),
+                                        key=lambda i: (expect[i], i))
+
+    def test_batch_row_is_bit_identical_to_its_single_fit(self):
+        x, y = make_problem(n=40, p=4, seed=91, rho=0.9)
+        train = [np.arange(0, 30), np.arange(10, 40)]
+        fold = np.array([0, 1, 0, 1, 1])
+        lam = np.array([1e-3, 0.05, 0.2, 1e-3, 2.0])
+        alpha = np.array([0.2, 0.5, 0.9, 0.7, 0.4])
+        sets = [_centre(x[t], y[t]) for t in train]
+        beta, traces = _descend(sets, fold, lam, alpha,
+                                max_sweeps=MAX_SWEEPS, tol=STEP_TOL)
+        # the rows leave the batch at different sweeps
+        assert len({len(t) for t in traces}) > 1
+        for r in range(len(fold)):
+            t = train[fold[r]]
+            single = elastic_net_fit(x[t], y[t], lam[r], alpha[r])
+            assert np.array_equal(beta[r], single.coefficients)
+            assert list(traces[r]) == list(single.objective_trace)
+
+    def test_one_row_out_of_sweeps_raises_with_its_trace(self):
+        x, y = make_problem(seed=61, rho=0.9)
+        cap = elastic_net_fit(x, y, lam=0.5, alpha=0.5).n_sweeps + 2
+        with pytest.raises(ConvergenceError) as single:
+            elastic_net_fit(x, y, lam=1e-6, alpha=0.5, max_sweeps=cap)
+        with pytest.raises(ConvergenceError) as batch:
+            _descend([_centre(x, y)], np.array([0, 0]), np.array([0.5, 1e-6]),
+                     np.array([0.5, 0.5]), max_sweeps=cap, tol=STEP_TOL)
+        assert len(batch.value.trace) == cap + 1
+        assert batch.value.trace == single.value.trace
+        assert str(batch.value) == str(single.value)
+
+    def test_gram_form_rounding_is_not_an_increase(self):
+        # with the response 1e4 times larger than the residuals, the Gram
+        # form's objective rounds at a scale above the non-increase
+        # tolerance; those sweeps are judged again from the residuals
+        rng = np.random.default_rng(3)
+        x = rng.normal(size=(30, 6))
+        x[:, 1:] = 0.9 * x[:, :1] + 0.1 * x[:, 1:]
+        y = 1e4 * (x @ rng.normal(size=6) + rng.normal(scale=1e-3, size=30))
+        fit = elastic_net_fit(x, y, lam=1e-3, alpha=0.5)
+        intercept, beta = reference_fit(x, y, 1e-3, 0.5)
+        assert np.allclose(fit.coefficients, beta, rtol=1e-9, atol=0.0)
+        trace = fit.objective_trace
+        for prev, nxt in zip(trace, trace[1:]):
+            assert nxt <= prev + 1e-12 * max(1.0, abs(prev))
 
 
 class TestCvRandomSearch:
