@@ -618,6 +618,10 @@ def cmd_compare(cfg: RunConfig) -> None:
 
 
 def cmd_regress(cfg: RunConfig) -> None:
+    # the first regression function to run would load numpy; load it here so
+    # the cost counts against this stage, not against a model fit
+    import numpy  # noqa: F401
+
     deltas = _norm_deltas(cfg)
     targets_path = cfg.input_path("targets")
     metadata_path = cfg.input_path("metadata")

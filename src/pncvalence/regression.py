@@ -21,13 +21,16 @@ import logging
 import math
 from array import array
 from dataclasses import dataclass
-from typing import Mapping, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .csvio import read_csv
 from .errors import ConvergenceError, RankDeficiencyError, ValidationError
 from .stats import fisher_f_sf, student_t_sf
+
+# each function that computes with numpy imports it in its own body, so the
+# stages that fit no model start without loading numpy
+if TYPE_CHECKING:
+    import numpy as np
 
 logger = logging.getLogger(__name__)
 
@@ -142,6 +145,8 @@ def _as_float(value, field: str, row_id: str) -> float:
 
 def encode_features(rows: Sequence[FeatureRow], formula: str) -> DesignMatrix:
     """Build the design matrix for a formula over per-target feature rows."""
+    import numpy as np
+
     response, terms = parse_formula(formula)
 
     def missing(row: FeatureRow, fld: str) -> bool:
@@ -229,6 +234,8 @@ def ols_fit(x: np.ndarray, y: np.ndarray,
     RankDeficiencyError naming them. The test does not depend on how the
     columns are scaled against each other.
     """
+    import numpy as np
+
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.ndim != 2 or y.ndim != 1 or x.shape[0] != y.shape[0]:
@@ -402,6 +409,8 @@ def standardize_columns(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
     downstream their coefficient stays at zero. Returns (standardized x,
     means, stds).
     """
+    import numpy as np
+
     x = np.asarray(x, dtype=float)
     means = x.mean(axis=0)
     constant = _constant_columns(x)
@@ -413,6 +422,8 @@ def standardize_columns(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
 
 def elastic_net_objective(x: np.ndarray, y: np.ndarray, beta: np.ndarray,
                           lam: float, alpha: float) -> float:
+    import numpy as np
+
     n = x.shape[0]
     resid = y - x @ beta
     loss = float(resid @ resid) / (2 * n)
@@ -436,6 +447,8 @@ class ElasticNetFit:
     objective_trace: tuple[float, ...]
 
     def predict(self, x: np.ndarray) -> np.ndarray:
+        import numpy as np
+
         return self.intercept + np.asarray(x, dtype=float) @ self.coefficients
 
 
@@ -471,6 +484,8 @@ def _objectives(cov: np.ndarray, grad: np.ndarray, yy: np.ndarray,
     """elastic_net_objective of each row, from the Gram form: the loss
     yy/2 - covᵀβ + βᵀ gram β/2 is yy/2 - βᵀ(cov + grad)/2, because
     gram β = cov - grad. Sums run along each row only."""
+    import numpy as np
+
     loss = 0.5 * yy - 0.5 * (beta * (cov + grad)).sum(axis=1)
     return loss + lam * (alpha * np.abs(beta).sum(axis=1)
                          + 0.5 * (1 - alpha) * (beta * beta).sum(axis=1))
@@ -495,6 +510,8 @@ def _descend(sets: Sequence[_Centred], fold: np.ndarray, lam: np.ndarray,
     objective or still runs after max_sweeps raises ConvergenceError
     carrying its trace.
     """
+    import numpy as np
+
     gram = np.stack([s.gram for s in sets])
     gram_cols = [np.ascontiguousarray(gram[:, :, j]) for j in range(gram.shape[1])]
     cov = np.stack([s.cov for s in sets])[fold]
@@ -558,6 +575,8 @@ def _descend(sets: Sequence[_Centred], fold: np.ndarray, lam: np.ndarray,
 
 
 def _check_problem(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    import numpy as np
+
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.ndim != 2 or y.ndim != 1 or x.shape[0] != y.shape[0]:
@@ -580,11 +599,18 @@ def elastic_net_fit(x: np.ndarray, y: np.ndarray, lam: float, alpha: float, *,
     ConvergenceError carrying the objective trace. The fit is a batch of one
     for the solver cv_random_search runs on all its folds at once.
     """
+    import numpy as np
+
     x, y = _check_problem(x, y)
-    if lam < 0:
-        raise ValidationError("lambda must be >= 0")
+    # each check is written so that NaN fails it
+    if not 0.0 <= lam < math.inf:
+        raise ValidationError(f"lambda must be finite and >= 0, got {lam!r}")
     if not 0.0 <= alpha <= 1.0:
         raise ValidationError("alpha must lie in [0, 1]")
+    if not max_sweeps >= 1:
+        raise ValidationError(f"max_sweeps must be >= 1, got {max_sweeps!r}")
+    if not 0.0 < tol < math.inf:
+        raise ValidationError(f"tol must be finite and > 0, got {tol!r}")
     n, p = x.shape
     if n < 1:
         raise ValidationError("need at least one row")
@@ -607,6 +633,8 @@ ALPHA_FLOOR = 1e-3
 
 def lambda_max(x: np.ndarray, y: np.ndarray, alpha: float) -> float:
     """Smallest penalty that zeroes every coefficient at the given alpha."""
+    import numpy as np
+
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     n = x.shape[0]
@@ -669,6 +697,8 @@ def cv_random_search(x: np.ndarray, y: np.ndarray, *,
     one batch. Mean squared validation errors are averaged over all repeats
     and folds; candidates are scored in draw order.
     """
+    import numpy as np
+
     check_cv_settings(n_candidates=n_candidates, n_repeats=n_repeats,
                       n_folds=n_folds)
     x, y = _check_problem(x, y)

@@ -740,13 +740,29 @@ class TestModuleEntryPoint:
         assert (tmp_path / "variants.csv").is_file()
 
     def test_importing_the_cli_loads_neither_scipy_nor_requests(self):
-        # nor an HTTP client: only live classification speaks HTTP
+        # nor an HTTP client, since only live classification speaks HTTP, nor
+        # numpy, since only regress fits a model
         proc = run_python(
             "-c", "import sys, pncvalence.cli; print(sorted({'scipy', 'requests', "
-            "'urllib.request', 'http.client'} & set(sys.modules)))",
+            "'urllib.request', 'http.client', 'numpy'} & set(sys.modules)))",
             timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    def test_only_regress_loads_numpy(self, tmp_path):
+        before = [[command, "--config", CONFIG, "--out", str(tmp_path)]
+                  for command in ("variants", "match", "score", "sentiment", "compare")]
+        regress = ["regress", "--config", CONFIG, "--out", str(tmp_path)]
+        proc = run_python(
+            "-c", "import sys; from pncvalence.cli import main; "
+            f"codes = [main(argv) for argv in {before!r}]; "
+            "print(codes, 'numpy' in sys.modules); "
+            f"print(main({regress!r}), 'numpy' in sys.modules)",
+            timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert "[0, 0, 0, 0, 0] False" in lines
+        assert lines[-1] == "0 True"
 
     def test_toy_pipeline_loads_neither_scipy_nor_requests(self, tmp_path):
         argvs = [[command, "--config", CONFIG, "--out", str(tmp_path)]

@@ -1,5 +1,6 @@
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -443,6 +444,21 @@ class TestElasticNet:
             elastic_net_fit(x, y, lam=0.1, alpha=1.5)
         with pytest.raises(ValidationError):
             elastic_net_fit(x, y[:5], lam=0.1, alpha=0.5)
+
+    @pytest.mark.parametrize("name, value", [
+        ("max_sweeps", 0), ("max_sweeps", -3), ("lam", math.nan),
+        ("lam", math.inf), ("tol", math.nan), ("tol", 0.0)])
+    def test_rejects_a_setting_out_of_range(self, name, value):
+        # unchecked, each fails late: an UnboundLocalError, NaN
+        # coefficients, an unconverged fit after one sweep, or 100,000
+        # sweeps and then a raise
+        x, y = make_problem(n=10, p=2)
+        settings = {"lam": 0.1, "alpha": 0.5, name: value}
+        label = "lambda" if name == "lam" else name
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match=label):
+                elastic_net_fit(x, y, **settings)
 
 
 def reference_fit(x, y, lam, alpha, tol=1e-7):
