@@ -10,8 +10,8 @@ so the same inputs and settings yield byte-identical artifacts wherever they
 are written. Each command also writes manifest_<command>.json, listing the
 files it read and the artifacts it wrote.
 
-Exit codes: 0 on success, 2 when a required input or upstream artifact is
-missing, 3 when configuration or data fails validation.
+Exit codes: 0 on success, 2 when a required input, an upstream artifact or
+numpy (regress) is missing, 3 when configuration or data fails validation.
 """
 
 from __future__ import annotations
@@ -68,7 +68,7 @@ def fmt_pct(v: float | None) -> str:
 
 
 class MissingArtifactError(PncValenceError):
-    """A required input file or upstream artifact does not exist."""
+    """A required input file, upstream artifact or dependency is missing."""
 
 
 # the context unit a corpus holds: whole documents (tweets), or news that
@@ -383,9 +383,11 @@ def cmd_score(cfg: RunConfig) -> None:
 
     targets = read_targets_csv(str(targets_path))
     lexicon = load_lexicon(str(lexicon_path))
-    tagged = {c.doc_id: c for c in read_tagged_contexts(str(tagged_path))}
     matches = read_matches_csv(str(matches_path))
     matches, retained, dropped = _retained_matches(cfg, targets, matches)
+    # keep only the contexts a retained match reads; every line is still checked
+    tagged = {c.doc_id: c for c in read_tagged_contexts(
+        str(tagged_path), {m.doc_id for m in matches})}
 
     scores, score_notes = target_valence(matches, tagged, lexicon)
     deltas, delta_notes = compute_deltas(scores, targets, lexicon)
@@ -620,7 +622,10 @@ def cmd_compare(cfg: RunConfig) -> None:
 def cmd_regress(cfg: RunConfig) -> None:
     # the first regression function to run would load numpy; load it here so
     # the cost counts against this stage, not against a model fit
-    import numpy  # noqa: F401
+    try:
+        import numpy  # noqa: F401
+    except ImportError as exc:
+        raise MissingArtifactError(f"regress needs numpy, which failed to import: {exc}")
 
     deltas = _norm_deltas(cfg)
     targets_path = cfg.input_path("targets")

@@ -11,7 +11,7 @@ from __future__ import annotations
 import unicodedata
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
+from typing import Container, NamedTuple
 
 from .csvio import data_lines, utf8_lines
 from .errors import ParseError
@@ -80,41 +80,53 @@ def load_lexicon(path: str) -> ValenceLexicon:
     return ValenceLexicon(entries)
 
 
+def effective_lemma(surface: str, lemma: str) -> str:
+    """Lemma form used for lookups; falls back to the surface when the
+    tagger produced no usable lemma."""
+    if lemma and lemma != "<unknown>":
+        return lemma
+    return surface
+
+
 class TaggedToken(NamedTuple):
     surface: str
     lemma: str
     pos: str
 
     def effective_lemma(self) -> str:
-        """Lemma form used for lookups; falls back to the surface when the
-        tagger produced no usable lemma."""
-        if self.lemma and self.lemma != "<unknown>":
-            return self.lemma
-        return self.surface
+        """This token's lemma form used for lookups (see effective_lemma)."""
+        return effective_lemma(self.surface, self.lemma)
 
 
 @dataclass(frozen=True)
 class TaggedContext:
     doc_id: str
-    tokens: tuple[TaggedToken, ...]
+    lines: tuple[str, ...]  # checked surface<TAB>lemma<TAB>pos lines
+
+    @cached_property
+    def tokens(self) -> tuple[TaggedToken, ...]:
+        return tuple([TaggedToken(*line.split("\t")) for line in self.lines])
 
     @cached_property
     def content_keys(self) -> tuple[str, ...]:
         """The lemma_key of each content word's effective lemma, in token
         order: the one content-word rule that scoring and counting read."""
-        return tuple([lemma_key(t.effective_lemma()) for t in self.tokens
-                      if t.pos in CONTENT_POS_TAGS])
+        return tuple([lemma_key(effective_lemma(surface, lemma))
+                      for surface, lemma, pos in (line.split("\t") for line in self.lines)
+                      if pos in CONTENT_POS_TAGS])
 
 
-def read_tagged_contexts(path: str) -> list[TaggedContext]:
-    """Parse pre-tagged contexts.
+def read_tagged_contexts(path: str, doc_ids: Container[str] | None = None,
+                         ) -> list[TaggedContext]:
+    """Parse pre-tagged contexts, keeping the blocks of doc_ids (all blocks
+    when None) in file order. Every line of every block is checked.
 
     Format: a "#doc:<doc_id>" line starts a context, each following line is
     surface<TAB>lemma<TAB>pos, and a blank line (or the next header, or end
     of file) terminates it.
     """
-    blocks: dict[str, list[TaggedToken]] = {}
-    tokens: list[TaggedToken] | None = None  # the open block's, if any
+    blocks: dict[str, list[str] | None] = {}  # None for a block not kept
+    lines: list[str] | None = None  # the open block's, if any
     for line_no, line in utf8_lines(path):
         line = line.rstrip("\r\n")
         if line.startswith("#doc:"):
@@ -124,16 +136,18 @@ def read_tagged_contexts(path: str) -> list[TaggedContext]:
             if doc_id in blocks:
                 raise ParseError(f"duplicate context for doc {doc_id!r}",
                                  path=path, line=line_no)
-            tokens = blocks[doc_id] = []
+            lines = []
+            blocks[doc_id] = lines if doc_ids is None or doc_id in doc_ids else None
             continue
         if not line.strip():
-            tokens = None
+            lines = None
             continue
-        if tokens is None:
+        if lines is None:
             raise ParseError("token line outside any #doc: block", path=path, line=line_no)
-        parts = line.split("\t")
-        if len(parts) != 3:
-            raise ParseError(f"expected 3 tab-separated fields, got {len(parts)}",
+        tabs = line.count("\t")
+        if tabs != 2:
+            raise ParseError(f"expected 3 tab-separated fields, got {tabs + 1}",
                              path=path, line=line_no)
-        tokens.append(TaggedToken(*parts))
-    return [TaggedContext(doc_id, tuple(tokens)) for doc_id, tokens in blocks.items()]
+        lines.append(line)
+    return [TaggedContext(doc_id, tuple(lines)) for doc_id, lines in blocks.items()
+            if lines is not None]

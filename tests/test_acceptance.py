@@ -73,8 +73,8 @@ def test_criterion_01_context_valence_brute_force(capsys):
                         surface=lemma.capitalize(),
                         lemma=lemma if rng.random() < 0.9 else "<unknown>",
                         pos=rng.choice(CONTENT if content else NON_CONTENT)))
-                contexts.append(TaggedContext(doc_id=f"d{c}",
-                                              tokens=tuple(tokens)))
+                contexts.append(TaggedContext(doc_id=f"d{c}", lines=tuple(
+                    "\t".join(tok) for tok in tokens)))
             # oracle: resolve every content token by lemma (surface when the
             # lemma is unusable), keep lexicon hits, average them
             hits = []

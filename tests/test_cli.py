@@ -764,6 +764,21 @@ class TestModuleEntryPoint:
         assert "[0, 0, 0, 0, 0] False" in lines
         assert lines[-1] == "0 True"
 
+    def test_regress_without_numpy_exits_2_with_one_message(self, tmp_path):
+        before = [[command, "--config", CONFIG, "--out", str(tmp_path)]
+                  for command in ("variants", "match", "score", "sentiment", "compare")]
+        regress = ["regress", "--config", CONFIG, "--out", str(tmp_path)]
+        proc = run_python(
+            "-c", "import sys; sys.modules['numpy'] = None; "
+            "from pncvalence.cli import main; "
+            f"codes = [main(argv) for argv in {before!r}]; "
+            f"sys.exit(main({regress!r}) if codes == [0] * 5 else codes)",
+            timeout=300)
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        errors = [line for line in proc.stderr.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1 and "numpy" in errors[0], proc.stderr
+
     def test_toy_pipeline_loads_neither_scipy_nor_requests(self, tmp_path):
         argvs = [[command, "--config", CONFIG, "--out", str(tmp_path)]
                  for command in ALL_COMMANDS]
@@ -774,6 +789,36 @@ class TestModuleEntryPoint:
             timeout=300)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == f"{[0] * len(ALL_COMMANDS)} []"
+
+
+class TestUnmatchedContexts:
+    def test_blocks_no_match_reads_change_no_artifact(self, tmp_path):
+        # the toy tagged file, then every block again under a doc id that no
+        # match references: score reads past them and writes the same bytes
+        runs = {}
+        for name in ("plain", "padded"):
+            shutil.copytree(TOY, tmp_path / name)
+            tagged = tmp_path / name / "tagged_contexts.tsv"
+            text = tagged.read_text(encoding="utf-8")
+            if name == "padded":
+                tagged.write_text(text + "\n" + text.replace("#doc:", "#doc:unmatched-"),
+                                  encoding="utf-8")
+            out_dir = tmp_path / name / "o"
+            for command in ("match", "score"):
+                assert main([command, "--config", str(tmp_path / name / "config.json"),
+                             "--out", str(out_dir)]) == 0, (name, command)
+            runs[name] = {str(p.relative_to(out_dir)): p.read_bytes()
+                          for p in sorted(out_dir.rglob("*")) if p.is_file()}
+        plain, padded = runs["plain"], runs["padded"]
+        assert "unmatched-" not in padded["matches.csv"].decode("utf-8")
+        assert plain.keys() == padded.keys()
+        manifests = [json.loads(run.pop("manifest_score.json")) for run in (plain, padded)]
+        assert plain == padded
+        for manifest in manifests:
+            [tagged_input] = [i for i in manifest["inputs"]
+                              if i["file"] == "tagged_contexts.tsv"]
+            tagged_input["sha256"] = None
+        assert manifests[0] == manifests[1]
 
 
 class TestStageOrder:

@@ -132,11 +132,11 @@ class TestTaggedContexts:
 
 class TestContentFilter:
     def test_content_tags(self):
-        ctx = TaggedContext(doc_id="d", tokens=(
+        ctx = TaggedContext(doc_id="d", lines=tuple("\t".join(t) for t in (
             tok("Hund", pos="NN"), tok("der", pos="ART"), tok("schnell", pos="ADJD"),
             tok("läuft", "laufen", pos="VVFIN"), tok("und", pos="KON"),
             tok("gesehen", "sehen", pos="VVPP"), tok("er", pos="PPER"),
-        ))
+        )))
         assert list(ctx.content_keys) == ["hund", "schnell", "laufen", "sehen"]
 
     @given(st.lists(st.tuples(
@@ -146,7 +146,7 @@ class TestContentFilter:
     @settings(max_examples=200)
     def test_content_keys_apply_the_content_rule(self, triples):
         tokens = tuple(TaggedToken(*t) for t in triples)
-        ctx = TaggedContext(doc_id="d", tokens=tokens)
+        ctx = TaggedContext(doc_id="d", lines=tuple("\t".join(t) for t in triples))
         assert list(ctx.content_keys) == [lemma_key(t.effective_lemma()) for t in tokens
                                           if t.pos in CONTENT_POS_TAGS]
         assert ctx.content_keys is ctx.content_keys  # derived once, then kept

@@ -3,6 +3,7 @@ ValidationError, whatever bytes its file holds; no other exception may
 escape to the command line as a traceback."""
 
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 from pncvalence.cli import _DELTA_FIELDS, _read_deltas
 from pncvalence.corpus import (MATCHES_FIELDS, TARGETS_FIELDS, read_corpus_jsonl,
                                read_matches_csv, read_targets_csv)
-from pncvalence.errors import ValidationError
+from pncvalence.errors import ParseError, ValidationError
 from pncvalence.lexicon import load_lexicon, read_tagged_contexts
 from pncvalence.regression import METADATA_FIELDS, read_metadata_csv
 from pncvalence.sentiment import read_label_jsonl
@@ -99,5 +100,50 @@ def test_reader_returns_or_raises_a_validation_error(tmp_path, name):
             read(str(path))
         except ValidationError:  # ParseError included
             pass
+
+    check()
+
+
+# mostly well-formed tagged files, so that kept blocks hold token lines:
+# blocks of a header, token lines and maybe a blank line, with now and then
+# a repeated id or a line of two or four fields
+tag_cell = st.sampled_from(["Tore", "Tor", "ÄRGER", "<unknown>", "", "NN", "ADJD", "NE"])
+tagged_block = st.tuples(
+    st.sampled_from("abcdefghijklmnop ").map(lambda s: "#doc:" + s),
+    st.lists(st.sampled_from([3] * 12 + [2, 4]).flatmap(
+        lambda n: st.lists(tag_cell, min_size=n, max_size=n)).map("\t".join), max_size=4),
+    st.sampled_from([[], [""]]))
+tagged_lines = st.lists(tagged_block, max_size=5).map(
+    lambda blocks: [line for head, body, end in blocks for line in (head, *body, *end)])
+
+
+def test_tagged_reader_keeps_exactly_the_asked_blocks(tmp_path):
+    # reading a subset of doc ids fails as the full read fails, or returns
+    # the full read's contexts of those ids, in file order
+    path = tmp_path / "tagged_contexts"
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(contents(tsv_lines(3)) | contents(tagged_lines).filter(bool), st.data())
+    def check(data, draw):
+        path.write_bytes(data)
+        try:
+            full, error = read_tagged_contexts(str(path)), None
+        except ParseError as exc:
+            full, error = [], (str(exc), exc.line)
+        # candidate ids: whatever follows a header marker, found or not
+        heads = {head.decode("utf-8", "replace").strip()
+                 for head in re.findall(rb"#doc:([^\r\n]*)", data)}
+        subset = draw.draw(st.sets(st.sampled_from(sorted(heads | {"absent"}))))
+        try:
+            kept = read_tagged_contexts(str(path), subset)
+        except ParseError as exc:
+            assert (str(exc), exc.line) == error
+        else:
+            assert error is None
+            expected = [c for c in full if c.doc_id in subset]
+            assert kept == expected
+            assert ([(c.content_keys, c.tokens) for c in kept]
+                    == [(c.content_keys, c.tokens) for c in expected])
 
     check()

@@ -6,7 +6,7 @@ import pytest
 
 from pncvalence.corpus import ContextMatch, TargetSpec
 from pncvalence.errors import ValidationError
-from pncvalence.lexicon import TaggedContext, TaggedToken, ValenceLexicon
+from pncvalence.lexicon import TaggedContext, ValenceLexicon
 from pncvalence.valence import (DeltaRecord, ScoreRecord, compute_deltas,
                                 delta_sign, domain_summary,
                                 frequent_context_words, modifier_valence,
@@ -15,9 +15,8 @@ from pncvalence.valence import (DeltaRecord, ScoreRecord, compute_deltas,
 
 
 def ctx(doc_id, *lemma_pos):
-    tokens = tuple(TaggedToken(surface=lp[0], lemma=lp[0], pos=lp[1])
-                   for lp in lemma_pos)
-    return TaggedContext(doc_id=doc_id, tokens=tokens)
+    return TaggedContext(doc_id=doc_id, lines=tuple(
+        "\t".join((lp[0], lp[0], lp[1])) for lp in lemma_pos))
 
 
 def match(tid, doc_id, kind="pnc"):
