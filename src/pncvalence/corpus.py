@@ -5,16 +5,23 @@ A target is a personal name compound (modifier + name head, e.g.
 against noisy social-media text, each compound is expanded into a set of
 search variants (umlaut/eszett transliteration, German linking-element
 toggles, singular/plural toggles, user-supplied alternative spellings, and
-a bounded-gap wildcard between modifier and head). Matching is plain
-substring/pattern search over NFC-normalized text; spans are reported in
-bytes of the normalized UTF-8 text, computed only for the spans that match.
+a bounded-gap wildcard between modifier and head). Matching runs over
+NFC-normalized text; spans are reported in bytes of the normalized UTF-8
+text, computed only for the spans that match.
+
+Each document is case-folded once (see _CaseFold): every character becomes
+one representative of its re.IGNORECASE class, or stays as it is when
+matching is case-sensitive. On the folded text, literal variants and full
+names are found with str.find, and each target's one wildcard is a pattern
+without flags; the fold keeps every index, so the spans are those that the
+variants' own patterns find in the unfolded text.
 
 A gate keeps the scan to the targets that can match a document. Every match
-of a target contains one of its anchors (see _anchors); each distinct anchor
-is compiled once, with the patterns' IGNORECASE flag, and searched once per
-document, and only the targets owning an anchor that occurs are scanned.
-The gate is a necessary condition only: the per-target scan decides what
-matches, exactly as if every target were scanned in every document.
+of a target contains one of its anchors (see _anchors); each distinct folded
+anchor is looked up in the folded document with `in`, and only the targets
+owning an anchor that occurs are scanned. The gate is a necessary condition
+only: the per-target scan decides what matches, exactly as if every target
+were scanned in every document.
 """
 
 from __future__ import annotations
@@ -236,13 +243,50 @@ def generate_variants(target: TargetSpec) -> VariantSet:
     return VariantSet(target_id=target.target_id, variants=tuple(entries))
 
 
+class _CaseFold(dict):
+    """Fold each character to one representative of its class under the flags.
+
+    The representative is the smallest character of the alphabet (every
+    character the targets' patterns hold) that re, with these flags, treats
+    as equal to it; a character equal to none of them folds to itself.
+    Folding keeps the length, one character for one, so spans found in the
+    folded text index the unfolded text. re matches a literal sequence
+    character by character, and its IGNORECASE equality of characters is an
+    equivalence (TestCaseFold checks the classes beyond simple case pairs),
+    so a string over the alphabet matches where its fold occurs in the
+    text's fold. Without re.IGNORECASE the fold is the identity.
+
+    It is a str.translate table that fills itself as characters turn up; a
+    new character equal to no alphabet character costs one fullmatch.
+    """
+
+    def __init__(self, alphabet: Iterable[str], flags: int) -> None:
+        super().__init__()
+        self.alphabet = sorted(set(alphabet))
+        self.flags = flags
+        self.in_alphabet = re.compile(
+            "|".join(map(re.escape, self.alphabet)), flags).fullmatch
+
+    def __missing__(self, code: int) -> str:
+        ch = chr(code)
+        if self.in_alphabet(ch):
+            ch = next((a for a in self.alphabet
+                       if re.fullmatch(re.escape(a), ch, self.flags)), ch)
+        self[code] = ch
+        return ch
+
+    def __call__(self, s: str) -> str:
+        return s.translate(self)
+
+
 @dataclass(frozen=True)
 class _CompiledTarget:
     target_id: str
-    pnc_patterns: tuple[tuple[re.Pattern, str], ...]  # (compiled, variant_string)
-    name_pattern: re.Pattern
+    # (folded literal or wildcard pattern over folded text, variant_string)
+    pnc_needles: tuple[tuple[str | re.Pattern, str], ...]
+    name_needle: str  # folded full name
     name_string: str
-    anchors: tuple[str, ...]
+    anchors: tuple[str, ...]  # folded
 
 
 def _anchors(variants: Sequence[tuple[str, str]], head: str,
@@ -260,26 +304,53 @@ def _anchors(variants: Sequence[tuple[str, str]], head: str,
                         if not any(b != a and b in a for b in found)))
 
 
-def _compile_targets(targets: Sequence[TargetSpec], flags: int) -> list[_CompiledTarget]:
-    compiled = []
+def _compile_targets(targets: Sequence[TargetSpec],
+                     flags: int) -> tuple[_CaseFold, list[_CompiledTarget]]:
+    """The case fold of all targets' patterns, and each target's needles under it.
+
+    Literal variants and the full name become folded strings; the one
+    wildcard becomes a pattern without flags over the folded text.
+    """
+    expanded, alphabet = [], set()
     for target in targets:
         variants = generate_variants(target).variants
-        patterns = []
-        for variant, tag in variants:
-            source = variant if tag == H_WILDCARD else re.escape(variant)
-            patterns.append((re.compile(source, flags), variant))
+        mod, _, head = split_compound(target)
         name = nfc(target.full_name)
+        expanded.append((target, variants, mod, head, name))
+        alphabet.update(mod, head, name,
+                        *(v for v, tag in variants if tag != H_WILDCARD))
+    fold = _CaseFold(alphabet, flags)
+    compiled = []
+    for target, variants, mod, head, name in expanded:
+        wildcard = re.compile(
+            re.escape(fold(mod)) + WILDCARD_GAP + re.escape(fold(head)))
         compiled.append(_CompiledTarget(
             target_id=target.target_id,
-            pnc_patterns=tuple(patterns),
-            name_pattern=re.compile(re.escape(name), flags),
+            pnc_needles=tuple(
+                (wildcard if tag == H_WILDCARD else fold(variant), variant)
+                for variant, tag in variants),
+            name_needle=fold(name),
             name_string=name,
-            anchors=_anchors(variants, split_compound(target)[2], name),
+            anchors=tuple(fold(a) for a in _anchors(variants, head, name)),
         ))
-    return compiled
+    return fold, compiled
 
 
-def _match_document(doc_id: str, text: str, candidates: Iterable[_CompiledTarget],
+def _spans(needle: str | re.Pattern, text: str) -> Iterable[tuple[int, int]]:
+    """Leftmost non-overlapping spans of needle in text, as re.finditer gives them."""
+    if isinstance(needle, str):
+        start = text.find(needle)
+        while start >= 0:
+            end = start + len(needle)
+            yield start, end
+            start = text.find(needle, end)
+    else:
+        for m in needle.finditer(text):
+            yield m.span()
+
+
+def _match_document(doc_id: str, text: str, folded: str,
+                    candidates: Iterable[_CompiledTarget],
                     include_overlaps: bool) -> list[ContextMatch]:
     def byte_at(i: int) -> int:
         return len(text[:i].encode("utf-8"))
@@ -288,9 +359,8 @@ def _match_document(doc_id: str, text: str, candidates: Iterable[_CompiledTarget
     for target in candidates:
         taken: set[tuple[int, int]] = set()
         pnc_hit = False
-        for pattern, variant in target.pnc_patterns:
-            for m in pattern.finditer(text):
-                span = (m.start(), m.end())
+        for needle, variant in target.pnc_needles:
+            for span in _spans(needle, folded):
                 if span in taken:
                     continue  # earlier variant already claimed this occurrence
                 taken.add(span)
@@ -303,8 +373,8 @@ def _match_document(doc_id: str, text: str, candidates: Iterable[_CompiledTarget
             ContextMatch(
                 target_id=target.target_id, doc_id=doc_id, kind="full_name",
                 matched_variant=target.name_string,
-                byte_start=byte_at(m.start()), byte_end=byte_at(m.end()))
-            for m in target.name_pattern.finditer(text)
+                byte_start=byte_at(start), byte_end=byte_at(end))
+            for start, end in _spans(target.name_needle, folded)
         ]
         if name_matches and (include_overlaps or not pnc_hit):
             found.extend(name_matches)
@@ -321,26 +391,26 @@ def match_contexts(corpus: Sequence[Document], targets: Sequence[TargetSpec], *,
     documents that also contain the compound for the same target. Output
     order is fixed by the final sort.
 
-    Each document is scanned only for the targets one of whose anchors it
-    contains (see _anchors); the gate is a necessary condition, so the
-    result equals scanning every target in every document.
+    Each document is folded once (see _CaseFold; the identity unless
+    case_insensitive) and searched with str operations on the folded text.
+    Only the targets one of whose folded anchors it contains are scanned
+    (see _anchors); the gate is a necessary condition, so the result equals
+    scanning every target in every document.
     """
-    flags = re.IGNORECASE if case_insensitive else 0
-    compiled = _compile_targets(targets, flags)
-    owners: dict[str, list[int]] = {}  # anchor -> indices of the targets owning it
+    fold, compiled = _compile_targets(
+        targets, re.IGNORECASE if case_insensitive else 0)
+    owners: dict[str, list[int]] = {}  # folded anchor -> indices of its targets
     for i, target in enumerate(compiled):
         for anchor in target.anchors:
             owners.setdefault(anchor, []).append(i)
-    gate = [(re.compile(re.escape(a), flags).search, idx) for a, idx in owners.items()]
     matches = []
     for doc in corpus:
         text = nfc(doc.text)
-        candidates: set[int] = set()
-        for search, indices in gate:
-            if search(text):
-                candidates.update(indices)
+        folded = fold(text)
+        candidates = {i for anchor, indices in owners.items() if anchor in folded
+                      for i in indices}
         matches.extend(_match_document(
-            doc.doc_id, text, (compiled[i] for i in sorted(candidates)),
+            doc.doc_id, text, folded, (compiled[i] for i in sorted(candidates)),
             include_overlaps))
     matches.sort(key=lambda m: (m.target_id, m.doc_id, m.byte_start, m.byte_end, m.kind))
     return matches

@@ -14,7 +14,9 @@ import pytest
 
 from pncvalence import regression
 from pncvalence.cli import main
-from pncvalence.corpus import read_corpus_jsonl
+from pncvalence.corpus import (dedupe_documents, read_corpus_jsonl,
+                               read_targets_csv, write_matches_csv)
+from test_matching import brute_force
 
 TOY = Path(__file__).parent / "data" / "toy"
 CONFIG = str(TOY / "config.json")
@@ -819,6 +821,36 @@ class TestUnmatchedContexts:
                               if i["file"] == "tagged_contexts.tsv"]
             tagged_input["sha256"] = None
         assert manifests[0] == manifests[1]
+
+
+class TestCaseInsensitiveMatch:
+    def test_matches_equal_the_brute_force_oracle(self, tmp_path):
+        # the toy corpus with two documents in three upper- or swap-cased,
+        # matched under IGNORECASE and overlap suppression
+        corpus_path = tmp_path / "corpus.jsonl"
+        lines, recased = [], set()
+        for i, line in enumerate((TOY / "corpus.jsonl").read_text(
+                encoding="utf-8").splitlines()):
+            doc = json.loads(line)
+            if i % 3:
+                doc["text"] = (str.upper if i % 3 == 1 else str.swapcase)(doc["text"])
+                recased.add(doc["doc_id"])
+            lines.append(json.dumps(doc, ensure_ascii=False) + "\n")
+        corpus_path.write_text("".join(lines), encoding="utf-8")
+        config = toy_config(tmp_path, corpus=str(corpus_path),
+                            case_insensitive=True, include_overlaps=False)
+        out_dir = tmp_path / "o"
+        assert main(["match", "--config", config, "--out", str(out_dir)]) == 0
+
+        expected = brute_force(
+            dedupe_documents(read_corpus_jsonl(str(corpus_path))),
+            read_targets_csv(str(TOY / "targets.csv")),
+            case_insensitive=True, include_overlaps=False)
+        assert {m.doc_id for m in expected} & recased
+        written = (out_dir / "matches.csv").read_text(encoding="utf-8")
+        write_matches_csv(expected, str(tmp_path / "expected.csv"),
+                          header_comment=written.splitlines()[0].removeprefix("# "))
+        assert written == (tmp_path / "expected.csv").read_text(encoding="utf-8")
 
 
 class TestStageOrder:

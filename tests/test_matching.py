@@ -1,5 +1,6 @@
 import random
 import re
+import string
 import unicodedata
 
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pncvalence.corpus import (H_WILDCARD, ContextMatch, Document, TargetSpec,
-                               dedupe_documents, frequency_filter,
+                               _CaseFold, dedupe_documents, frequency_filter,
                                generate_variants, match_contexts,
                                pnc_match_counts, read_corpus_jsonl,
                                read_matches_csv, read_targets_csv,
@@ -62,9 +63,13 @@ def brute_force(corpus, targets, case_insensitive=False, include_overlaps=True):
 
 
 # few letters, so heads nest inside one another and names are shared; umlauts,
-# ß and the long s (which IGNORECASE matches to "s") among them
-LETTERS = "aäAÄsSßnNeoöÖſ"
-FILLER = LETTERS + " -#€日\u0308"  # a combining diaeresis composes under NFC
+# ß and the long s (which IGNORECASE matches to "s") among them, and the
+# unusual IGNORECASE classes a case fold must get right: the Kelvin sign with
+# k and K, dotted and dotless i with i and I, micro sign and mu, the three
+# sigmas, ß and capital ß, and the DŽ digraph's three cases
+LETTERS = "aäAÄsSßnNeoöÖſ\u212akKİıiIµμΜσςΣẞǅǆǄ"
+# a combining diaeresis composes under NFC; the wildcard's gap skips no line break
+FILLER = LETTERS + " -#€日\u0308\n"
 CASINGS = (str, str.lower, str.upper, str.swapcase)
 
 
@@ -102,6 +107,28 @@ class TestGatedMatchingEqualsBruteForce:
                        include_overlaps=include_overlaps)
         assert (match_contexts(corpus, targets, **options)
                 == brute_force(corpus, targets, **options))
+
+
+# the IGNORECASE classes of LETTERS, ASCII letters and a character without case
+FOLD_POOL = "\u212akKİıiIµμΜσςΣßẞǅǆǄ" + string.ascii_letters + "日"
+
+
+class TestCaseFold:
+    def test_equal_folds_exactly_where_ignorecase_matches(self):
+        fold = _CaseFold(FOLD_POOL, re.IGNORECASE)
+        for a in FOLD_POOL:
+            for b in FOLD_POOL:
+                assert (fold(a) == fold(b)) == bool(
+                    re.fullmatch(re.escape(a), b, re.IGNORECASE)), (a, b)
+
+    def test_folds_to_the_smallest_alphabet_member(self):
+        fold = _CaseFold("kK", re.IGNORECASE)
+        assert fold("\u212a k K x X") == "K K K x X"
+
+    def test_identity_without_ignorecase_or_alphabet(self):
+        text = FOLD_POOL + FOLD_POOL.swapcase() + " -#\n"
+        assert _CaseFold(FOLD_POOL, 0)(text) == text
+        assert _CaseFold("", re.IGNORECASE)(text) == text
 
 
 class TestMatchContexts:
@@ -161,6 +188,17 @@ class TestMatchContexts:
         matches = match_contexts(corpus, [KLOSE], include_overlaps=False)
         kinds = [(m.doc_id, m.kind) for m in matches]
         assert kinds == [("d1", "pnc"), ("d2", "full_name")]
+
+    def test_overlapping_occurrences_report_the_leftmost(self):
+        # as re.finditer does: after "Ha-Ha" at 0 the search resumes at 5,
+        # so the occurrence starting at 3 is not reported
+        ha = target("ha", "Ha-Ha", "Hans", "Ha")
+        corpus = [doc("d1", "Ha-Ha-Ha"), doc("d2", "ha-hA-HA")]
+        for case_insensitive in (False, True):
+            matches = match_contexts(corpus, [ha], case_insensitive=case_insensitive)
+            assert matches == brute_force(corpus, [ha], case_insensitive)
+        assert [(m.doc_id, m.byte_start, m.byte_end) for m in matches] == [
+            ("d1", 0, 5), ("d2", 0, 5)]
 
     def test_multiple_occurrences_in_one_doc(self):
         matches = match_contexts([doc("d1", "Tore-Klose und Tore-Klose")], [KLOSE])
