@@ -11,7 +11,8 @@ are written. Each command also writes manifest_<command>.json, listing the
 files it read and the artifacts it wrote.
 
 Exit codes: 0 on success, 2 when a required input, an upstream artifact or
-numpy (regress) is missing, 3 when configuration or data fails validation.
+numpy (regress) is missing or the out_dir cannot be written, 3 when
+configuration or data fails validation.
 """
 
 from __future__ import annotations
@@ -22,12 +23,12 @@ import json
 import logging
 import math
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, astuple, fields
 from pathlib import Path
 from typing import Iterable, Sequence
 
 from . import __version__
-from .corpus import (ContextMatch, TargetSpec, dedupe_documents,
+from .corpus import (MATCHES_FIELDS, ContextMatch, TargetSpec, dedupe_documents,
                      frequency_filter, generate_variants, match_contexts,
                      pnc_match_counts, read_corpus_jsonl, read_matches_csv,
                      read_targets_csv, write_matches_csv)
@@ -54,21 +55,50 @@ EXIT_OK = 0
 EXIT_MISSING_INPUT = 2
 EXIT_INVALID = 3
 
-# formatting widths used across artifacts
-def fmt_val(v: float | None) -> str:
-    return "" if v is None else f"{v:.{DECIMALS}f}"
-
-
-def fmt_p(v: float | None) -> str:
-    return "" if v is None else f"{v:.4g}"
-
-
-def fmt_pct(v: float | None) -> str:
-    return "" if v is None else f"{v:.2f}"
-
 
 class MissingArtifactError(PncValenceError):
     """A required input file, upstream artifact or dependency is missing."""
+
+
+# the columns of every CSV artifact, in order. write_csv_artifact formats a
+# float cell by its column's name: .4g for a *p_value, .2f for a pct_*, and
+# DECIMALS places otherwise. Tables 2 and 3 of the report copy a subset of
+# the columns of sign_breakdown.csv and comparison.csv. A delta artifact
+# holds one DeltaRecord a row, one field a column. matches.csv, which holds
+# no float, is written and read by corpus's own pair of functions
+_DELTA_COLUMNS = tuple(f.name for f in fields(DeltaRecord))
+CSV_ARTIFACTS: dict[str, tuple[str, ...]] = {
+    "variants.csv": ("target_id", "position", "variant", "heuristic"),
+    "matches.csv": MATCHES_FIELDS,
+    "freq_report.csv": ("target_id", "n_pnc_matches", "min_freq", "retained"),
+    "scores.csv": ("target_id", "kind", "approach", "valence", "n_contexts",
+                   "n_context_lemmas"),
+    "deltas.csv": _DELTA_COLUMNS,
+    "exclusions.csv": ("stage", "item", "reason"),
+    "domain_summary.csv": ("group", "n", "n_negative", "n_positive", "n_zero",
+                           "mean_delta", "pct_negative", "pct_positive"),
+    "frequent_words.csv": ("target_id", "kind", "lemma", "count", "valence"),
+    "correlations.csv": ("pair", "method", "n", "coefficient", "p_value"),
+    "plm_scores.csv": ("target_id", "kind", "approach", "valence", "n_contexts"),
+    "plm_deltas.csv": _DELTA_COLUMNS,
+    "iaa.csv": ("kind", "annotator_a", "annotator_b", "n_shared", "rho"),
+    "sign_breakdown.csv": ("approach", "n", "n_negative", "n_positive", "n_zero",
+                           "pct_delta_negative", "pct_delta_positive",
+                           "pct_delta_zero"),
+    "comparison.csv": ("plm_approach", "mode", "epsilon", "n_common",
+                       "pct_plm_more_negative", "pct_plm_more_positive",
+                       "pct_agree"),
+    "comparison_detail.csv": ("plm_approach", "target_id", "class"),
+    "univariate.csv": ("predictor", "level", "n", "intercept", "slope",
+                       "slope_p_value", "r_squared", "adj_r_squared",
+                       "model_p_value", "stars"),
+    "multivariate.csv": ("model", "formula", "n", "r_squared", "adj_r_squared",
+                         "residual_se", "f_statistic", "f_p_value", "stars"),
+    "report/table2.csv": ("approach", "n", "pct_delta_negative",
+                          "pct_delta_positive", "pct_delta_zero"),
+    "report/table3.csv": ("plm_approach", "n_common", "pct_plm_more_negative",
+                          "pct_plm_more_positive", "pct_agree"),
+}
 
 
 # the context unit a corpus holds: whole documents (tweets), or news that
@@ -269,11 +299,42 @@ def _sha256(path: Path) -> str:
     return h.hexdigest()
 
 
-def write_csv_artifact(cfg: RunConfig, name: str, header: Sequence[str],
+def _float_format(column: str) -> str:
+    if column.endswith("p_value"):
+        return ".4g"
+    if column.startswith("pct_"):
+        return ".2f"
+    return f".{DECIMALS}f"
+
+
+def write_csv_artifact(cfg: RunConfig, name: str,
                        rows: Iterable[Sequence[object]]) -> Path:
+    """Write rows under the artifact's declared columns. A float cell takes
+    its column's format and None an empty cell; other values pass as is."""
+    header = CSV_ARTIFACTS[name]
+    formats = [_float_format(column) for column in header]
+
+    def cells(row: Sequence[object]) -> list[object]:
+        return ["" if v is None else format(v, spec) if isinstance(v, float) else v
+                for v, spec in zip(row, formats, strict=True)]
+
     path = cfg.output_path(name)
-    write_csv(str(path), header, rows, cfg.comment())
+    write_csv(str(path), header, map(cells, rows), cfg.comment())
     return path
+
+
+def read_csv_artifact(cfg: RunConfig, name: str, parse=dict) -> list:
+    """Every row of an upstream CSV artifact: parse receives the declared
+    columns, in order, as strings. A row cut short is a ParseError."""
+    columns = CSV_ARTIFACTS[name]
+
+    def parse_row(row: dict[str, str | None]):
+        values = {c: row[c] for c in columns}
+        if None in values.values():
+            raise ValueError("missing values")
+        return parse(values)
+
+    return read_csv(str(cfg.artifact_path(name)), columns, parse_row)
 
 
 def _finite(value):
@@ -299,23 +360,14 @@ def write_json_artifact(cfg: RunConfig, name: str, payload: dict) -> Path:
 
 def write_manifest(cfg: RunConfig, command: str) -> None:
     # file names only: manifests must not vary with where the tree lives
+    # two inputs may share a name; their hashes order them
+    inputs = sorted((p.name, _sha256(p)) for p in set(cfg.inputs))
     payload = {
         "command": command,
-        "inputs": [{"file": p.name, "sha256": _sha256(p)}
-                   for p in sorted(set(cfg.inputs), key=lambda p: p.name)],
+        "inputs": [{"file": name, "sha256": digest} for name, digest in inputs],
         "outputs": sorted(str(p.relative_to(cfg.out_dir)) for p in cfg.outputs),
     }
     write_json_artifact(cfg, f"manifest_{command}.json", payload)
-
-
-def _read_table(path: Path, fields: Sequence[str]) -> list[dict[str, str]]:
-    """The given columns of every row of a CSV artifact, in that order."""
-    def parse(row):
-        values = {f: row[f] for f in fields}
-        if None in values.values():
-            raise ValueError("missing values")
-        return values
-    return read_csv(str(path), fields, parse)
 
 
 # ---------------------------------------------------------------------------
@@ -328,8 +380,7 @@ def cmd_variants(cfg: RunConfig) -> None:
         vs = generate_variants(target)
         for position, (variant, heuristic) in enumerate(vs.variants):
             rows.append([target.target_id, position, variant, heuristic])
-    out = write_csv_artifact(cfg, "variants.csv",
-                             ["target_id", "position", "variant", "heuristic"], rows)
+    out = write_csv_artifact(cfg, "variants.csv", rows)
     print(f"variants: {len(rows)} rows for {len(targets)} targets -> {out}")
 
 
@@ -355,9 +406,7 @@ def cmd_match(cfg: RunConfig) -> None:
     freq_rows = [[t.target_id, counts.get(t.target_id, 0), min_freq,
                   str(t.target_id in retained_set).lower()]
                  for t in targets]
-    write_csv_artifact(
-        cfg, "freq_report.csv",
-        ["target_id", "n_pnc_matches", "min_freq", "retained"], freq_rows)
+    write_csv_artifact(cfg, "freq_report.csv", freq_rows)
     print(f"match: {len(matches)} matches over {len(corpus)} documents; "
           f"{len(retained)} of {len(targets)} targets pass min_freq={min_freq} "
           f"-> {matches_path}")
@@ -369,10 +418,6 @@ def _retained_matches(cfg: RunConfig, targets: Sequence[TargetSpec],
     retained, dropped = frequency_filter(matches, cfg["min_freq"], targets)
     keep = set(retained)
     return [m for m in matches if m.target_id in keep], retained, dropped
-
-
-_DOMAIN_FIELDS = ("group", "n", "n_negative", "n_positive", "n_zero",
-                  "mean_delta", "pct_negative", "pct_positive")
 
 
 def cmd_score(cfg: RunConfig) -> None:
@@ -393,66 +438,46 @@ def cmd_score(cfg: RunConfig) -> None:
     deltas, delta_notes = compute_deltas(scores, targets, lexicon)
     summaries, domain_notes = domain_summary(deltas, targets)
 
-    score_rows = [[s.target_id, s.kind, s.approach, fmt_val(s.valence),
-                   s.n_contexts, s.n_context_lemmas] for s in scores]
-    scores_out = write_csv_artifact(
-        cfg, "scores.csv",
-        ["target_id", "kind", "approach", "valence", "n_contexts", "n_context_lemmas"],
-        score_rows)
-    _write_deltas(cfg, "deltas.csv", deltas)
+    scores_out = write_csv_artifact(cfg, "scores.csv", (
+        [s.target_id, s.kind, s.approach, s.valence, s.n_contexts, s.n_context_lemmas]
+        for s in scores))
+    write_csv_artifact(cfg, "deltas.csv", map(astuple, deltas))
 
     exclusion_rows = [["frequency", t, f"fewer than {cfg['min_freq']} compound matches"]
                       for t in dropped]
     for stage, notes in (("score", score_notes), ("delta", delta_notes),
                          ("domain", domain_notes)):
         exclusion_rows.extend([stage, item, reason] for item, reason in notes)
-    write_csv_artifact(cfg, "exclusions.csv", ["stage", "item", "reason"],
-                       exclusion_rows)
-
-    summary_rows = [[s.group, s.n, s.n_negative, s.n_positive, s.n_zero,
-                     fmt_val(s.mean_delta), fmt_pct(s.pct_negative),
-                     fmt_pct(s.pct_positive)] for s in summaries]
-    write_csv_artifact(cfg, "domain_summary.csv", _DOMAIN_FIELDS, summary_rows)
-
-    word_rows = [[target_id, kind, lemma, count, fmt_val(val)]
-                 for target_id, kind, lemma, count, val in frequent_context_words(
-                     retained, matches, tagged, k=cfg["top_k_words"], lexicon=lexicon)]
-    write_csv_artifact(cfg, "frequent_words.csv",
-                       ["target_id", "kind", "lemma", "count", "valence"], word_rows)
+    write_csv_artifact(cfg, "exclusions.csv", exclusion_rows)
+    write_csv_artifact(cfg, "domain_summary.csv", (
+        [s.group, s.n, s.n_negative, s.n_positive, s.n_zero, s.mean_delta,
+         s.pct_negative, s.pct_positive] for s in summaries))
+    write_csv_artifact(cfg, "frequent_words.csv", frequent_context_words(
+        retained, matches, tagged, k=cfg["top_k_words"], lexicon=lexicon))
 
     _write_correlations(cfg, deltas)
     print(f"score: {len(scores)} scores, {len(deltas)} deltas "
           f"({len(exclusion_rows)} exclusions) -> {scores_out.parent}")
 
 
-_DELTA_FIELDS = ["target_id", "approach", "pnc_valence", "name_valence", "delta",
-                 "modifier_valence", "modifier_delta"]
-
-
-def _write_deltas(cfg: RunConfig, name: str, deltas: Sequence[DeltaRecord]) -> None:
-    rows = [[d.target_id, d.approach, fmt_val(d.pnc_valence), fmt_val(d.name_valence),
-             fmt_val(d.delta), fmt_val(d.modifier_valence), fmt_val(d.modifier_delta)]
-            for d in deltas]
-    write_csv_artifact(cfg, name, _DELTA_FIELDS, rows)
-
-
 def _optional_float(raw: str) -> float | None:
     return float(raw) if raw != "" else None
 
 
-def _read_deltas(path: Path) -> list[DeltaRecord]:
-    return read_csv(str(path), _DELTA_FIELDS, lambda row: DeltaRecord(
+def _delta_record(row: dict[str, str]) -> DeltaRecord:
+    """A DeltaRecord from a row of deltas.csv or plm_deltas.csv."""
+    return DeltaRecord(
         target_id=row["target_id"], approach=row["approach"],
         pnc_valence=float(row["pnc_valence"]),
         name_valence=float(row["name_valence"]),
         delta=float(row["delta"]),
         modifier_valence=_optional_float(row["modifier_valence"]),
-        modifier_delta=_optional_float(row["modifier_delta"])))
+        modifier_delta=_optional_float(row["modifier_delta"]))
 
 
 def _norm_deltas(cfg: RunConfig) -> list[DeltaRecord]:
     """The lexicon-based deltas of deltas.csv; there must be at least one."""
-    deltas = [d for d in _read_deltas(cfg.artifact_path("deltas.csv"))
+    deltas = [d for d in read_csv_artifact(cfg, "deltas.csv", _delta_record)
               if d.approach == "norms"]
     if not deltas:
         raise ValidationError("deltas.csv holds no lexicon-based deltas")
@@ -477,11 +502,8 @@ def _write_correlations(cfg: RunConfig, deltas: Sequence[DeltaRecord]) -> None:
                 logger.warning("correlation %s/%s undefined: %s",
                                label, func.__name__, exc)
                 continue
-            rows.append([label, res.method, res.n, fmt_val(res.coefficient),
-                         fmt_p(res.p_value)])
-    write_csv_artifact(
-        cfg, "correlations.csv",
-        ["pair", "method", "n", "coefficient", "p_value"], rows)
+            rows.append([label, res.method, res.n, res.coefficient, res.p_value])
+    write_csv_artifact(cfg, "correlations.csv", rows)
 
 
 def cmd_sentiment(cfg: RunConfig) -> None:
@@ -519,14 +541,11 @@ def cmd_sentiment(cfg: RunConfig) -> None:
         scores.extend(_label_scores(pooled, kinds, "human"))
 
     scores.sort(key=lambda s: (s.approach, s.target_id, s.kind))
-    score_rows = [[s.target_id, s.kind, s.approach, fmt_val(s.valence),
-                   s.n_contexts] for s in scores]
-    scores_out = write_csv_artifact(
-        cfg, "plm_scores.csv",
-        ["target_id", "kind", "approach", "valence", "n_contexts"], score_rows)
+    scores_out = write_csv_artifact(cfg, "plm_scores.csv", (
+        [s.target_id, s.kind, s.approach, s.valence, s.n_contexts] for s in scores))
 
     deltas, delta_notes = compute_deltas(scores)
-    _write_deltas(cfg, "plm_deltas.csv", deltas)
+    write_csv_artifact(cfg, "plm_deltas.csv", map(astuple, deltas))
     for item, reason in delta_notes:
         logger.info("sentiment delta: %s: %s", item, reason)
 
@@ -566,32 +585,23 @@ def _classify_live(cfg: RunConfig, kinds):
 
 def _write_iaa(cfg: RunConfig, human_records) -> None:
     result = pairwise_iaa(human_records)
-    rows = [["pair", p.annotator_a, p.annotator_b, p.n_shared, fmt_val(p.rho)]
+    rows = [["pair", p.annotator_a, p.annotator_b, p.n_shared, p.rho]
             for p in result.pairs]
-    rows.append(["mean", "", "", "", fmt_val(result.mean_rho)])
+    rows.append(["mean", "", "", "", result.mean_rho])
     annotators = sorted({r.source_id for r in human_records})
     if len(annotators) >= 3:
         rows.extend(["mean_excluding", left_out, "", "",
-                     fmt_val(result.mean_rho_without(left_out))]
+                     result.mean_rho_without(left_out)]
                     for left_out in annotators)
-    write_csv_artifact(
-        cfg, "iaa.csv",
-        ["kind", "annotator_a", "annotator_b", "n_shared", "rho"], rows)
+    write_csv_artifact(cfg, "iaa.csv", rows)
 
 
 def cmd_compare(cfg: RunConfig) -> None:
     norm_deltas = _norm_deltas(cfg)
-    label_deltas = _read_deltas(cfg.artifact_path("plm_deltas.csv"))
-
-    breakdown_rows = [[b.group, b.n, b.n_negative, b.n_positive, b.n_zero,
-                       fmt_pct(b.pct_negative), fmt_pct(b.pct_positive),
-                       fmt_pct(b.pct_zero)]
-                      for b in sign_breakdown(label_deltas + norm_deltas)]
-    write_csv_artifact(
-        cfg, "sign_breakdown.csv",
-        ["approach", "n", "n_negative", "n_positive", "n_zero",
-         "pct_delta_negative", "pct_delta_positive", "pct_delta_zero"],
-        breakdown_rows)
+    label_deltas = read_csv_artifact(cfg, "plm_deltas.csv", _delta_record)
+    write_csv_artifact(cfg, "sign_breakdown.csv", (
+        [b.group, b.n, b.n_negative, b.n_positive, b.n_zero, b.pct_negative,
+         b.pct_positive, b.pct_zero] for b in sign_breakdown(label_deltas + norm_deltas)))
 
     by_approach: dict[str, list[DeltaRecord]] = {}
     for d in label_deltas:
@@ -602,20 +612,14 @@ def cmd_compare(cfg: RunConfig) -> None:
     for approach in sorted(by_approach):
         result = compare_approaches(by_approach[approach], norm_deltas)
         # mode and epsilon stay as fixed columns: deltas compare by sign alone
-        agg_rows.append([approach, "sign_class", fmt_val(0.0), result.n_common,
-                         fmt_pct(result.pct_plm_more_negative),
-                         fmt_pct(result.pct_plm_more_positive),
-                         fmt_pct(result.pct_agree)])
+        agg_rows.append([approach, "sign_class", 0.0, result.n_common,
+                         result.pct_plm_more_negative, result.pct_plm_more_positive,
+                         result.pct_agree])
         for target_id, cls in result.per_target:
             detail_rows.append([approach, target_id, cls])
 
-    agg_out = write_csv_artifact(
-        cfg, "comparison.csv",
-        ["plm_approach", "mode", "epsilon", "n_common",
-         "pct_plm_more_negative", "pct_plm_more_positive", "pct_agree"],
-        agg_rows)
-    write_csv_artifact(cfg, "comparison_detail.csv",
-                       ["plm_approach", "target_id", "class"], detail_rows)
+    agg_out = write_csv_artifact(cfg, "comparison.csv", agg_rows)
+    write_csv_artifact(cfg, "comparison_detail.csv", detail_rows)
     print(f"compare: {len(agg_rows)} approach(es) against lexicon deltas -> {agg_out}")
 
 
@@ -636,26 +640,17 @@ def cmd_regress(cfg: RunConfig) -> None:
 
     uni_results, uni_notes = univariate_scan(
         rows, cfg.get("univariate_predictors", DEFAULT_UNIVARIATE_PREDICTORS))
-    uni_rows = [[u.predictor, u.level, u.fit.n, fmt_val(u.fit.coefficients[0]),
-                 fmt_val(u.fit.coefficients[u.column]), fmt_p(u.fit.p_values[u.column]),
-                 fmt_val(u.fit.r_squared), fmt_val(u.fit.adj_r_squared),
-                 fmt_p(u.fit.f_p_value), u.stars]
-                for u in uni_results]
-    uni_out = write_csv_artifact(
-        cfg, "univariate.csv",
-        ["predictor", "level", "n", "intercept", "slope", "slope_p_value",
-         "r_squared", "adj_r_squared", "model_p_value", "stars"], uni_rows)
+    uni_out = write_csv_artifact(cfg, "univariate.csv", (
+        [u.predictor, u.level, u.fit.n, u.fit.coefficients[0],
+         u.fit.coefficients[u.column], u.fit.p_values[u.column], u.fit.r_squared,
+         u.fit.adj_r_squared, u.fit.f_p_value, u.stars] for u in uni_results))
 
     multi_results, multi_notes = multivariate_suite(
         rows, cfg.get("model_specs") or DEFAULT_MODEL_SPECS)
-    multi_rows = [[m.model, m.formula, m.fit.n, fmt_val(m.fit.r_squared),
-                   fmt_val(m.fit.adj_r_squared), fmt_val(m.fit.residual_se),
-                   fmt_val(m.fit.f_statistic), fmt_p(m.fit.f_p_value), m.stars]
-                  for m in multi_results]
-    write_csv_artifact(
-        cfg, "multivariate.csv",
-        ["model", "formula", "n", "r_squared", "adj_r_squared", "residual_se",
-         "f_statistic", "f_p_value", "stars"], multi_rows)
+    write_csv_artifact(cfg, "multivariate.csv", (
+        [m.model, m.formula, m.fit.n, m.fit.r_squared, m.fit.adj_r_squared,
+         m.fit.residual_se, m.fit.f_statistic, m.fit.f_p_value, m.stars]
+        for m in multi_results))
 
     detail = {
         "univariate_notes": uni_notes,
@@ -731,31 +726,24 @@ def cmd_regress(cfg: RunConfig) -> None:
 
 
 def cmd_report(cfg: RunConfig) -> None:
-    breakdown_path = cfg.artifact_path("sign_breakdown.csv")
-    comparison_path = cfg.artifact_path("comparison.csv")
+    tables = {table: [[row[c] for c in CSV_ARTIFACTS[table]]
+                      for row in read_csv_artifact(cfg, source)]
+              for source, table in (("sign_breakdown.csv", "report/table2.csv"),
+                                    ("comparison.csv", "report/table3.csv"))}
     uni_path = cfg.artifact_path("univariate.csv")
     multi_path = cfg.artifact_path("multivariate.csv")
     deltas = _norm_deltas(cfg)
-    freq_path = cfg.artifact_path("freq_report.csv")
-    domain_path = cfg.artifact_path("domain_summary.csv")
-    targets_path = cfg.input_path("targets")
+    counts = dict(read_csv_artifact(cfg, "freq_report.csv", lambda row: (
+        row["target_id"], int(row["n_pnc_matches"]))))
+    domains = read_csv_artifact(cfg, "domain_summary.csv")
+    targets = read_targets_csv(str(cfg.input_path("targets")))
 
-    table2_fields = ["approach", "n", "pct_delta_negative", "pct_delta_positive",
-                     "pct_delta_zero"]
-    write_csv_artifact(cfg, "report/table2.csv", table2_fields,
-                       [list(r.values()) for r in _read_table(breakdown_path, table2_fields)])
-    table3_fields = ["plm_approach", "n_common", "pct_plm_more_negative",
-                     "pct_plm_more_positive", "pct_agree"]
-    write_csv_artifact(cfg, "report/table3.csv", table3_fields,
-                       [list(r.values()) for r in _read_table(comparison_path, table3_fields)])
-
+    for table, rows in tables.items():
+        write_csv_artifact(cfg, table, rows)
     # tables 6 and 7 are the regression artifacts verbatim
     cfg.output_path("report/table6.csv").write_bytes(uni_path.read_bytes())
     cfg.output_path("report/table7.csv").write_bytes(multi_path.read_bytes())
 
-    targets = read_targets_csv(str(targets_path))
-    counts = dict(read_csv(str(freq_path), ("target_id", "n_pnc_matches"),
-                           lambda row: (row["target_id"], int(row["n_pnc_matches"]))))
     target_by_id = {t.target_id: t for t in targets}
 
     names: dict[str, dict] = {}
@@ -774,8 +762,7 @@ def cmd_report(cfg: RunConfig) -> None:
     write_json_artifact(cfg, "report/fig1.json", {
         "names": sorted(names.values(), key=lambda e: (e["name_valence"],
                                                        e["full_name"]))})
-    write_json_artifact(cfg, "report/fig3.json",
-                        {"domains": _read_table(domain_path, _DOMAIN_FIELDS)})
+    write_json_artifact(cfg, "report/fig3.json", {"domains": domains})
     print(f"report: tables 2/3/6/7 and figure data -> {cfg.out_dir / 'report'}")
 
 
@@ -823,8 +810,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     except MissingArtifactError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MISSING_INPUT
-    except FileNotFoundError as exc:
-        print(f"error: missing file: {exc}", file=sys.stderr)
+    except OSError as exc:  # e.g. an out_dir that cannot be created
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_MISSING_INPUT
     except PncValenceError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -152,18 +152,6 @@ def fold_chars(s: str, table: dict[str, str]) -> tuple[str, list[tuple[int, str]
     return "".join(out), sites
 
 
-def unfold_chars(folded: str, sites: list[tuple[int, str]]) -> str:
-    """Invert fold_chars: restore the original characters at the edit sites."""
-    out: list[str] = []
-    i = 0
-    for pos, original in sorted(sites):
-        out.append(folded[i:pos])
-        out.append(original)
-        i = pos + 2  # every fold in this module is 1 -> 2 characters
-    out.append(folded[i:])
-    return "".join(out)
-
-
 def split_compound(target: TargetSpec) -> tuple[str, str, str]:
     """Resolve (modifier, separator, head) for a target.
 

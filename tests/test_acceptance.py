@@ -3,10 +3,12 @@
 Each test prints one PASS/FAIL line so a plain pytest run shows the
 per-criterion outcome at a glance. Oracles are independent of the
 implementation: plain-Python arithmetic, closed forms, numeric integration,
-normal equations, and byte comparison of repeated runs.
+normal equations, and byte comparison of repeated runs with each other
+and with committed hashes.
 """
 
 import filecmp
+import hashlib
 import math
 import random
 import time
@@ -20,8 +22,8 @@ from scipy import integrate
 from pncvalence.cli import main
 from pncvalence.corpus import (H_ALT_SPELLING, H_ESZETT, H_INTERFIX_DROP,
                                H_NUMBER, H_ORIGINAL, H_UMLAUT, TargetSpec,
-                               fold_chars, generate_variants, unfold_chars,
-                               _ESZETT_FOLD, _UMLAUT_FOLD)
+                               fold_chars, generate_variants, _ESZETT_FOLD,
+                               _UMLAUT_FOLD)
 from pncvalence.lexicon import TaggedContext, TaggedToken, ValenceLexicon
 from pncvalence.regression import (FeatureRow, elastic_net_fit,
                                    encode_features, fit_design, lambda_max,
@@ -30,6 +32,7 @@ from pncvalence.sentiment import LabelHistogram, eq2_valence
 from pncvalence.stats import pearson, spearman, student_t_sf
 from pncvalence.valence import (ScoreRecord, compute_deltas,
                                 target_valence_from_contexts)
+from test_variants import unfold_chars
 
 TOY_CONFIG = str(Path(__file__).parent / "data" / "toy" / "config.json")
 GOLDEN = Path(__file__).parent / "data" / "golden"
@@ -386,6 +389,11 @@ def test_criterion_08_recovers_planted_linear_model(capsys):
 
 COMMANDS = ("variants", "match", "score", "sentiment", "compare", "regress",
             "report")
+# the toy outputs that tests/data/golden/toy_outputs.sha256 leaves out; it
+# lists every other one as `sha256sum` does, run inside the out_dir
+NUMPY_OUTPUTS = {"univariate.csv", "multivariate.csv", "regression.json",
+                 "elasticnet.json", "manifest_regress.json", "manifest_report.json",
+                 "report/table6.csv", "report/table7.csv"}
 
 
 @pytest.fixture(scope="module")
@@ -416,6 +424,15 @@ def test_criterion_09_pipeline_is_deterministic(capsys, pipeline_runs):
                 assert filecmp.cmp(run_a / rel, other / rel,
                                    shallow=False), rel
         assert elapsed < 30.0
+        # and they hold the committed bytes, apart from the outputs of regress
+        # and the report's copies of them, whose last bits may vary with numpy
+        golden = dict(line.split("  ")[::-1] for line in (
+            GOLDEN / "toy_outputs.sha256").read_text(encoding="utf-8").splitlines())
+        pinned = {rel.as_posix() for rel in files_a} - NUMPY_OUTPUTS
+        assert sorted(golden) == sorted(pinned)
+        for rel in pinned:
+            digest = hashlib.sha256((run_a / rel).read_bytes()).hexdigest()
+            assert digest == golden[rel], rel
 
 
 def test_criterion_10_report_table_headers(capsys, pipeline_runs):

@@ -723,15 +723,56 @@ class TestOutDir:
         assert main(["variants", "--config", cfg]) == 0
         assert (tmp_path / "c" / "o" / "variants.csv").is_file()
 
+    @pytest.mark.parametrize("under", ["", "sub"], ids=["is_a_file", "under_a_file"])
+    def test_out_dir_that_cannot_be_created_is_exit_2(self, tmp_path, under):
+        blocker = tmp_path / "file"
+        blocker.write_text("not a directory", encoding="utf-8")
+        proc = run_python("-m", "pncvalence", "variants", "--config", CONFIG,
+                          "--out", str(blocker / under), timeout=120)
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        errors = [line for line in proc.stderr.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1 and str(blocker) in errors[0], proc.stderr
 
-def run_python(*args, timeout):
+
+def run_python(*args, timeout, hash_seed=None):
     """Run the current interpreter with this checkout's `src` first on
-    PYTHONPATH."""
+    PYTHONPATH, and PYTHONHASHSEED set when a hash seed is given."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(REPO / "src"), env.get("PYTHONPATH")) if p)
+    if hash_seed is not None:
+        env["PYTHONHASHSEED"] = str(hash_seed)
     return subprocess.run([sys.executable, *args], env=env, capture_output=True,
                           text=True, timeout=timeout)
+
+
+class TestManifest:
+    def test_inputs_sharing_a_name_keep_their_order_under_any_hash_seed(
+            self, tmp_path):
+        # the model labels split over two files that are both called labels.jsonl
+        lines = (TOY / "labels_models.jsonl").read_text(encoding="utf-8").splitlines(True)
+        label_files = []
+        for part in (0, 1):
+            path = tmp_path / f"m{part + 1}" / "labels.jsonl"
+            path.parent.mkdir()
+            path.write_text("".join(lines[part::2]), encoding="utf-8")
+            label_files.append(str(path))
+        cfg = toy_config(tmp_path / "cfg", label_files=label_files)
+        manifests = set()
+        for seed in range(8):
+            out_dir = tmp_path / f"out{seed}"
+            argvs = [[command, "--config", cfg, "--out", str(out_dir)]
+                     for command in ("match", "sentiment")]
+            proc = run_python(
+                "-c", "import sys; from pncvalence.cli import main; "
+                f"sys.exit(max(main(argv) for argv in {argvs!r}))",
+                timeout=120, hash_seed=seed)
+            assert proc.returncode == 0, proc.stderr
+            manifests.add((out_dir / "manifest_sentiment.json").read_bytes())
+        assert len(manifests) == 1
+        inputs = json.loads(manifests.pop())["inputs"]
+        assert [entry["file"] for entry in inputs].count("labels.jsonl") == 2
 
 
 class TestModuleEntryPoint:

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from pncvalence.cli import _DELTA_FIELDS, _read_deltas
+from pncvalence.cli import CSV_ARTIFACTS, RunConfig, _delta_record, read_csv_artifact
 from pncvalence.corpus import (MATCHES_FIELDS, TARGETS_FIELDS, read_corpus_jsonl,
                                read_matches_csv, read_targets_csv)
 from pncvalence.errors import ParseError, ValidationError
@@ -82,14 +82,17 @@ READERS = {
                jsonl_lines(["target_id", "context_id", "label", "source_id"])),
     "metadata": (read_metadata_csv, csv_lines(METADATA_FIELDS)),
     "matches": (read_matches_csv, csv_lines(MATCHES_FIELDS)),
-    "deltas": (lambda path: _read_deltas(Path(path)), csv_lines(_DELTA_FIELDS)),
+    # the artifact reader looks deltas.csv up in a run's out_dir
+    "deltas": (lambda path: read_csv_artifact(
+        RunConfig({"out_dir": "."}, Path(path).parent), "deltas.csv", _delta_record),
+        csv_lines(CSV_ARTIFACTS["deltas.csv"])),
 }
 
 
 @pytest.mark.parametrize("name", sorted(READERS))
 def test_reader_returns_or_raises_a_validation_error(tmp_path, name):
     read, lines = READERS[name]
-    path = tmp_path / name
+    path = tmp_path / f"{name}.csv"
 
     @settings(max_examples=100, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])

@@ -9,8 +9,20 @@ from pncvalence.corpus import (H_ALT_SPELLING, H_ESZETT, H_INTERFIX_ADD,
                                H_INTERFIX_DROP, H_NUMBER, H_ORIGINAL,
                                H_UMLAUT, H_WILDCARD, HEURISTICS, TargetSpec,
                                fold_chars, generate_variants, split_compound,
-                               unfold_chars, _UMLAUT_FOLD, _ESZETT_FOLD)
+                               _UMLAUT_FOLD, _ESZETT_FOLD)
 from pncvalence.errors import ValidationError
+
+
+def unfold_chars(folded, sites):
+    """Invert fold_chars: restore the original characters at the edit sites."""
+    out = []
+    i = 0
+    for pos, original in sorted(sites):
+        out.append(folded[i:pos])
+        out.append(original)
+        i = pos + 2  # every fold in pncvalence.corpus is 1 -> 2 characters
+    out.append(folded[i:])
+    return "".join(out)
 
 
 def make_target(pnc, first="Max", last="Muster", tid="t1", alts=(),
