@@ -3,12 +3,13 @@
 Subcommands mirror the processing stages: variants, match, score, sentiment,
 compare, regress, report. A run is driven by one JSON config file; relative
 paths inside it resolve against the config file's directory. Every artifact
-lands in the config's out_dir. CSV artifacts begin with a comment line
-carrying the config hash, the seed, and the package version; JSON artifacts
-carry the same fields in a "meta" object. The config hash ignores out_dir,
-so the same inputs and settings yield byte-identical artifacts wherever they
-are written. Each command also writes manifest_<command>.json, listing the
-files it read and the artifacts it wrote.
+lands in the config's out_dir when the command succeeds; a command that
+exits non-zero leaves out_dir as it was. CSV artifacts begin with a comment
+line carrying the config hash, the seed, and the package version; JSON
+artifacts carry the same fields in a "meta" object. The config hash ignores
+out_dir, so the same inputs and settings yield byte-identical artifacts
+wherever they are written. Each command also writes manifest_<command>.json,
+listing the files it read and the artifacts it wrote.
 
 Exit codes: 0 on success, 2 when a required input, an upstream artifact or
 numpy (regress) is missing or the out_dir cannot be written, 3 when
@@ -22,16 +23,19 @@ import hashlib
 import json
 import logging
 import math
+import os
+import shutil
 import sys
+from contextlib import contextmanager
 from dataclasses import asdict, astuple, fields
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Sequence
 
 from . import __version__
-from .corpus import (MATCHES_FIELDS, ContextMatch, TargetSpec, dedupe_documents,
-                     frequency_filter, generate_variants, match_contexts,
-                     pnc_match_counts, read_corpus_jsonl, read_matches_csv,
-                     read_targets_csv, write_matches_csv)
+from .corpus import (ContextMatch, TargetSpec, dedupe_documents, frequency_filter,
+                     generate_variants, match_contexts, pnc_match_counts,
+                     read_corpus_jsonl, read_targets_csv)
 from .csvio import parse_json, read_csv, write_csv
 from .errors import (ParseError, PncValenceError, UndefinedCorrelationError,
                      ValidationError)
@@ -60,16 +64,15 @@ class MissingArtifactError(PncValenceError):
     """A required input file, upstream artifact or dependency is missing."""
 
 
-# the columns of every CSV artifact, in order. write_csv_artifact formats a
-# float cell by its column's name: .4g for a *p_value, .2f for a pct_*, and
-# DECIMALS places otherwise. Tables 2 and 3 of the report copy a subset of
-# the columns of sign_breakdown.csv and comparison.csv. A delta artifact
-# holds one DeltaRecord a row, one field a column. matches.csv, which holds
-# no float, is written and read by corpus's own pair of functions
+# the columns of every CSV artifact, in order, for its one writer and reader.
+# A float cell is formatted by its column's name: .4g for a *p_value, .2f for
+# a pct_*, and DECIMALS places otherwise. Tables 2 and 3 of the report copy a
+# subset of the columns of sign_breakdown.csv and comparison.csv. matches.csv
+# holds one ContextMatch a row, a delta artifact one DeltaRecord
 _DELTA_COLUMNS = tuple(f.name for f in fields(DeltaRecord))
 CSV_ARTIFACTS: dict[str, tuple[str, ...]] = {
     "variants.csv": ("target_id", "position", "variant", "heuristic"),
-    "matches.csv": MATCHES_FIELDS,
+    "matches.csv": tuple(f.name for f in fields(ContextMatch)),
     "freq_report.csv": ("target_id", "n_pnc_matches", "min_freq", "retained"),
     "scores.csv": ("target_id", "kind", "approach", "valence", "n_contexts",
                    "n_context_lemmas"),
@@ -158,7 +161,8 @@ class RunConfig:
         self.data = data
         self.config_dir = config_dir
         self.inputs: list[Path] = []
-        self.outputs: list[Path] = []
+        self.outputs: list[str] = []
+        self.staging: Path | None = None
 
     @classmethod
     def load(cls, path: str, out_dir: str | None) -> "RunConfig":
@@ -277,11 +281,27 @@ class RunConfig:
         return p
 
     def output_path(self, name: str) -> Path:
-        """Path for an artifact about to be written to out_dir."""
-        p = self.out_dir / name
+        """Where to write the artifact out_dir/name: in the staging directory,
+        from which publishing moves it into place."""
+        p = self.staging / name
         p.parent.mkdir(parents=True, exist_ok=True)
-        self.outputs.append(p)
+        self.outputs.append(name)
         return p
+
+    @contextmanager
+    def publishing(self, command: str):
+        """Move the artifacts the block writes into out_dir, in the order
+        written, only if the block completes. Their staging directory is
+        removed on every exit, and first, in case a killed run left it behind."""
+        self.staging = self.out_dir / f".staging-{command}"
+        shutil.rmtree(self.staging, ignore_errors=True)
+        try:
+            yield
+            for name in self.outputs:
+                (self.out_dir / name).parent.mkdir(parents=True, exist_ok=True)
+                os.replace(self.staging / name, self.out_dir / name)
+        finally:
+            shutil.rmtree(self.staging, ignore_errors=True)
 
     def comment(self) -> str:
         return f"config={self.hash} seed={self.data['seed']} version={__version__}"
@@ -318,9 +338,8 @@ def write_csv_artifact(cfg: RunConfig, name: str,
         return ["" if v is None else format(v, spec) if isinstance(v, float) else v
                 for v, spec in zip(row, formats, strict=True)]
 
-    path = cfg.output_path(name)
-    write_csv(str(path), header, map(cells, rows), cfg.comment())
-    return path
+    write_csv(str(cfg.output_path(name)), header, map(cells, rows), cfg.comment())
+    return cfg.out_dir / name
 
 
 def read_csv_artifact(cfg: RunConfig, name: str, parse=dict) -> list:
@@ -349,13 +368,12 @@ def _finite(value):
 
 
 def write_json_artifact(cfg: RunConfig, name: str, payload: dict) -> Path:
-    path = cfg.output_path(name)
     body = {"meta": cfg.meta()}
     body.update(payload)
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(cfg.output_path(name), "w", encoding="utf-8") as fh:
         json.dump(_finite(body), fh, ensure_ascii=False, indent=2, allow_nan=False)
         fh.write("\n")
-    return path
+    return cfg.out_dir / name
 
 
 def write_manifest(cfg: RunConfig, command: str) -> None:
@@ -365,7 +383,7 @@ def write_manifest(cfg: RunConfig, command: str) -> None:
     payload = {
         "command": command,
         "inputs": [{"file": name, "sha256": digest} for name, digest in inputs],
-        "outputs": sorted(str(p.relative_to(cfg.out_dir)) for p in cfg.outputs),
+        "outputs": sorted(cfg.outputs),
     }
     write_json_artifact(cfg, f"manifest_{command}.json", payload)
 
@@ -396,8 +414,9 @@ def cmd_match(cfg: RunConfig) -> None:
     matches = match_contexts(
         corpus, targets, case_insensitive=cfg["case_insensitive"],
         include_overlaps=cfg["include_overlaps"])
-    matches_path = cfg.output_path("matches.csv")
-    write_matches_csv(matches, str(matches_path), header_comment=cfg.comment())
+    # attrgetter, not astuple, which deep-copies every field of every match
+    matches_path = write_csv_artifact(cfg, "matches.csv", map(
+        attrgetter(*CSV_ARTIFACTS["matches.csv"]), matches))
 
     min_freq = cfg["min_freq"]
     retained, _ = frequency_filter(matches, min_freq, targets)
@@ -413,8 +432,9 @@ def cmd_match(cfg: RunConfig) -> None:
 
 
 def _retained_matches(cfg: RunConfig, targets: Sequence[TargetSpec],
-                      matches: Sequence[ContextMatch],
                       ) -> tuple[list[ContextMatch], list[str], list[str]]:
+    """The matches.csv rows of targets that pass min_freq; retained and dropped ids."""
+    matches = read_csv_artifact(cfg, "matches.csv", _match_record)
     retained, dropped = frequency_filter(matches, cfg["min_freq"], targets)
     keep = set(retained)
     return [m for m in matches if m.target_id in keep], retained, dropped
@@ -424,12 +444,10 @@ def cmd_score(cfg: RunConfig) -> None:
     targets_path = cfg.input_path("targets")
     lexicon_path = cfg.input_path("lexicon")
     tagged_path = cfg.input_path("tagged_contexts")
-    matches_path = cfg.artifact_path("matches.csv")
 
     targets = read_targets_csv(str(targets_path))
     lexicon = load_lexicon(str(lexicon_path))
-    matches = read_matches_csv(str(matches_path))
-    matches, retained, dropped = _retained_matches(cfg, targets, matches)
+    matches, retained, dropped = _retained_matches(cfg, targets)
     # keep only the contexts a retained match reads; every line is still checked
     tagged = {c.doc_id: c for c in read_tagged_contexts(
         str(tagged_path), {m.doc_id for m in matches})}
@@ -462,6 +480,12 @@ def cmd_score(cfg: RunConfig) -> None:
 
 def _optional_float(raw: str) -> float | None:
     return float(raw) if raw != "" else None
+
+
+def _match_record(row: dict[str, str]) -> ContextMatch:
+    """A ContextMatch from a row of matches.csv, whose columns are its fields."""
+    return ContextMatch(**(row | {"byte_start": int(row["byte_start"]),
+                                  "byte_end": int(row["byte_end"])}))
 
 
 def _delta_record(row: dict[str, str]) -> DeltaRecord:
@@ -507,10 +531,8 @@ def _write_correlations(cfg: RunConfig, deltas: Sequence[DeltaRecord]) -> None:
 
 
 def cmd_sentiment(cfg: RunConfig) -> None:
-    matches_path = cfg.artifact_path("matches.csv")
     targets = read_targets_csv(str(cfg.input_path("targets")))
-    matches = read_matches_csv(str(matches_path))
-    matches, _retained, _dropped = _retained_matches(cfg, targets, matches)
+    matches, _retained, _dropped = _retained_matches(cfg, targets)
     kinds = kind_index(matches)
 
     model_records: dict[str, list] = {}
@@ -805,8 +827,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         format="%(levelname)s %(name)s: %(message)s")
     try:
         cfg = RunConfig.load(args.config, args.out)
-        args.run(cfg)
-        write_manifest(cfg, args.command)
+        with cfg.publishing(args.command):
+            args.run(cfg)
+            write_manifest(cfg, args.command)
     except MissingArtifactError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MISSING_INPUT

@@ -33,7 +33,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .csvio import read_csv, read_jsonl, write_csv
+from .csvio import read_csv, read_jsonl
 from .errors import ParseError, ValidationError
 
 logger = logging.getLogger(__name__)
@@ -454,8 +454,6 @@ def frequency_filter(matches: Iterable[ContextMatch], min_freq: int,
 
 TARGETS_FIELDS = ("target_id", "pnc_surface", "modifier_surface", "head_surface",
                   "first_name", "last_name", "domain", "alt_spellings")
-MATCHES_FIELDS = ("target_id", "doc_id", "kind", "matched_variant",
-                  "byte_start", "byte_end")
 
 
 def read_targets_csv(path: str) -> list[TargetSpec]:
@@ -522,18 +520,3 @@ def read_corpus_jsonl(path: str) -> list[Document]:
                         url=obj.get("url"), date=obj.get("date"))
 
     return read_jsonl(path, parse)
-
-
-def write_matches_csv(matches: Sequence[ContextMatch], path: str,
-                      header_comment: str | None = None) -> None:
-    write_csv(path, MATCHES_FIELDS,
-              ([m.target_id, m.doc_id, m.kind, m.matched_variant,
-                m.byte_start, m.byte_end] for m in matches),
-              header_comment)
-
-
-def read_matches_csv(path: str) -> list[ContextMatch]:
-    return read_csv(path, MATCHES_FIELDS, lambda row: ContextMatch(
-        target_id=row["target_id"], doc_id=row["doc_id"], kind=row["kind"],
-        matched_variant=row["matched_variant"],
-        byte_start=int(row["byte_start"]), byte_end=int(row["byte_end"])))

@@ -139,11 +139,10 @@ def read_jsonl(path: str, parse: Callable[[dict], T]) -> list[T]:
 
 
 def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence[object]],
-              comment: str | None = None) -> None:
-    """Write a header and rows, after a `# comment` line when one is given."""
+              comment: str) -> None:
+    """Write a `# comment` line, a header and rows."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        if comment:
-            fh.write(f"# {comment}\n")
+        fh.write(f"# {comment}\n")
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)

@@ -32,16 +32,10 @@ def lemma_key(form: str) -> str:
 
 class ValenceLexicon:
     """Lemma -> valence mapping with case-insensitive, NFC-normalized lookup:
-    entries is keyed by lemma_key, and get and `in` key the form looked up."""
+    entries is keyed by lemma_key, and get keys the form looked up."""
 
     def __init__(self, entries: dict[str, float]):
         self.entries = entries
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __contains__(self, form: str) -> bool:
-        return lemma_key(form) in self.entries
 
     def get(self, form: str) -> float | None:
         return self.entries.get(lemma_key(form))

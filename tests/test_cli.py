@@ -7,15 +7,15 @@ import subprocess
 import sys
 import threading
 import warnings
+from dataclasses import astuple
 from http.server import BaseHTTPRequestHandler, HTTPServer
 from pathlib import Path
 
 import pytest
 
-from pncvalence import regression
-from pncvalence.cli import main
-from pncvalence.corpus import (dedupe_documents, read_corpus_jsonl,
-                               read_targets_csv, write_matches_csv)
+from pncvalence import cli, regression
+from pncvalence.cli import RunConfig, main, write_csv_artifact
+from pncvalence.corpus import dedupe_documents, read_corpus_jsonl, read_targets_csv
 from test_matching import brute_force
 
 TOY = Path(__file__).parent / "data" / "toy"
@@ -735,6 +735,56 @@ class TestOutDir:
         assert len(errors) == 1 and str(blocker) in errors[0], proc.stderr
 
 
+def tree(directory):
+    """Every path under directory: a file's bytes, None for a directory."""
+    return {p.relative_to(directory): p.read_bytes() if p.is_file() else None
+            for p in directory.rglob("*")}
+
+
+def disk_full(*args):
+    raise OSError(28, "No space left on device")
+
+
+class TestPublish:
+    def test_failed_sentiment_leaves_out_dir_as_it_was(self, tmp_path, out, capsys):
+        # with one annotator left, sentiment fails at the agreement table,
+        # after it has written its label-based scores and deltas
+        run_dir = tmp_path / "o"
+        shutil.copytree(out, run_dir)
+        labels = tmp_path / "labels_human.jsonl"
+        labels.write_text("".join(
+            line for line in (TOY / "labels_human.jsonl").read_text(
+                encoding="utf-8").splitlines(keepends=True)
+            if json.loads(line)["source_id"] == "a1"), encoding="utf-8")
+        cfg = toy_config(tmp_path / "cfg", human_label_file=str(labels))
+        before = tree(run_dir)
+        assert main(["sentiment", "--config", cfg, "--out", str(run_dir)]) == 3
+        assert "two annotators" in capsys.readouterr().err
+        assert tree(run_dir) == before
+
+    def test_write_failing_midway_leaves_out_dir_as_it_was(
+            self, tmp_path, out, capsys, monkeypatch):
+        # score has written five artifacts when it comes to the sixth; under
+        # a config of another hash, each would differ from the one it replaces
+        run_dir = tmp_path / "o"
+        shutil.copytree(out, run_dir)
+        cfg = toy_config(tmp_path / "cfg", top_k_words=3)
+        before = tree(run_dir)
+        monkeypatch.setattr(cli, "_write_correlations", disk_full)
+        assert main(["score", "--config", cfg, "--out", str(run_dir)]) == 2
+        assert "No space left on device" in capsys.readouterr().err
+        assert tree(run_dir) == before
+
+    def test_staging_left_by_a_killed_run_is_removed(self, tmp_path):
+        stale = tmp_path / ".staging-variants" / "variants.csv"
+        stale.parent.mkdir()
+        stale.write_text("stale", encoding="utf-8")
+        assert run("variants", tmp_path) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "manifest_variants.json", "variants.csv"]
+        assert (tmp_path / "variants.csv").read_text(encoding="utf-8") != "stale"
+
+
 def run_python(*args, timeout, hash_seed=None):
     """Run the current interpreter with this checkout's `src` first on
     PYTHONPATH, and PYTHONHASHSEED set when a hash seed is given."""
@@ -889,9 +939,10 @@ class TestCaseInsensitiveMatch:
             case_insensitive=True, include_overlaps=False)
         assert {m.doc_id for m in expected} & recased
         written = (out_dir / "matches.csv").read_text(encoding="utf-8")
-        write_matches_csv(expected, str(tmp_path / "expected.csv"),
-                          header_comment=written.splitlines()[0].removeprefix("# "))
-        assert written == (tmp_path / "expected.csv").read_text(encoding="utf-8")
+        cfg = RunConfig.load(config, str(tmp_path / "expected"))
+        with cfg.publishing("match"):
+            expected_path = write_csv_artifact(cfg, "matches.csv", map(astuple, expected))
+        assert written == expected_path.read_text(encoding="utf-8")
 
 
 class TestStageOrder:

@@ -16,10 +16,10 @@ def write_lexicon(tmp_path, body, name="lex.tsv"):
 class TestLoadLexicon:
     def test_basic_load_and_lookup(self, tmp_path):
         lex = load_lexicon(write_lexicon(tmp_path, "Liebe\t8.9\nfolter\t0.89\n"))
-        assert len(lex) == 2
+        assert len(lex.entries) == 2
         assert lex.get("liebe") == 8.9
         assert lex.get("LIEBE") == 8.9
-        assert "Folter" in lex
+        assert lex.get("Folter") is not None
         assert lex.get("hass") is None
 
     def test_nfc_normalized_keys(self, tmp_path):
@@ -29,7 +29,7 @@ class TestLoadLexicon:
 
     def test_comments_and_blank_lines_skipped(self, tmp_path):
         lex = load_lexicon(write_lexicon(tmp_path, "# header\n\nwort\t5.0\n\n"))
-        assert len(lex) == 1
+        assert len(lex.entries) == 1
 
     def test_first_wins_policy(self, tmp_path):
         # three rows share the key "wort"; the first one is kept

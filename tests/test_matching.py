@@ -2,17 +2,18 @@ import random
 import re
 import string
 import unicodedata
+from dataclasses import astuple
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pncvalence.cli import RunConfig, _match_record, read_csv_artifact, write_csv_artifact
 from pncvalence.corpus import (H_WILDCARD, ContextMatch, Document, TargetSpec,
                                _CaseFold, dedupe_documents, frequency_filter,
                                generate_variants, match_contexts,
                                pnc_match_counts, read_corpus_jsonl,
-                               read_matches_csv, read_targets_csv,
-                               write_matches_csv)
+                               read_targets_csv)
 from pncvalence.errors import ParseError, ValidationError
 
 
@@ -437,8 +438,9 @@ class TestFileInterfaces:
     def test_matches_csv_round_trip(self, tmp_path):
         matches = match_contexts(
             [doc("d1", "für Tore-Klose und Miroslav Klose")], [KLOSE])
-        p = tmp_path / "matches.csv"
-        write_matches_csv(matches, str(p), header_comment="config=abc seed=1")
+        cfg = RunConfig({"out_dir": ".", "seed": 1}, tmp_path)
+        with cfg.publishing("match"):
+            p = write_csv_artifact(cfg, "matches.csv", map(astuple, matches))
         text = p.read_text(encoding="utf-8")
-        assert text.startswith("# config=abc seed=1\n")
-        assert read_matches_csv(str(p)) == matches
+        assert text.startswith(f"# {cfg.comment()}\n")
+        assert read_csv_artifact(cfg, "matches.csv", _match_record) == matches

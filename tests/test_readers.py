@@ -10,9 +10,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from pncvalence.cli import CSV_ARTIFACTS, RunConfig, _delta_record, read_csv_artifact
-from pncvalence.corpus import (MATCHES_FIELDS, TARGETS_FIELDS, read_corpus_jsonl,
-                               read_matches_csv, read_targets_csv)
+from pncvalence.cli import (CSV_ARTIFACTS, RunConfig, _delta_record, _match_record,
+                            read_csv_artifact)
+from pncvalence.corpus import TARGETS_FIELDS, read_corpus_jsonl, read_targets_csv
 from pncvalence.errors import ParseError, ValidationError
 from pncvalence.lexicon import load_lexicon, read_tagged_contexts
 from pncvalence.regression import METADATA_FIELDS, read_metadata_csv
@@ -71,6 +71,14 @@ def contents(lines):
                      joined.map(lambda s: s.encode("utf-8", "surrogatepass")))
 
 
+def artifact_reader(name, parse):
+    # the artifact reader looks the file up by name in a run's out_dir
+    def read(path):
+        return read_csv_artifact(RunConfig({"out_dir": "."}, Path(path).parent),
+                                 name, parse)
+    return read, csv_lines(CSV_ARTIFACTS[name])
+
+
 READERS = {
     "targets": (read_targets_csv,
                 csv_lines(TARGETS_FIELDS + ("modifier_lemma",))),
@@ -81,11 +89,8 @@ READERS = {
     "labels": (read_label_jsonl,
                jsonl_lines(["target_id", "context_id", "label", "source_id"])),
     "metadata": (read_metadata_csv, csv_lines(METADATA_FIELDS)),
-    "matches": (read_matches_csv, csv_lines(MATCHES_FIELDS)),
-    # the artifact reader looks deltas.csv up in a run's out_dir
-    "deltas": (lambda path: read_csv_artifact(
-        RunConfig({"out_dir": "."}, Path(path).parent), "deltas.csv", _delta_record),
-        csv_lines(CSV_ARTIFACTS["deltas.csv"])),
+    "matches": artifact_reader("matches.csv", _match_record),
+    "deltas": artifact_reader("deltas.csv", _delta_record),
 }
 
 
