@@ -19,11 +19,12 @@ T = TypeVar("T")
 
 def utf8_lines(path: str) -> Iterator[tuple[int, str]]:
     """Number the lines of a UTF-8 file from 1, each with its line ending.
+    A byte-order mark at the start of the file is not part of line 1.
 
     A byte sequence that is not UTF-8 raises ParseError naming its line.
     """
     try:
-        with open(path, encoding="utf-8", newline="") as fh:
+        with open(path, encoding="utf-8-sig", newline="") as fh:
             yield from enumerate(fh, start=1)
     except UnicodeDecodeError as exc:
         # the decoder reads ahead in blocks, so look for the line again

@@ -8,6 +8,7 @@ that valence lookups operate on.
 
 from __future__ import annotations
 
+import re
 import unicodedata
 from dataclasses import dataclass
 from functools import cached_property
@@ -119,6 +120,66 @@ def read_tagged_contexts(path: str, doc_ids: Container[str] | None = None,
     surface<TAB>lemma<TAB>pos, and a blank line (or the next header, or end
     of file) terminates it.
     """
+    contexts = _read_blocks(path, doc_ids)
+    if contexts is None:
+        contexts = _read_lines(path, doc_ids)
+    return contexts
+
+
+# the block reader's read size, in characters
+_CHUNK_CHARS = 1 << 20
+_HEADER = "\n#doc:"
+# a block's body: token lines, each starting with a non-space character and
+# holding exactly two tabs, then only empty lines
+_BLOCK_BODY = re.compile(r"(?:\S[^\t\n]*\t[^\t\n]*\t[^\t\n]*(?:\n|\Z))*\n*")
+
+
+def _read_blocks(path: str, doc_ids: Container[str] | None,
+                 ) -> list[TaggedContext] | None:
+    """read_tagged_contexts for a file of well-formed blocks, checked a block
+    at a time, or None for any other file: _read_lines then reads it again
+    and reports what is wrong, so errors come from one place.
+
+    A \\r, which _read_lines takes as a line end, an undecodable byte, text
+    before the first header, an empty or repeated id and a body _BLOCK_BODY
+    rejects all give None.
+    """
+    contexts = []
+    seen = {""}
+    pending = "\n"  # the line end before the first header
+    with open(path, encoding="utf-8-sig", newline="") as fh:
+        while pending:
+            try:
+                chunk = fh.read(_CHUNK_CHARS)
+            except UnicodeDecodeError:
+                return None
+            if "\r" in chunk:
+                return None
+            text = pending + chunk
+            if not text.startswith(_HEADER):
+                return None
+            # the last block may go on in the next chunk
+            cut = text.rfind(_HEADER, 1) if chunk else len(text)
+            if cut < 0:
+                pending = text
+                continue
+            pending = text[cut:]
+            for block in text[len(_HEADER):cut].split(_HEADER):
+                head, _, body = block.partition("\n")
+                doc_id = head.strip()
+                if doc_id in seen or not _BLOCK_BODY.fullmatch(body):
+                    return None
+                seen.add(doc_id)
+                if doc_ids is None or doc_id in doc_ids:
+                    body = body.rstrip("\n")
+                    contexts.append(TaggedContext(
+                        doc_id, tuple(body.split("\n")) if body else ()))
+    return contexts
+
+
+def _read_lines(path: str, doc_ids: Container[str] | None) -> list[TaggedContext]:
+    """read_tagged_contexts a line at a time: the reader that raises its
+    ParseErrors."""
     blocks: dict[str, list[str] | None] = {}  # None for a block not kept
     lines: list[str] | None = None  # the open block's, if any
     for line_no, line in utf8_lines(path):

@@ -914,6 +914,26 @@ class TestUnmatchedContexts:
         assert manifests[0] == manifests[1]
 
 
+class TestLineEndings:
+    def test_crlf_inputs_write_the_lf_artifacts(self, tmp_path):
+        # every toy input with CRLF line ends: each stage writes the bytes the
+        # LF run writes; only the manifests, which hash the inputs, differ
+        runs = {}
+        for name in ("lf", "crlf"):
+            shutil.copytree(TOY, tmp_path / name)
+            if name == "crlf":
+                for path in (tmp_path / name).iterdir():
+                    path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+            out_dir = tmp_path / name / "o"
+            for command in ALL_COMMANDS:
+                assert main([command, "--config", str(tmp_path / name / "config.json"),
+                             "--out", str(out_dir)]) == 0, (name, command)
+            runs[name] = {str(p.relative_to(out_dir)): p.read_bytes()
+                          for p in sorted(out_dir.rglob("*")) if p.is_file()
+                          and not p.name.startswith("manifest_")}
+        assert runs["crlf"] == runs["lf"]
+
+
 class TestCaseInsensitiveMatch:
     def test_matches_equal_the_brute_force_oracle(self, tmp_path):
         # the toy corpus with two documents in three upper- or swap-cased,

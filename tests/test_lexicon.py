@@ -1,7 +1,11 @@
+import codecs
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pncvalence import lexicon
 from pncvalence.errors import ParseError
 from pncvalence.lexicon import (CONTENT_POS_TAGS, TaggedContext, TaggedToken,
                                 lemma_key, load_lexicon, read_tagged_contexts)
@@ -128,6 +132,16 @@ class TestTaggedContexts:
         with pytest.raises(ParseError) as exc:
             read_tagged_contexts(str(p))
         assert exc.value.line == 2
+
+    def test_well_formed_file_is_read_a_block_at_a_time(self, tmp_path):
+        # the per-line reader is only the fallback: the block reader accepts
+        # the toy tagged file, with or without a byte-order mark
+        p = tmp_path / "tagged.tsv"
+        data = (Path(__file__).parent / "data" / "toy" / "tagged_contexts.tsv").read_bytes()
+        for bom in (b"", codecs.BOM_UTF8):
+            p.write_bytes(bom + data)
+            contexts = lexicon._read_blocks(str(p), None)
+            assert contexts and contexts == lexicon._read_lines(str(p), None)
 
 
 class TestContentFilter:

@@ -2,6 +2,7 @@
 ValidationError, whatever bytes its file holds; no other exception may
 escape to the command line as a traceback."""
 
+import codecs
 import json
 import re
 from pathlib import Path
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from pncvalence import lexicon
 from pncvalence.cli import (CSV_ARTIFACTS, RunConfig, _delta_record, _match_record,
                             read_csv_artifact)
 from pncvalence.corpus import TARGETS_FIELDS, read_corpus_jsonl, read_targets_csv
@@ -17,6 +19,8 @@ from pncvalence.errors import ParseError, ValidationError
 from pncvalence.lexicon import load_lexicon, read_tagged_contexts
 from pncvalence.regression import METADATA_FIELDS, read_metadata_csv
 from pncvalence.sentiment import read_label_jsonl
+
+TOY = Path(__file__).parent / "data" / "toy"
 
 # characters that carry meaning in one of the formats, plus a few that
 # normalise, case-fold or fall outside the BMP
@@ -155,3 +159,83 @@ def test_tagged_reader_keeps_exactly_the_asked_blocks(tmp_path):
                     == [(c.content_keys, c.tokens) for c in expected])
 
     check()
+
+
+# tagged files on which the block reader must give what the per-line reader
+# gives: well-formed blocks, some under a header with a tab or trailing
+# spaces, some with no final newline or a byte-order mark; and as many files
+# with a line or two put in anywhere: a carriage return, a whitespace-only
+# line, a token line with leading whitespace or the wrong number of fields,
+# an undecodable byte, or an empty or repeated id
+odd_line = st.sampled_from([
+    "Tor\tTor\tNN\r", "Tor\rTor\tTor\tNN", "\r", "#doc:t\r", " \t\t", "\u2028\t\t",
+    "\x1c\t\t", "\xa0\t\t", " \t \t ", "", " ", "\t\t", "\x1c", " Tor\tTor\tNN",
+    "\tTor\tNN", "Tor\tNN", "Tor\tTor\tNN\tNE", "Tor\tTor\u2028\tNN", "#Tor\tTor\tNN",
+    "#doc:", "#doc: ", "#doc:a", "\udcff"])
+token_line = st.tuples(tag_cell.filter(bool), tag_cell, tag_cell).map("\t".join)
+header_line = st.sampled_from([*("#doc:" + c for c in "abcdefghijklmnop"),
+                               "#doc:\tq", "#doc:r  ", "#doc:s\t"])
+tagged_blocks = st.lists(
+    st.tuples(header_line, st.lists(token_line, max_size=5),
+              st.sampled_from([[], [""], ["", ""]])),
+    max_size=6, unique_by=lambda block: block[0].strip(),
+).map(lambda blocks: [line for head, body, end in blocks for line in (head, *body, *end)])
+
+
+def put_in(lines, odd):
+    lines = list(lines)
+    for at, line in odd:
+        lines.insert(at % (len(lines) + 1), line)
+    return lines
+
+
+def tagged_bytes(bom, lines, final_newline):
+    text = "\n".join(lines) + final_newline
+    return (codecs.BOM_UTF8 if bom else b"") + text.encode("utf-8", "surrogateescape")
+
+
+tagged_file = st.builds(
+    tagged_bytes, st.booleans(),
+    tagged_blocks | st.builds(put_in, tagged_blocks, st.lists(
+        st.tuples(st.integers(0, 40), odd_line), min_size=1, max_size=2)),
+    st.sampled_from(["\n", ""]))
+
+
+def test_block_reader_agrees_with_the_line_reader(tmp_path, monkeypatch):
+    # read_tagged_contexts returns what the per-line reader returns, or fails
+    # with its message and line, with chunks so short that blocks cross them
+    path = tmp_path / "tagged_contexts.tsv"
+
+    @settings(max_examples=500, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(tagged_file, st.integers(1, 12),
+           st.none() | st.sets(st.sampled_from("abcdefghijklmnopqrs")))
+    def check(data, chunk_chars, doc_ids):
+        monkeypatch.setattr(lexicon, "_CHUNK_CHARS", chunk_chars)
+        path.write_bytes(data)
+
+        def outcome(read):
+            try:
+                return read(str(path), doc_ids)
+            except ParseError as exc:
+                return str(exc), exc.line
+
+        assert outcome(read_tagged_contexts) == outcome(lexicon._read_lines)
+
+    check()
+
+
+@pytest.mark.parametrize("name, file", [
+    ("targets", "targets.csv"), ("corpus", "corpus.jsonl"), ("lexicon", "lexicon.tsv"),
+    ("tagged_contexts", "tagged_contexts.tsv"), ("labels", "labels_human.jsonl"),
+    ("metadata", "metadata.csv")])
+def test_byte_order_mark_is_not_content(tmp_path, name, file):
+    read = READERS[name][0]
+    data = (TOY / file).read_bytes()
+    plain, marked = tmp_path / "plain", tmp_path / "marked"
+    plain.write_bytes(data)
+    marked.write_bytes(codecs.BOM_UTF8 + data)
+    expected, got = read(str(plain)), read(str(marked))
+    if name == "lexicon":
+        expected, got = expected.entries, got.entries
+    assert got == expected
