@@ -170,7 +170,8 @@ class RunConfig:
         if not p.is_file():
             raise MissingArtifactError(f"config file not found: {path}")
         try:
-            data = parse_json(p.read_text(encoding="utf-8"), parse_constant=_not_json)
+            data = parse_json(p.read_text(encoding="utf-8-sig"),
+                              parse_constant=_not_json)
         except ValueError as exc:
             raise ParseError(f"config is not valid JSON: {exc}", path=path) from exc
         if not isinstance(data, dict):
@@ -204,7 +205,8 @@ class RunConfig:
             require(isinstance(self[key], bool), f"{key} must be true or false")
         for key in ("annotators", "label_files", "univariate_predictors"):
             require(_strings(self.get(key, [])), f"{key} must be a list of strings")
-        for key in ("human_label_file", "elasticnet_formula"):
+        for key in ("targets", "corpus", "lexicon", "tagged_contexts", "metadata",
+                    "out_dir", "human_label_file", "elasticnet_formula"):
             require(isinstance(self.get(key, ""), str), f"{key} must be a string")
         specs = self.get("model_specs", [])
         require(isinstance(specs, list)
@@ -248,7 +250,7 @@ class RunConfig:
 
     @property
     def out_dir(self) -> Path:
-        return (self.config_dir / str(self.data["out_dir"])).resolve()
+        return (self.config_dir / self.data["out_dir"]).resolve()
 
     def __getitem__(self, key: str):
         return self.data[key]
@@ -263,9 +265,9 @@ class RunConfig:
             raise ValidationError(f"config lacks required key {key!r}")
         return self.input_file(raw, key)
 
-    def input_file(self, raw: object, what: str) -> Path:
+    def input_file(self, raw: str, what: str) -> Path:
         """Resolve an input file given relative to the config file."""
-        p = (self.config_dir / str(raw)).resolve()
+        p = (self.config_dir / raw).resolve()
         if not p.is_file():
             raise MissingArtifactError(f"{what} file not found: {p}")
         self.inputs.append(p)
@@ -395,8 +397,7 @@ def cmd_variants(cfg: RunConfig) -> None:
     targets = read_targets_csv(str(cfg.input_path("targets")))
     rows = []
     for target in targets:
-        vs = generate_variants(target)
-        for position, (variant, heuristic) in enumerate(vs.variants):
+        for position, (variant, heuristic) in enumerate(generate_variants(target)):
             rows.append([target.target_id, position, variant, heuristic])
     out = write_csv_artifact(cfg, "variants.csv", rows)
     print(f"variants: {len(rows)} rows for {len(targets)} targets -> {out}")
@@ -484,6 +485,8 @@ def _optional_float(raw: str) -> float | None:
 
 def _match_record(row: dict[str, str]) -> ContextMatch:
     """A ContextMatch from a row of matches.csv, whose columns are its fields."""
+    if row["kind"] not in KINDS:
+        raise ValueError(f"unknown kind {row['kind']!r}; expected one of {KINDS}")
     return ContextMatch(**(row | {"byte_start": int(row["byte_start"]),
                                   "byte_end": int(row["byte_end"])}))
 
@@ -830,10 +833,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         with cfg.publishing(args.command):
             args.run(cfg)
             write_manifest(cfg, args.command)
-    except MissingArtifactError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MISSING_INPUT
-    except OSError as exc:  # e.g. an out_dir that cannot be created
+    except (MissingArtifactError, OSError) as exc:
+        # an OSError is e.g. an out_dir that cannot be created
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MISSING_INPUT
     except PncValenceError as exc:

@@ -103,22 +103,6 @@ class Document:
 
 
 @dataclass(frozen=True)
-class VariantSet:
-    """Ordered, deduplicated search variants for one target.
-
-    variants[0] is always the original surface. Wildcard entries hold a
-    regex pattern string encoding "modifier <0-2 any chars> head"; all other
-    entries are literal strings.
-    """
-
-    target_id: str
-    variants: tuple[tuple[str, str], ...]  # (variant_string, heuristic_tag)
-
-    def strings(self) -> list[str]:
-        return [v for v, _ in self.variants]
-
-
-@dataclass(frozen=True)
 class ContextMatch:
     """One occurrence of a target (as compound or full name) in a document."""
 
@@ -130,26 +114,9 @@ class ContextMatch:
     byte_end: int
 
 
-def fold_chars(s: str, table: dict[str, str]) -> tuple[str, list[tuple[int, str]]]:
-    """Replace every mapped character, returning the folded string plus edit sites.
-
-    Each site is (index into the folded string, original character); all
-    mappings in this module replace one character with two, so the sites are
-    enough to reverse the fold exactly.
-    """
-    out: list[str] = []
-    sites: list[tuple[int, str]] = []
-    pos = 0
-    for ch in s:
-        repl = table.get(ch)
-        if repl is None:
-            out.append(ch)
-            pos += 1
-        else:
-            sites.append((pos, ch))
-            out.append(repl)
-            pos += len(repl)
-    return "".join(out), sites
+def fold_chars(s: str, table: dict[str, str]) -> str:
+    """Replace every character the table maps by its replacement."""
+    return s.translate(str.maketrans(table))
 
 
 def split_compound(target: TargetSpec) -> tuple[str, str, str]:
@@ -177,14 +144,16 @@ def split_compound(target: TargetSpec) -> tuple[str, str, str]:
         f"target {target.target_id!r}: cannot separate modifier and head in {pnc!r}")
 
 
-def generate_variants(target: TargetSpec) -> VariantSet:
-    """Expand a target into its ordered, deduplicated search variant set.
+def generate_variants(target: TargetSpec) -> tuple[tuple[str, str], ...]:
+    """Expand a target into its ordered, deduplicated (variant, heuristic) pairs.
 
-    Heuristics are applied to the original one at a time (never composed):
-    umlaut and eszett transliteration on modifier and head independently and
-    jointly, linking-element and singular/plural toggles on the modifier,
-    user-supplied alternative spellings, and a single bounded-gap wildcard
-    pattern. Deterministic: repeated calls yield identical sets.
+    The first pair is always the original surface. Heuristics are applied to
+    the original one at a time (never composed): umlaut and eszett
+    transliteration on modifier and head independently and jointly,
+    linking-element and singular/plural toggles on the modifier,
+    user-supplied alternative spellings, and a single bounded-gap wildcard,
+    a regex pattern "modifier <0-2 any chars> head"; every other variant is
+    a literal string. Deterministic: repeated calls yield identical pairs.
     """
     mod, sep, head = split_compound(target)
     original = mod + sep + head
@@ -200,13 +169,13 @@ def generate_variants(target: TargetSpec) -> VariantSet:
     add(original, H_ORIGINAL)
 
     for table, tag in ((_UMLAUT_FOLD, H_UMLAUT), (_ESZETT_FOLD, H_ESZETT)):
-        mod_f, mod_sites = fold_chars(mod, table)
-        head_f, head_sites = fold_chars(head, table)
-        if mod_sites:
+        mod_f = fold_chars(mod, table)
+        head_f = fold_chars(head, table)
+        if mod_f != mod:
             add(mod_f + sep + head, tag)
-        if head_sites:
+        if head_f != head:
             add(mod + sep + head_f, tag)
-        if mod_sites and head_sites:
+        if mod_f != mod and head_f != head:
             add(mod_f + sep + head_f, tag)
 
     for suffix in INTERFIXES:
@@ -228,7 +197,7 @@ def generate_variants(target: TargetSpec) -> VariantSet:
 
     add(re.escape(mod) + WILDCARD_GAP + re.escape(head), H_WILDCARD)
 
-    return VariantSet(target_id=target.target_id, variants=tuple(entries))
+    return tuple(entries)
 
 
 class _CaseFold(dict):
@@ -301,7 +270,7 @@ def _compile_targets(targets: Sequence[TargetSpec],
     """
     expanded, alphabet = [], set()
     for target in targets:
-        variants = generate_variants(target).variants
+        variants = generate_variants(target)
         mod, _, head = split_compound(target)
         name = nfc(target.full_name)
         expanded.append((target, variants, mod, head, name))

@@ -311,10 +311,6 @@ def ols_fit(x: np.ndarray, y: np.ndarray,
         f_statistic=f_stat, f_p_value=f_p, residuals=resid, fitted=fitted)
 
 
-def fit_design(design: DesignMatrix) -> OlsFit:
-    return ols_fit(design.x, design.y, design.columns)
-
-
 @dataclass(frozen=True)
 class UnivariateResult:
     """One row of the single-predictor scan: numeric predictors yield one
@@ -343,7 +339,7 @@ def univariate_scan(rows: Sequence[FeatureRow],
             if len(design.columns) < 2:
                 raise ValidationError(
                     f"predictor {predictor!r} contributes no column")
-            fit = fit_design(design)
+            fit = ols_fit(design.x, design.y, design.columns)
         except (ValidationError, RankDeficiencyError) as exc:
             notes.append(f"{predictor}: skipped ({exc})")
             continue
@@ -376,7 +372,7 @@ def multivariate_suite(rows: Sequence[FeatureRow],
     for name, formula in specs:
         try:
             design = encode_features(rows, formula)
-            fit = fit_design(design)
+            fit = ols_fit(design.x, design.y, design.columns)
         except (ValidationError, RankDeficiencyError) as exc:
             notes.append(f"{name}: skipped ({exc})")
             continue
@@ -445,11 +441,6 @@ class ElasticNetFit:
     n_sweeps: int
     objective: float
     objective_trace: tuple[float, ...]
-
-    def predict(self, x: np.ndarray) -> np.ndarray:
-        import numpy as np
-
-        return self.intercept + np.asarray(x, dtype=float) @ self.coefficients
 
 
 @dataclass(frozen=True)
@@ -748,7 +739,7 @@ def cv_random_search(x: np.ndarray, y: np.ndarray, *,
     best = min(candidates, key=lambda c: (c.mean_error, c.index))
     fit = elastic_net_fit(x_std, y, best.lam, best.alpha, columns=columns)
 
-    resid = y - fit.predict(x_std)
+    resid = y - (fit.intercept + x_std @ fit.coefficients)
     tss = float(((y - y.mean()) ** 2).sum())
     train_r2 = 1.0 - float(resid @ resid) / tss if tss > 0 else 0.0
 

@@ -47,7 +47,6 @@ class LabelRecord:
 @dataclass(frozen=True)
 class LabelHistogram:
     target_id: str
-    source_id: str
     n_negative: int
     n_neutral: int
     n_positive: int
@@ -194,31 +193,25 @@ def read_label_jsonl(path: str) -> list[LabelRecord]:
 
 
 def build_histograms(records: Iterable[LabelRecord]) -> list[LabelHistogram]:
-    """Aggregate label records into per-(target, source) histograms, sorted
-    by (target_id, source_id)."""
-    counts: dict[tuple[str, str], dict[str, int]] = defaultdict(
+    """Aggregate label records into per-target histograms, sorted by
+    target_id. The records are those of one source or one pool of sources."""
+    counts: dict[str, dict[str, int]] = defaultdict(
         lambda: {label: 0 for label in LABELS})
     for rec in records:
-        counts[(rec.target_id, rec.source_id)][rec.label] += 1
+        counts[rec.target_id][rec.label] += 1
     return [
-        LabelHistogram(target_id=t, source_id=s,
-                       n_negative=c["negative"], n_neutral=c["neutral"],
-                       n_positive=c["positive"])
-        for (t, s), c in sorted(counts.items())
+        LabelHistogram(target_id=t, n_negative=c["negative"],
+                       n_neutral=c["neutral"], n_positive=c["positive"])
+        for t, c in sorted(counts.items())
     ]
 
 
-def pool_annotators(records: Iterable[LabelRecord], annotators: Sequence[str],
-                    pooled_id: str = "human") -> list[LabelRecord]:
-    """Merge several annotators' labels into one pooled source: every label
-    from a listed annotator is re-attributed to pooled_id, so the pooled
-    histogram counts each individual judgement."""
+def pool_annotators(records: Iterable[LabelRecord],
+                    annotators: Sequence[str]) -> list[LabelRecord]:
+    """The labels of the listed annotators, one pool: its histograms count
+    each individual judgement."""
     pool = set(annotators)
-    return [
-        LabelRecord(target_id=r.target_id, context_id=r.context_id,
-                    label=r.label, source_id=pooled_id)
-        for r in records if r.source_id in pool
-    ]
+    return [r for r in records if r.source_id in pool]
 
 
 def kind_index(matches: Iterable[ContextMatch]) -> dict[tuple[str, str], frozenset[str]]:

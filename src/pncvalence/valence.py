@@ -77,24 +77,6 @@ class DeltaRecord:
     modifier_delta: float | None = None
 
 
-def target_valence_from_contexts(target_id: str, kind: str,
-                                 contexts: Sequence[TaggedContext],
-                                 lexicon: ValenceLexicon) -> ScoreRecord | None:
-    """Score one (target, kind) by the mean over the pooled lemma bag of its
-    matched contexts; None when no content lemma resolves in the lexicon."""
-    if kind not in KINDS:
-        raise ValidationError(f"unknown kind {kind!r}; expected one of {KINDS}")
-
-    bag = [v for c in contexts for v in map(lexicon.entries.get, c.content_keys)
-           if v is not None]
-    if not bag:
-        return None
-    valence = math.fsum(bag) / len(bag)
-    return ScoreRecord(target_id=target_id, kind=kind, approach="norms",
-                       valence=valence, n_contexts=len(contexts),
-                       n_context_lemmas=len(bag))
-
-
 def _docs_by_pair(matches: Iterable[ContextMatch]) -> dict[tuple[str, str], dict[str, None]]:
     """(target_id, kind) -> the ids of the documents it matched, each once, in
     the order of their first match (the dict keys)."""
@@ -109,6 +91,7 @@ def target_valence(matches: Iterable[ContextMatch],
                    ) -> tuple[list[ScoreRecord], list[Note]]:
     """Score every (target, kind) pair that has matches and tagged contexts.
 
+    The bag W_t pools the content lemmas of each matched document once.
     tagged maps doc_id to its tagged context; matched documents without an
     entry are skipped with a warning. Returns the records sorted by
     (target_id, kind) plus a note on each unscorable pair.
@@ -125,12 +108,16 @@ def target_valence(matches: Iterable[ContextMatch],
                 missing_docs.add(doc_id)
                 continue
             contexts.append(ctx)
-        rec = target_valence_from_contexts(target_id, kind, contexts, lexicon)
-        if rec is None:
+        bag = [v for c in contexts for v in map(lexicon.entries.get, c.content_keys)
+               if v is not None]
+        if not bag:
             notes.append((f"{target_id}/{kind}",
                           "no content lemma found in lexicon; unscorable"))
-        else:
-            records.append(rec)
+            continue
+        records.append(ScoreRecord(
+            target_id=target_id, kind=kind, approach="norms",
+            valence=math.fsum(bag) / len(bag), n_contexts=len(contexts),
+            n_context_lemmas=len(bag)))
     if missing_docs:
         logger.warning("no tagged context for %d matched document(s): %s",
                        len(missing_docs), ", ".join(sorted(missing_docs)[:5]))

@@ -21,18 +21,16 @@ from scipy import integrate
 
 from pncvalence.cli import main
 from pncvalence.corpus import (H_ALT_SPELLING, H_ESZETT, H_INTERFIX_DROP,
-                               H_NUMBER, H_ORIGINAL, H_UMLAUT, TargetSpec,
-                               fold_chars, generate_variants, _ESZETT_FOLD,
-                               _UMLAUT_FOLD)
+                               H_NUMBER, H_ORIGINAL, H_UMLAUT, ContextMatch,
+                               TargetSpec, fold_chars, generate_variants,
+                               _ESZETT_FOLD, _UMLAUT_FOLD)
 from pncvalence.lexicon import TaggedContext, TaggedToken, ValenceLexicon
 from pncvalence.regression import (FeatureRow, elastic_net_fit,
-                                   encode_features, fit_design, lambda_max,
+                                   encode_features, lambda_max,
                                    ols_fit, standardize_columns)
 from pncvalence.sentiment import LabelHistogram, eq2_valence
 from pncvalence.stats import pearson, spearman, student_t_sf
-from pncvalence.valence import (ScoreRecord, compute_deltas,
-                                target_valence_from_contexts)
-from test_variants import unfold_chars
+from pncvalence.valence import ScoreRecord, compute_deltas, target_valence
 
 TOY_CONFIG = str(Path(__file__).parent / "data" / "toy" / "config.json")
 GOLDEN = Path(__file__).parent / "data" / "golden"
@@ -90,7 +88,12 @@ def test_criterion_01_context_valence_brute_force(capsys):
                     value = entries.get(form.lower())
                     if value is not None:
                         hits.append(value)
-            score = target_valence_from_contexts("t", "pnc", contexts, lexicon)
+            matches = [ContextMatch(target_id="t", doc_id=c.doc_id, kind="pnc",
+                                    matched_variant="v", byte_start=0, byte_end=1)
+                       for c in contexts]
+            records, _ = target_valence(
+                matches, {c.doc_id: c for c in contexts}, lexicon)
+            score = records[0] if records else None
             if not hits:
                 assert score is None, f"case {case}: expected unscorable"
             else:
@@ -108,7 +111,7 @@ def test_criterion_02_label_valence_exhaustive(capsys):
     with criterion(capsys, 2, "label-distribution valence is exact and "
                               "monotone over every histogram up to 12 labels"):
         def value(neg, neu, pos):
-            rec = eq2_valence(LabelHistogram("t", "s", neg, neu, pos),
+            rec = eq2_valence(LabelHistogram("t", neg, neu, pos),
                               "pnc", "human")
             return None if rec is None else rec.valence
 
@@ -152,8 +155,7 @@ def test_criterion_03_variant_mappings_and_fuzz(capsys):
              ("Gasprom-Schröder",)),
         ]
         for pnc, variant, tag, alts in expected:
-            vs = generate_variants(make_target(pnc, alts))
-            assert (variant, tag) in vs.variants, pnc
+            assert (variant, tag) in generate_variants(make_target(pnc, alts)), pnc
 
         letters = "abdehiklmnorstuäöüß"
         rng = random.Random(7)
@@ -163,26 +165,23 @@ def test_criterion_03_variant_mappings_and_fuzz(capsys):
             head = "".join(rng.choice(letters)
                            for _ in range(rng.randint(3, 8))).capitalize()
             target = make_target(f"{mod}-{head}")
-            vs = generate_variants(target)
+            variants = generate_variants(target)
             again = generate_variants(target)
-            assert vs == again  # deterministic
-            strings = vs.strings()
+            assert variants == again  # deterministic
+            strings = [v for v, _ in variants]
             assert strings[0] == target.pnc_surface
-            assert vs.variants[0][1] == H_ORIGINAL
+            assert variants[0][1] == H_ORIGINAL
             assert len(set(strings)) == len(strings)
-            # every fold variant must transliterate one or both sides and
-            # unfold back to exactly the side it came from
+            # every fold variant must transliterate one or both sides
             for table, tag in ((_UMLAUT_FOLD, H_UMLAUT),
                                (_ESZETT_FOLD, H_ESZETT)):
-                folded_mod, mod_sites = fold_chars(mod, table)
-                folded_head, head_sites = fold_chars(head, table)
-                assert unfold_chars(folded_mod, mod_sites) == mod
-                assert unfold_chars(folded_head, head_sites) == head
+                folded_mod = fold_chars(mod, table)
+                folded_head = fold_chars(head, table)
                 candidates = {f"{m}-{h}"
                               for m in (mod, folded_mod)
                               for h in (head, folded_head)
                               if (m, h) != (mod, head)}
-                for value, vtag in vs.variants:
+                for value, vtag in variants:
                     if vtag == tag:
                         assert value in candidates, (mod, head, value)
 
@@ -369,7 +368,7 @@ def test_criterion_08_recovers_planted_linear_model(capsys):
                                        "pnc_valence": float(x[i])})
                     for i in range(len(x))]
             design = encode_features(rows, "delta ~ pnc_valence")
-            fit = fit_design(design)
+            fit = ols_fit(design.x, design.y, design.columns)
             assert design.columns == ("(Intercept)", "pnc_valence")
             intercepts.append(fit.coefficients[0])
             slopes.append(fit.coefficients[1])

@@ -317,6 +317,18 @@ class TestExitCodes:
         assert main(["variants", "--config", str(bad)]) == 3
         assert "min_freq" in capsys.readouterr().err
 
+    def test_config_may_begin_with_a_byte_order_mark(self, tmp_path):
+        # like every input file the config names
+        plain = Path(toy_config(tmp_path / "cfg"))
+        bom = plain.with_name("bom.json")
+        bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        assert main(["variants", "--config", str(plain),
+                     "--out", str(tmp_path / "plain")]) == 0
+        assert main(["variants", "--config", str(bom),
+                     "--out", str(tmp_path / "with_bom")]) == 0
+        assert ((tmp_path / "with_bom" / "variants.csv").read_bytes()
+                == (tmp_path / "plain" / "variants.csv").read_bytes())
+
     def test_unparseable_config_is_exit_3(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json", encoding="utf-8")
@@ -479,13 +491,30 @@ class TestConfigValidation:
         ("score", {"duplicate_policy": "first_wins"}, "duplicate_policy"),
         ("compare", {"compare_mode": "sign_class"}, "compare_mode"),
         ("match", {"dedupe_urls": True}, "dedupe_urls"),
+        # a path must be a string, not a list or a number
+        ("variants", {"targets": ["targets.csv"]}, "targets"),
+        ("match", {"corpus": 5}, "corpus"),
+        ("score", {"lexicon": ["lexicon.tsv"]}, "lexicon"),
+        ("score", {"tagged_contexts": 1.5}, "tagged_contexts"),
+        ("regress", {"metadata": {"path": "metadata.csv"}}, "metadata"),
+        ("variants", {"out_dir": 5}, "out_dir"),
+        ("variants", {"out_dir": None}, "out_dir"),
     ])
     def test_bad_value_is_exit_3_naming_the_key(self, tmp_path, out, capsys,
                                                 command, change, key):
         run_dir = tmp_path / "o"
         shutil.copytree(out, run_dir)
         cfg = toy_config(tmp_path, **change)
-        assert main([command, "--config", cfg, "--out", str(run_dir)]) == 3
+        if "out_dir" in change:
+            # --out would replace the configured out_dir before it is checked
+            cfg_path = Path(cfg)
+            data = json.loads(cfg_path.read_text(encoding="utf-8"))
+            data["out_dir"] = change["out_dir"]
+            cfg_path.write_text(json.dumps(data), encoding="utf-8")
+            args = [command, "--config", cfg]
+        else:
+            args = [command, "--config", cfg, "--out", str(run_dir)]
+        assert main(args) == 3
         assert key in capsys.readouterr().err
 
     @pytest.mark.parametrize("command, change", [
@@ -637,6 +666,14 @@ def bad_byte_in_row_1(path):
     return 3
 
 
+def bad_kind_in_row_1(path):
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    target_id, doc_id, _kind, rest = lines[2].split(",", 3)
+    lines[2] = ",".join((target_id, doc_id, "foo", rest))
+    path.write_text("".join(lines), encoding="utf-8")
+    return 3
+
+
 class TestCorruptArtifacts:
     @pytest.mark.parametrize("artifact, command, corrupt", [
         ("deltas.csv", "compare", bad_value_in_row_1),
@@ -645,6 +682,8 @@ class TestCorruptArtifacts:
         ("matches.csv", "score", bad_value_in_row_1),
         ("matches.csv", "sentiment", cut_inside_row_1),
         ("matches.csv", "score", bad_byte_in_row_1),
+        ("matches.csv", "score", bad_kind_in_row_1),
+        ("matches.csv", "sentiment", bad_kind_in_row_1),
     ])
     def test_reading_stage_exits_3_with_path_and_line(
             self, tmp_path, out, capsys, artifact, command, corrupt):
@@ -1030,6 +1069,12 @@ class TestSignRule:
 
 
 class TestReadme:
+    def test_configuration_section_names_every_key(self):
+        readme = (REPO / "README.md").read_text(encoding="utf-8")
+        section = readme.split("## Configuration", 1)[1].split("\n## ", 1)[0]
+        keys = set(cli._KEYS).union(*map(set, cli._BLOCK_TYPES.values()))
+        assert sorted(k for k in keys if f"`{k}`" not in section) == []
+
     def test_library_use_example_runs_on_toy_fixture(self, monkeypatch):
         readme = (REPO / "README.md").read_text(encoding="utf-8")
         section = readme.split("## Library use", 1)[1]

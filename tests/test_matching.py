@@ -44,7 +44,7 @@ def brute_force(corpus, targets, case_insensitive=False, include_overlaps=True):
             offsets.append(offsets[-1] + len(ch.encode("utf-8")))
         for t in targets:
             taken, pnc_hit = set(), False
-            for variant, tag in generate_variants(t).variants:
+            for variant, tag in generate_variants(t):
                 source = variant if tag == H_WILDCARD else re.escape(variant)
                 for m in re.finditer(source, text, flags):
                     if m.span() in taken:
@@ -88,7 +88,7 @@ def targets_and_corpus(draw):
             last_name=last, domain="sports",
             alt_spellings=tuple(draw(st.lists(part, max_size=2)))))
     mentions = [m for t in targets for m in (
-        *(v for v, tag in generate_variants(t).variants if tag != H_WILDCARD),
+        *(v for v, tag in generate_variants(t) if tag != H_WILDCARD),
         t.modifier_surface + "#" + t.head_surface, t.head_surface, t.full_name)]
     piece = st.one_of(st.sampled_from(mentions), st.text(FILLER, max_size=5))
     corpus = []

@@ -21,9 +21,9 @@ def rec(tid, cid, label, source="m1"):
                        source_id=source)
 
 
-def hist(tid, neg, neu, pos, source="m1"):
-    return LabelHistogram(target_id=tid, source_id=source, n_negative=neg,
-                          n_neutral=neu, n_positive=pos)
+def hist(tid, neg, neu, pos):
+    return LabelHistogram(target_id=tid, n_negative=neg, n_neutral=neu,
+                          n_positive=pos)
 
 
 class TestEq2Valence:
@@ -51,11 +51,9 @@ class TestEq2Valence:
 class TestHistograms:
     def test_build_sorted(self):
         records = [rec("b", "c1", "positive"), rec("a", "c1", "negative"),
-                   rec("a", "c2", "negative"), rec("a", "c3", "neutral"),
-                   rec("a", "c1", "positive", source="m2")]
+                   rec("a", "c2", "negative"), rec("a", "c3", "neutral")]
         hists = build_histograms(records)
-        assert [(h.target_id, h.source_id) for h in hists] == [
-            ("a", "m1"), ("a", "m2"), ("b", "m1")]
+        assert [h.target_id for h in hists] == ["a", "b"]
         assert hists[0].n_negative == 2
         assert hists[0].n_neutral == 1
         assert hists[0].total == 3
@@ -66,7 +64,6 @@ class TestHistograms:
                    rec("a", "c1", "neutral", "model_x")]
         pooled = pool_annotators(records, ["a1", "a2"])
         assert len(pooled) == 2
-        assert all(r.source_id == "human" for r in pooled)
         # each individual judgement still counts in the histogram
         h = build_histograms(pooled)[0]
         assert (h.n_negative, h.n_neutral, h.n_positive) == (1, 0, 1)

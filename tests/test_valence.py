@@ -4,14 +4,14 @@ import unicodedata
 
 import pytest
 
+from pncvalence.cli import _match_record
 from pncvalence.corpus import ContextMatch, TargetSpec
 from pncvalence.errors import ValidationError
 from pncvalence.lexicon import TaggedContext, ValenceLexicon
 from pncvalence.valence import (DeltaRecord, ScoreRecord, compute_deltas,
                                 delta_sign, domain_summary,
                                 frequent_context_words, modifier_valence,
-                                sign_summary, target_valence,
-                                target_valence_from_contexts)
+                                sign_summary, target_valence)
 
 
 def ctx(doc_id, *lemma_pos):
@@ -35,11 +35,19 @@ LEX = ValenceLexicon({"gut": 8.0, "schlecht": 2.0, "tor": 5.89, "mittel": 5.0,
                       "feiern": 7.5})
 
 
+def pnc_score(contexts, lexicon=LEX):
+    """The record of target t matched as a compound in every context's
+    document, or None when the pair is unscorable."""
+    records, _ = target_valence([match("t", c.doc_id) for c in contexts],
+                                {c.doc_id: c for c in contexts}, lexicon)
+    return records[0] if records else None
+
+
 class TestContextValence:
     def test_pooled_mean_over_lemma_bag(self):
         contexts = [ctx("d1", ("gut", "ADJD"), ("schlecht", "ADJA")),
                     ctx("d2", ("gut", "ADJD"))]
-        rec = target_valence_from_contexts("t", "pnc", contexts, LEX)
+        rec = pnc_score(contexts)
         assert rec.valence == pytest.approx((8.0 + 2.0 + 8.0) / 3)
         assert rec.n_contexts == 2
         assert rec.n_context_lemmas == 3
@@ -48,19 +56,24 @@ class TestContextValence:
     def test_function_words_and_oov_ignored(self):
         contexts = [ctx("d1", ("gut", "ADJD"), ("der", "ART"),
                         ("gut", "KON"), ("unbekannt", "NN"))]
-        rec = target_valence_from_contexts("t", "pnc", contexts, LEX)
+        rec = pnc_score(contexts)
         # "der" wrong POS, "gut/KON" wrong POS, "unbekannt" out of vocabulary
         assert rec.valence == 8.0
         assert rec.n_context_lemmas == 1
 
     def test_unscorable_yields_none(self):
         contexts = [ctx("d1", ("unbekannt", "NN"), ("der", "ART"))]
-        assert target_valence_from_contexts("t", "pnc", contexts, LEX) is None
-        assert target_valence_from_contexts("t", "pnc", [], LEX) is None
+        assert pnc_score(contexts) is None
+        # a matched document without a tagged context adds nothing to the bag
+        assert target_valence([match("t", "d1")], {}, LEX) == (
+            [], [("t/pnc", "no content lemma found in lexicon; unscorable")])
 
     def test_invalid_kind_and_pooling(self):
-        with pytest.raises(ValidationError):
-            target_valence_from_contexts("t", "modifier", [], LEX)
+        # a kind outside KINDS is rejected where matches.csv is read
+        row = {"target_id": "t", "doc_id": "d1", "kind": "modifier",
+               "matched_variant": "v", "byte_start": "0", "byte_end": "1"}
+        with pytest.raises(ValueError, match="modifier"):
+            _match_record(row)
 
     def test_brute_force_randomized(self):
         rng = random.Random(77)
@@ -78,7 +91,7 @@ class TestContextValence:
                     if pos != "ART" and w in vocab:
                         expected.append(vocab[w])
                 contexts.append(ctx(f"d{d}", *pairs))
-            rec = target_valence_from_contexts("t", "pnc", contexts, lex)
+            rec = pnc_score(contexts, lex)
             if not expected:
                 assert rec is None
             else:
