@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 import re
 import shutil
@@ -51,6 +52,60 @@ def read_rows(path):
     with open(path, encoding="utf-8", newline="") as fh:
         return list(csv.DictReader(line for line in fh
                                    if not line.startswith("#")))
+
+
+GOLDEN = Path(__file__).parent / "data" / "golden"
+REGRESS_OUTPUTS = ("univariate.csv", "multivariate.csv", "regression.json",
+                   "elasticnet.json")
+# the largest change a numpy release has made to a regress output is 1.45e-12
+# relative on a p-value and 1.2e-12 on a coefficient; 1e-9 is about 700 times
+# that, and a CSV cell written to 6 decimals holds no more anyway
+REGRESS_REL_TOL = 1e-9
+
+
+def _cell(text):
+    for parse in (int, float):
+        try:
+            return parse(text)
+        except ValueError:
+            pass
+    return text
+
+
+def regress_record(out_dir):
+    """Every value the regress outputs in out_dir hold: the CSV rows with
+    their cells as ints, floats or strings, and each JSON body without meta.
+    tests/data/golden/toy_regress.json is this record of the toy run."""
+    record = {}
+    for name in REGRESS_OUTPUTS:
+        if name.endswith(".csv"):
+            record[name] = [{k: _cell(v) for k, v in row.items()}
+                            for row in read_rows(out_dir / name)]
+        else:
+            body = json.loads((out_dir / name).read_text(encoding="utf-8"))
+            del body["meta"]
+            record[name] = body
+    return record
+
+
+def assert_close(actual, expected, where):
+    """Floats agree to REGRESS_REL_TOL; every other value, key and length
+    is equal."""
+    if isinstance(expected, dict):
+        assert isinstance(actual, dict) and list(actual) == list(expected), where
+        for key in expected:
+            assert_close(actual[key], expected[key], f"{where}.{key}")
+    elif isinstance(expected, list):
+        assert isinstance(actual, list) and len(actual) == len(expected), where
+        for i, (a, e) in enumerate(zip(actual, expected)):
+            assert_close(a, e, f"{where}[{i}]")
+    elif isinstance(expected, float):
+        assert isinstance(actual, float), where
+        assert math.isclose(actual, expected, rel_tol=REGRESS_REL_TOL), (
+            where, actual, expected)
+    else:
+        assert type(actual) is type(expected) and actual == expected, (
+            where, actual, expected)
 
 
 @pytest.fixture(scope="module")
@@ -262,6 +317,12 @@ class TestPipelineArtifacts:
             key=lambda c: (c["mean_error"], c["index"]))["index"]
         assert set(net["coefficients"]) == {"pnc_valence", "modifier_valence",
                                             "age"}
+
+    def test_regress_outputs_match_the_golden_record(self, out):
+        # tables 6 and 7 and the elastic net, down to best.index and the
+        # coefficients; toy_outputs.sha256 cannot pin their bytes
+        golden = json.loads((GOLDEN / "toy_regress.json").read_text(encoding="utf-8"))
+        assert_close(regress_record(out), golden, "toy")
 
     def test_report_tables(self, out):
         table2 = read_rows(out / "report" / "table2.csv")
