@@ -581,14 +581,9 @@ def cmd_sentiment(cfg: RunConfig) -> None:
 
 
 def _label_scores(records, kinds, approach: str) -> list[ScoreRecord]:
-    out = []
-    for kind in KINDS:
-        subset = filter_records_by_kind(records, kinds, kind)
-        for hist in build_histograms(subset):
-            rec = eq2_valence(hist, kind, approach)
-            if rec is not None:
-                out.append(rec)
-    return out
+    # build_histograms makes no empty histogram, so eq2_valence never gives None
+    return [eq2_valence(hist, kind, approach) for kind in KINDS
+            for hist in build_histograms(filter_records_by_kind(records, kinds, kind))]
 
 
 def _classify_live(cfg: RunConfig, kinds):
@@ -828,6 +823,18 @@ def main(argv: Sequence[str] | None = None) -> int:
         stream=sys.stderr,
         level=logging.INFO if args.verbose else logging.WARNING,
         format="%(levelname)s %(name)s: %(message)s")
+    # a command logs each distinct message once: encode_features, for one,
+    # warns about a factor in every design it encodes. Every handler passes
+    # the first record of a message and drops the others
+    first: dict[tuple[str, int, str], logging.LogRecord] = {}
+
+    def once(record: logging.LogRecord) -> bool:
+        key = (record.name, record.levelno, record.getMessage())
+        return first.setdefault(key, record) is record
+
+    handlers = logging.getLogger().handlers
+    for handler in handlers:
+        handler.addFilter(once)
     try:
         cfg = RunConfig.load(args.config, args.out)
         with cfg.publishing(args.command):
@@ -840,6 +847,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except PncValenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
+    finally:
+        for handler in handlers:
+            handler.removeFilter(once)
     return EXIT_OK
 
 

@@ -399,20 +399,17 @@ def pnc_match_counts(matches: Iterable[ContextMatch]) -> Counter:
 
 
 def frequency_filter(matches: Iterable[ContextMatch], min_freq: int,
-                     targets: Sequence[TargetSpec] | None = None,
-                     ) -> tuple[list[str], list[str]]:
+                     targets: Sequence[TargetSpec]) -> tuple[list[str], list[str]]:
     """Partition targets into (retained, dropped) by compound match count.
 
     A target is retained iff it has at least min_freq kind="pnc" matches.
-    When the full target list is supplied, targets without any match appear
-    in the dropped set as well. Both lists are sorted.
+    The targets partitioned are those of the list and those matched, so a
+    listed target without a match is dropped. Both lists are sorted.
     """
     if min_freq < 1:
         raise ValidationError(f"min_freq must be >= 1, got {min_freq}")
     counts = pnc_match_counts(matches)
-    ids = set(counts)
-    if targets is not None:
-        ids |= {t.target_id for t in targets}
+    ids = set(counts) | {t.target_id for t in targets}
     retained = sorted(t for t in ids if counts.get(t, 0) >= min_freq)
     dropped = sorted(t for t in ids if counts.get(t, 0) < min_freq)
     return retained, dropped

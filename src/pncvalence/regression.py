@@ -199,6 +199,24 @@ def encode_features(rows: Sequence[FeatureRow], formula: str) -> DesignMatrix:
         excluded_ids=tuple(excluded))
 
 
+def _check_problem(x: np.ndarray, y: np.ndarray, columns: Sequence[str],
+                   ) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:
+    """x, y and columns as float arrays and a tuple, once x is checked to be
+    a finite matrix with a row per value of finite y and a name per column."""
+    import numpy as np
+
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    columns = tuple(columns)
+    if x.ndim != 2 or y.ndim != 1 or x.shape[0] != y.shape[0]:
+        raise ValidationError(f"incompatible shapes x{x.shape} y{y.shape}")
+    if len(columns) != x.shape[1]:
+        raise ValidationError(f"{x.shape[1]} columns in x but {len(columns)} names")
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise ValidationError("predictors and response must be finite")
+    return x, y, columns
+
+
 @dataclass(frozen=True)
 class OlsFit:
     """Ordinary least squares fit with standard inference.
@@ -224,8 +242,7 @@ class OlsFit:
     fitted: np.ndarray
 
 
-def ols_fit(x: np.ndarray, y: np.ndarray,
-            columns: Sequence[str] | None = None) -> OlsFit:
+def ols_fit(x: np.ndarray, y: np.ndarray, columns: Sequence[str]) -> OlsFit:
     """Least-squares fit of y on x (x must already carry its intercept
     column if one is wanted), solved via QR decomposition.
 
@@ -236,19 +253,8 @@ def ols_fit(x: np.ndarray, y: np.ndarray,
     """
     import numpy as np
 
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.ndim != 2 or y.ndim != 1 or x.shape[0] != y.shape[0]:
-        raise ValidationError(f"incompatible shapes x{x.shape} y{y.shape}")
-    if not (np.isfinite(x).all() and np.isfinite(y).all()):
-        raise ValidationError("design matrix and response must be finite")
+    x, y, columns = _check_problem(x, y, columns)
     n, p = x.shape
-    if columns is None:
-        columns = tuple(f"x{j}" for j in range(p))
-    else:
-        columns = tuple(columns)
-        if len(columns) != p:
-            raise ValidationError(f"{p} columns in x but {len(columns)} names")
     if n < p:
         raise ValidationError(f"need at least {p} rows for {p} columns, got {n}")
 
@@ -324,8 +330,7 @@ class UnivariateResult:
     fit: OlsFit
 
 
-def univariate_scan(rows: Sequence[FeatureRow],
-                    predictors: Sequence[str] = DEFAULT_UNIVARIATE_PREDICTORS,
+def univariate_scan(rows: Sequence[FeatureRow], predictors: Sequence[str],
                     ) -> tuple[list[UnivariateResult], list[str]]:
     """Fit delta ~ predictor separately for each predictor. Predictors
     that cannot be fitted (all values missing, single-level factor, rank
@@ -362,8 +367,7 @@ class MultivariateResult:
     design: DesignMatrix
 
 
-def multivariate_suite(rows: Sequence[FeatureRow],
-                       specs: Sequence[tuple[str, str]] = DEFAULT_MODEL_SPECS,
+def multivariate_suite(rows: Sequence[FeatureRow], specs: Sequence[tuple[str, str]],
                        ) -> tuple[list[MultivariateResult], list[str]]:
     """Fit a list of named model formulas; models that cannot be fitted on
     the available rows are skipped with a note."""
@@ -565,52 +569,33 @@ def _descend(sets: Sequence[_Centred], fold: np.ndarray, lam: np.ndarray,
         trace=traces[rows[0]])
 
 
-def _check_problem(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    import numpy as np
-
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.ndim != 2 or y.ndim != 1 or x.shape[0] != y.shape[0]:
-        raise ValidationError(f"incompatible shapes x{x.shape} y{y.shape}")
-    if not (np.isfinite(x).all() and np.isfinite(y).all()):
-        raise ValidationError("predictors and response must be finite")
-    return x, y
-
-
 def elastic_net_fit(x: np.ndarray, y: np.ndarray, lam: float, alpha: float, *,
-                    columns: Sequence[str] | None = None,
-                    max_sweeps: int = MAX_SWEEPS, tol: float = STEP_TOL) -> ElasticNetFit:
+                    columns: Sequence[str]) -> ElasticNetFit:
     """Cyclic coordinate descent on the elastic-net objective.
 
     x holds predictors only (no intercept column); predictors and response
     are centered internally, so the intercept comes out as
     mean(y) - mean(x) . beta. Each coordinate update is the closed-form
     soft-threshold step; the objective is checked to be non-increasing after
-    every sweep, and failure to reach the tolerance within max_sweeps raises
+    every sweep, and failure to reach STEP_TOL within MAX_SWEEPS raises
     ConvergenceError carrying the objective trace. The fit is a batch of one
     for the solver cv_random_search runs on all its folds at once.
     """
     import numpy as np
 
-    x, y = _check_problem(x, y)
+    x, y, columns = _check_problem(x, y, columns)
     # each check is written so that NaN fails it
     if not 0.0 <= lam < math.inf:
         raise ValidationError(f"lambda must be finite and >= 0, got {lam!r}")
     if not 0.0 <= alpha <= 1.0:
         raise ValidationError("alpha must lie in [0, 1]")
-    if not max_sweeps >= 1:
-        raise ValidationError(f"max_sweeps must be >= 1, got {max_sweeps!r}")
-    if not 0.0 < tol < math.inf:
-        raise ValidationError(f"tol must be finite and > 0, got {tol!r}")
-    n, p = x.shape
-    if n < 1:
+    if x.shape[0] < 1:
         raise ValidationError("need at least one row")
-    columns = tuple(columns) if columns is not None else tuple(f"x{j}" for j in range(p))
 
     data = _centre(x, y)
     beta, (trace,) = _descend(
         [data], np.zeros(1, dtype=int), np.array([lam], dtype=float),
-        np.array([alpha], dtype=float), max_sweeps=max_sweeps, tol=tol)
+        np.array([alpha], dtype=float), max_sweeps=MAX_SWEEPS, tol=STEP_TOL)
     intercept = data.y_mean - float(data.x_mean @ beta[0])
     return ElasticNetFit(columns=columns, coefficients=beta[0], intercept=intercept,
                          lam=lam, alpha=alpha, n_sweeps=len(trace) - 1,
@@ -674,10 +659,9 @@ def check_cv_settings(**settings) -> None:
             raise ValidationError(f"{name} must be >= {least}, got {settings[name]!r}")
 
 
-def cv_random_search(x: np.ndarray, y: np.ndarray, *,
-                     columns: Sequence[str] | None = None,
-                     n_candidates: int = 25, n_repeats: int = 5, n_folds: int = 5,
-                     seed: int = 0) -> CvSearchResult:
+def cv_random_search(x: np.ndarray, y: np.ndarray, *, columns: Sequence[str],
+                     seed: int, n_candidates: int = 25, n_repeats: int = 5,
+                     n_folds: int = 5) -> CvSearchResult:
     """Tune (alpha, lambda) by random search under repeated k-fold CV.
 
     Draw order is fixed by the seed: first the candidate list (alpha uniform
@@ -692,12 +676,10 @@ def cv_random_search(x: np.ndarray, y: np.ndarray, *,
 
     check_cv_settings(n_candidates=n_candidates, n_repeats=n_repeats,
                       n_folds=n_folds)
-    x, y = _check_problem(x, y)
+    x, y, columns = _check_problem(x, y, columns)
     n = x.shape[0]
     if n < n_folds:
         raise ValidationError(f"{n_folds}-fold CV needs at least {n_folds} rows, got {n}")
-    columns = tuple(columns) if columns is not None else tuple(
-        f"x{j}" for j in range(x.shape[1]))
 
     x_std, means, stds = standardize_columns(x)
 
@@ -794,12 +776,12 @@ def read_metadata_csv(path: str) -> dict[str, dict[str, float | str | None]]:
 
 
 def assemble_rows(deltas, metadata: Mapping[str, Mapping[str, float | str | None]],
-                  targets=None) -> list[FeatureRow]:
+                  targets) -> list[FeatureRow]:
     """Join lexicon-based delta records with per-target metadata into feature
     rows. The domain comes from the target list; metadata supplies the
     person-level fields. Targets without metadata get None there and fall to
     listwise deletion when such a field is used."""
-    domain_by_id = {t.target_id: t.domain for t in targets} if targets else {}
+    domain_by_id = {t.target_id: t.domain for t in targets}
     rows: list[FeatureRow] = []
     for d in deltas:
         meta = metadata.get(d.target_id, {})

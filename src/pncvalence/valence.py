@@ -233,15 +233,14 @@ def sign_breakdown(deltas: Sequence[DeltaRecord]) -> list[SignSummary]:
 
 def frequent_context_words(target_ids: Sequence[str],
                            matches: Iterable[ContextMatch],
-                           tagged: Mapping[str, TaggedContext],
-                           k: int = 10,
-                           lexicon: ValenceLexicon | None = None,
+                           tagged: Mapping[str, TaggedContext], k: int,
+                           lexicon: ValenceLexicon,
                            ) -> list[tuple[str, str, str, int, float | None]]:
     """Top-k most frequent content lemmas in the matched contexts of each
     target and kind, counted by lemma_key as the lexicon keys them, with
-    their lexicon valence when a lexicon is supplied: (target_id, kind,
-    lemma, count, valence) rows, in target_ids order, then KINDS order.
-    Ties break lexicographically."""
+    their lexicon valence, None for a lemma the lexicon lacks: (target_id,
+    kind, lemma, count, valence) rows, in target_ids order, then KINDS
+    order. Ties break lexicographically."""
     if k < 1:
         raise ValidationError("k must be >= 1")
     docs = _docs_by_pair(matches)
@@ -255,6 +254,5 @@ def frequent_context_words(target_ids: Sequence[str],
                     continue
                 counts.update(ctx.content_keys)
             for w, c in sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))[:k]:
-                rows.append((target_id, kind, w, c,
-                             lexicon.entries.get(w) if lexicon is not None else None))
+                rows.append((target_id, kind, w, c, lexicon.entries.get(w)))
     return rows

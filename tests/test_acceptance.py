@@ -320,8 +320,10 @@ def test_criterion_07_elastic_net_closed_forms(capsys):
         x = rng.normal(size=(60, 4))
         y = x @ np.array([1.5, 0.0, -2.0, 0.4]) + rng.normal(scale=0.3,
                                                              size=60)
-        unpenalized = elastic_net_fit(x, y, 0.0, 0.5)
-        reference = ols_fit(np.column_stack([np.ones(60), x]), y)
+        names = ["a", "b", "c", "d"]
+        unpenalized = elastic_net_fit(x, y, 0.0, 0.5, columns=names)
+        reference = ols_fit(np.column_stack([np.ones(60), x]), y,
+                            ["(Intercept)"] + names)
         assert np.allclose(unpenalized.coefficients,
                            reference.coefficients[1:], atol=1e-4)
         assert unpenalized.intercept == pytest.approx(
@@ -332,7 +334,7 @@ def test_criterion_07_elastic_net_closed_forms(capsys):
         yv = 2.0 + 1.3 * xs + rng.normal(scale=0.2, size=80)
         rho = float(xs @ (yv - yv.mean())) / len(yv)
         for lam, alpha in [(0.05, 1.0), (0.3, 0.5), (1.0, 0.2), (2.0, 0.9)]:
-            fit = elastic_net_fit(xs.reshape(-1, 1), yv, lam, alpha)
+            fit = elastic_net_fit(xs.reshape(-1, 1), yv, lam, alpha, columns=["x"])
             shrunk = math.copysign(max(abs(rho) - lam * alpha, 0.0), rho)
             expect = shrunk / (1.0 + lam * (1 - alpha))
             assert fit.coefficients[0] == pytest.approx(expect, abs=1e-8)
@@ -344,7 +346,8 @@ def test_criterion_07_elastic_net_closed_forms(capsys):
             bound = lambda_max(std, y, alpha)
             # one ulp separates the bound computation from the coordinate
             # update; the tiny nudge keeps the all-zero assertion exact
-            shrunkfit = elastic_net_fit(std, y, bound * (1 + 1e-10), alpha)
+            shrunkfit = elastic_net_fit(std, y, bound * (1 + 1e-10), alpha,
+                                        columns=names)
             assert np.all(shrunkfit.coefficients == 0.0)
             assert shrunkfit.intercept == pytest.approx(float(y.mean()))
 

@@ -14,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+import pncvalence
 from pncvalence import cli, regression
 from pncvalence.cli import RunConfig, main, write_csv_artifact
 from pncvalence.corpus import dedupe_documents, read_corpus_jsonl, read_targets_csv
@@ -644,18 +645,24 @@ class TestStrictJson:
             json.loads(path.read_text(encoding="utf-8"), parse_constant=reject)
 
 
-def metadata_with_t1_age(tmp_path, age):
-    """A copy of the toy metadata.csv with t1's age replaced; t1 is data row 1,
-    on line 2."""
-    rows = read_rows(TOY / "metadata.csv")
-    assert rows[0]["target_id"] == "t1"
-    rows[0]["age"] = age
+def write_metadata(tmp_path, rows):
+    """Write rows, a changed copy of the toy metadata.csv's, as
+    tmp_path/metadata.csv; return its absolute path."""
     metadata = (tmp_path / "metadata.csv").resolve()
     with open(metadata, "w", encoding="utf-8", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=list(rows[0]), lineterminator="\n")
         writer.writeheader()
         writer.writerows(rows)
     return metadata
+
+
+def metadata_with_t1_age(tmp_path, age):
+    """A copy of the toy metadata.csv with t1's age replaced; t1 is data row 1,
+    on line 2."""
+    rows = read_rows(TOY / "metadata.csv")
+    assert rows[0]["target_id"] == "t1"
+    rows[0]["age"] = age
+    return write_metadata(tmp_path, rows)
 
 
 class TestHugeAge:
@@ -703,6 +710,65 @@ class TestElasticNetSkipped:
             (out / "elasticnet.json").read_text(encoding="utf-8"))["formula"]
         for name in ("regression.json", "univariate.csv", "multivariate.csv"):
             assert (run_dir / name).read_bytes() == (out / name).read_bytes(), name
+
+
+class TestRegressDefaults:
+    def test_config_without_models_runs_the_default_ones(self, tmp_path, out):
+        cfg = toy_config(tmp_path, univariate_predictors=None, model_specs=None,
+                         elasticnet_formula=None)
+        run_dir = tmp_path / "o"
+        shutil.copytree(out, run_dir)
+        assert main(["regress", "--config", cfg, "--out", str(run_dir)]) == 0
+        detail = json.loads((run_dir / "regression.json").read_text(encoding="utf-8"))
+        # each default predictor and model is fitted or skipped with a note
+        fitted = {r["predictor"] for r in read_rows(run_dir / "univariate.csv")}
+        noted = {note.split(":")[0] for note in detail["univariate_notes"]}
+        assert sorted(fitted | noted) == sorted(regression.DEFAULT_UNIVARIATE_PREDICTORS) == [
+            "age", "birthplace", "domain", "frame", "gender", "modifier_valence",
+            "name_valence", "nationality", "party", "pnc_valence"]
+        fitted = {r["model"] for r in read_rows(run_dir / "multivariate.csv")}
+        noted = {note.split(":")[0] for note in detail["multivariate_notes"]}
+        assert sorted(fitted | noted) == sorted(
+            name for name, _ in regression.DEFAULT_MODEL_SPECS) == [
+            "all_except_both_valences", "all_except_name_valence",
+            "all_except_pnc_valence", "compound", "compound_extended", "domain",
+            "personal", "personal_extended"]
+        net = json.loads((run_dir / "elasticnet.json").read_text(encoding="utf-8"))
+        assert net["formula"] == dict(regression.DEFAULT_MODEL_SPECS)[
+            "all_except_name_valence"]
+
+
+def metadata_all_female(tmp_path):
+    """A copy of the toy metadata.csv in which every gender is female."""
+    rows = read_rows(TOY / "metadata.csv")
+    for row in rows:
+        row["gender"] = "female"
+    return write_metadata(tmp_path, rows)
+
+
+GENDER_DROPPED = "factor 'gender' has a single observed level 'female'; dropped"
+
+
+class TestWarningsOnce:
+    # the toy config fits gender alone and in the personal model, so
+    # encode_features warns about it twice
+    def test_regress_prints_a_repeated_warning_once(self, tmp_path, out):
+        cfg = toy_config(tmp_path, metadata=str(metadata_all_female(tmp_path)))
+        run_dir = tmp_path / "o"
+        shutil.copytree(out, run_dir)
+        proc = run_python("-m", "pncvalence", "regress", "--config", cfg,
+                          "--out", str(run_dir), timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.count(GENDER_DROPPED) == 1
+
+    def test_each_command_logs_its_own_warnings(self, tmp_path, out, caplog):
+        cfg = toy_config(tmp_path, metadata=str(metadata_all_female(tmp_path)))
+        run_dir = tmp_path / "o"
+        shutil.copytree(out, run_dir)
+        for _ in range(2):
+            caplog.clear()
+            assert main(["regress", "--config", cfg, "--out", str(run_dir)]) == 0
+            assert [r.getMessage() for r in caplog.records].count(GENDER_DROPPED) == 1
 
 
 def bad_value_in_row_1(path):
@@ -926,6 +992,14 @@ class TestManifest:
 
 
 class TestModuleEntryPoint:
+    def test_pyproject_declares_the_package_version(self):
+        # every artifact carries __version__; a regex, since Python 3.10 has
+        # no tomllib
+        text = (REPO / "pyproject.toml").read_text(encoding="utf-8")
+        table = re.search(r"^\[project\]\s*$(.*?)(?=^\[|\Z)", text, re.M | re.S)
+        line = table and re.search(r'^version\s*=\s*"([^"]*)"', table.group(1), re.M)
+        assert line and line.group(1) == pncvalence.__version__
+
     def test_python_m_pncvalence_runs_a_stage(self, tmp_path):
         proc = run_python("-m", "pncvalence", "variants", "--config", CONFIG,
                           "--out", str(tmp_path), timeout=120)

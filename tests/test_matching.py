@@ -271,17 +271,17 @@ def fake_match(tid, n):
 
 class TestFrequencyFilter:
     def test_boundary_inclusive(self):
-        retained, dropped = frequency_filter(fake_match("a", 5), 5)
+        retained, dropped = frequency_filter(fake_match("a", 5), 5, [])
         assert retained == ["a"] and dropped == []
 
     def test_below_boundary_dropped(self):
-        retained, dropped = frequency_filter(fake_match("a", 4), 5)
+        retained, dropped = frequency_filter(fake_match("a", 4), 5, [])
         assert retained == [] and dropped == ["a"]
 
     def test_hand_counted_fixture(self):
         matches = (fake_match("a", 7) + fake_match("b", 5) + fake_match("c", 4)
                    + fake_match("d", 1))
-        retained, dropped = frequency_filter(matches, 5)
+        retained, dropped = frequency_filter(matches, 5, [])
         assert retained == ["a", "b"]
         assert dropped == ["c", "d"]
 
@@ -289,11 +289,11 @@ class TestFrequencyFilter:
         matches = fake_match("a", 4) + [
             ContextMatch(target_id="a", doc_id="dX", kind="full_name",
                          matched_variant="First Last", byte_start=0, byte_end=1)]
-        retained, _ = frequency_filter(matches, 5)
+        retained, _ = frequency_filter(matches, 5, [])
         assert retained == []
 
     def test_min_freq_one_retains_any_match(self):
-        retained, _ = frequency_filter(fake_match("a", 1), 1)
+        retained, _ = frequency_filter(fake_match("a", 1), 1, [])
         assert retained == ["a"]
 
     def test_monotone_in_min_freq(self):
@@ -301,20 +301,19 @@ class TestFrequencyFilter:
                    + fake_match("d", 1))
         previous = None
         for mf in range(1, 10):
-            retained = set(frequency_filter(matches, mf)[0])
+            retained = set(frequency_filter(matches, mf, [])[0])
             if previous is not None:
                 assert retained <= previous
             previous = retained
 
     def test_unmatched_targets_reported_when_targets_given(self):
-        retained, dropped = frequency_filter(fake_match("a", 5), 5,
-                                             targets=[KLOSE, MERKEL])
+        retained, dropped = frequency_filter(fake_match("a", 5), 5, [KLOSE, MERKEL])
         assert retained == ["a"]
         assert dropped == ["klose", "merkel"]
 
     def test_min_freq_validation(self):
         with pytest.raises(ValidationError):
-            frequency_filter([], 0)
+            frequency_filter([], 0, [])
 
     def test_counts_helper(self):
         counts = pnc_match_counts(fake_match("a", 3) + fake_match("b", 1))

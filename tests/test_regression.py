@@ -9,9 +9,8 @@ from scipy import stats as scipy_stats
 from pncvalence.corpus import TargetSpec
 from pncvalence.errors import (ConvergenceError, ParseError,
                                RankDeficiencyError, ValidationError)
-from pncvalence.regression import (AGE_LIMIT, DEFAULT_MODEL_SPECS,
-                                   DEFAULT_UNIVARIATE_PREDICTORS, INTERCEPT,
-                                   MAX_SWEEPS, STEP_TOL, FeatureRow, _centre,
+from pncvalence.regression import (AGE_LIMIT, INTERCEPT, MAX_SWEEPS, STEP_TOL,
+                                   FeatureRow, _centre,
                                    _descend, assemble_rows, cv_random_search,
                                    elastic_net_fit, elastic_net_objective,
                                    encode_features, lambda_max,
@@ -228,12 +227,12 @@ class TestOlsFit:
 
     def test_more_columns_than_rows_rejected(self):
         with pytest.raises(ValidationError, match="at least"):
-            ols_fit(np.ones((2, 3)), np.array([1.0, 2.0]))
+            ols_fit(np.ones((2, 3)), np.array([1.0, 2.0]), names(3))
 
     def test_non_finite_rejected(self):
         x = np.ones((4, 1))
         with pytest.raises(ValidationError):
-            ols_fit(x, np.array([1.0, 2.0, math.nan, 4.0]))
+            ols_fit(x, np.array([1.0, 2.0, math.nan, 4.0]), [INTERCEPT])
 
     def test_saturated_model_has_no_p_values(self):
         x = np.column_stack([np.ones(2), [1.0, 2.0]])
@@ -286,11 +285,6 @@ class TestUnivariateScan:
         assert notes[0].startswith("party: skipped")
         assert notes[1].startswith("nationality: skipped")
 
-    def test_default_predictor_list(self):
-        assert "name_valence" in DEFAULT_UNIVARIATE_PREDICTORS
-        assert "delta" not in DEFAULT_UNIVARIATE_PREDICTORS
-        assert len(DEFAULT_UNIVARIATE_PREDICTORS) == 10
-
 
 class TestMultivariateSuite:
     def test_named_models_fit(self):
@@ -310,12 +304,6 @@ class TestMultivariateSuite:
         results, notes = multivariate_suite(rows, [("p", "delta ~ party")])
         assert results == []
         assert notes[0].startswith("p: skipped")
-
-    def test_default_spec_names(self):
-        assert [name for name, _ in DEFAULT_MODEL_SPECS] == [
-            "personal", "personal_extended", "compound", "compound_extended",
-            "domain", "all_except_name_valence", "all_except_pnc_valence",
-            "all_except_both_valences"]
 
 
 class TestStandardize:
@@ -344,10 +332,16 @@ class TestStandardize:
         xs, means, stds = standardize_columns(x)
         assert stds[2] == 0.0
         assert np.all(xs[:, 2] == 0.0)
-        assert elastic_net_fit(x, y, 0.0, 0.5).coefficients[2] == 0.0
-        search = cv_random_search(x, y, n_candidates=3, n_repeats=1, n_folds=3)
+        assert elastic_net_fit(x, y, 0.0, 0.5, columns=names(3)).coefficients[2] == 0.0
+        search = cv_random_search(x, y, columns=names(3), seed=0, n_candidates=3,
+                                  n_repeats=1, n_folds=3)
         assert search.column_stds[2] == 0.0
         assert search.fit.coefficients[2] == 0.0
+
+
+def names(p):
+    """Column names for a matrix of p predictors."""
+    return [f"x{j}" for j in range(p)]
 
 
 def make_problem(n=60, p=4, seed=0, rho=0.0):
@@ -364,8 +358,9 @@ def make_problem(n=60, p=4, seed=0, rho=0.0):
 class TestElasticNet:
     def test_zero_penalty_matches_ols(self):
         x, y = make_problem(seed=11)
-        enet = elastic_net_fit(x, y, lam=0.0, alpha=1.0)
-        ols = ols_fit(np.column_stack([np.ones(len(y)), x]), y)
+        enet = elastic_net_fit(x, y, lam=0.0, alpha=1.0, columns=names(4))
+        ols = ols_fit(np.column_stack([np.ones(len(y)), x]), y,
+                      [INTERCEPT] + names(x.shape[1]))
         assert np.allclose(enet.coefficients, ols.coefficients[1:], atol=1e-5)
         assert enet.intercept == pytest.approx(float(ols.coefficients[0]), abs=1e-5)
 
@@ -376,7 +371,7 @@ class TestElasticNet:
         y = 2.0 + 1.3 * xs + rng.normal(scale=0.2, size=80)
         rho = float(xs @ (y - y.mean())) / len(y)
         for lam, alpha in [(0.05, 1.0), (0.3, 0.5), (1.0, 0.2), (2.0, 0.9)]:
-            fit = elastic_net_fit(xs.reshape(-1, 1), y, lam, alpha)
+            fit = elastic_net_fit(xs.reshape(-1, 1), y, lam, alpha, columns=["x"])
             shrunk = math.copysign(max(abs(rho) - lam * alpha, 0.0), rho)
             expect = shrunk / (1.0 + lam * (1 - alpha))
             assert fit.coefficients[0] == pytest.approx(expect, abs=1e-8)
@@ -388,19 +383,20 @@ class TestElasticNet:
             lam_hi = lambda_max(xs, y, alpha)
             # at the exact bound a single ulp can leak through; nudging the
             # penalty up by 1e-10 keeps the assertion exact
-            fit = elastic_net_fit(xs, y, lam_hi * (1 + 1e-10), alpha)
+            fit = elastic_net_fit(xs, y, lam_hi * (1 + 1e-10), alpha,
+                                  columns=names(4))
             assert np.all(fit.coefficients == 0.0)
             assert fit.intercept == pytest.approx(float(y.mean()))
-            at_bound = elastic_net_fit(xs, y, lam_hi, alpha)
+            at_bound = elastic_net_fit(xs, y, lam_hi, alpha, columns=names(4))
             assert np.allclose(at_bound.coefficients, 0.0, atol=1e-12)
         # just below the bound something activates (lasso end)
         lasso_hi = lambda_max(xs, y, 1.0)
-        below = elastic_net_fit(xs, y, 0.98 * lasso_hi, 1.0)
+        below = elastic_net_fit(xs, y, 0.98 * lasso_hi, 1.0, columns=names(4))
         assert np.any(below.coefficients != 0.0)
 
     def test_objective_trace_non_increasing(self):
         x, y = make_problem(seed=41, rho=0.6)
-        fit = elastic_net_fit(x, y, lam=0.05, alpha=0.5)
+        fit = elastic_net_fit(x, y, lam=0.05, alpha=0.5, columns=names(4))
         trace = fit.objective_trace
         assert len(trace) == fit.n_sweeps + 1
         for prev, nxt in zip(trace, trace[1:]):
@@ -420,18 +416,19 @@ class TestElasticNet:
     def test_exhausted_sweeps_raise_with_trace(self):
         x, y = make_problem(seed=61, rho=0.9)
         with pytest.raises(ConvergenceError) as exc:
-            elastic_net_fit(x, y, lam=1e-6, alpha=0.5, max_sweeps=2)
+            _descend([_centre(x, y)], np.array([0]), np.array([1e-6]),
+                     np.array([0.5]), max_sweeps=2, tol=STEP_TOL)
         assert len(exc.value.trace) == 3  # start plus two sweeps
 
     def test_constant_column_gets_zero_coefficient(self):
         x, y = make_problem(n=30, p=2, seed=71)
         x = np.column_stack([x, np.full(30, 4.0)])
-        fit = elastic_net_fit(x, y, lam=0.01, alpha=0.5)
+        fit = elastic_net_fit(x, y, lam=0.01, alpha=0.5, columns=names(3))
         assert fit.coefficients[2] == 0.0
 
     def test_prediction_on_training_scale(self):
         x, y = make_problem(seed=81)
-        fit = elastic_net_fit(x, y, lam=0.01, alpha=0.5)
+        fit = elastic_net_fit(x, y, lam=0.01, alpha=0.5, columns=names(4))
         pred = fit.intercept + x @ fit.coefficients
         assert pred.shape == y.shape
         assert float(np.corrcoef(pred, y)[0, 1]) > 0.9
@@ -439,26 +436,34 @@ class TestElasticNet:
     def test_validation(self):
         x, y = make_problem(n=10, p=2)
         with pytest.raises(ValidationError):
-            elastic_net_fit(x, y, lam=-0.1, alpha=0.5)
+            elastic_net_fit(x, y, lam=-0.1, alpha=0.5, columns=names(2))
         with pytest.raises(ValidationError):
-            elastic_net_fit(x, y, lam=0.1, alpha=1.5)
+            elastic_net_fit(x, y, lam=0.1, alpha=1.5, columns=names(2))
         with pytest.raises(ValidationError):
-            elastic_net_fit(x, y[:5], lam=0.1, alpha=0.5)
+            elastic_net_fit(x, y[:5], lam=0.1, alpha=0.5, columns=names(2))
 
-    @pytest.mark.parametrize("name, value", [
-        ("max_sweeps", 0), ("max_sweeps", -3), ("lam", math.nan),
-        ("lam", math.inf), ("tol", math.nan), ("tol", 0.0)])
+    @pytest.mark.parametrize("name, value", [("lam", math.nan), ("lam", math.inf)])
     def test_rejects_a_setting_out_of_range(self, name, value):
-        # unchecked, each fails late: an UnboundLocalError, NaN
-        # coefficients, an unconverged fit after one sweep, or 100,000
-        # sweeps and then a raise
+        # unchecked, a NaN penalty gives NaN coefficients and an infinite
+        # one a RuntimeWarning
         x, y = make_problem(n=10, p=2)
         settings = {"lam": 0.1, "alpha": 0.5, name: value}
-        label = "lambda" if name == "lam" else name
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValidationError, match=label):
-                elastic_net_fit(x, y, **settings)
+            with pytest.raises(ValidationError, match="lambda"):
+                elastic_net_fit(x, y, columns=names(2), **settings)
+
+
+@pytest.mark.parametrize("fit", [
+    lambda x, y: ols_fit(x, y, names(x.shape[1] - 1)),
+    lambda x, y: elastic_net_fit(x, y, 0.1, 0.5, columns=names(x.shape[1] - 1)),
+    lambda x, y: cv_random_search(x, y, columns=names(x.shape[1] - 1), seed=0),
+], ids=["ols_fit", "elastic_net_fit", "cv_random_search"])
+def test_every_fit_needs_a_name_per_column(fit):
+    # a short list would otherwise cut the coefficient mapping of elasticnet.json
+    x, y = make_problem(n=30, p=3)
+    with pytest.raises(ValidationError, match="3 columns in x but 2 names"):
+        fit(x, y)
 
 
 def reference_fit(x, y, lam, alpha, tol=1e-7):
@@ -519,7 +524,7 @@ class TestBatchedSolver:
     def test_cv_matches_the_residual_form(self):
         x, y = make_problem(n=40, p=4, seed=91, rho=0.9)
         settings = {"n_candidates": 8, "n_repeats": 2, "n_folds": 4}
-        search = cv_random_search(x, y, seed=5, **settings)
+        search = cv_random_search(x, y, columns=names(4), seed=5, **settings)
         expect = reference_cv_errors(x, y, 5, **settings)
         for cand, error in zip(search.candidates, expect):
             assert cand.mean_error == pytest.approx(error, rel=1e-12, abs=0.0)
@@ -539,15 +544,16 @@ class TestBatchedSolver:
         assert len({len(t) for t in traces}) > 1
         for r in range(len(fold)):
             t = train[fold[r]]
-            single = elastic_net_fit(x[t], y[t], lam[r], alpha[r])
+            single = elastic_net_fit(x[t], y[t], lam[r], alpha[r], columns=names(4))
             assert np.array_equal(beta[r], single.coefficients)
             assert list(traces[r]) == list(single.objective_trace)
 
     def test_one_row_out_of_sweeps_raises_with_its_trace(self):
         x, y = make_problem(seed=61, rho=0.9)
-        cap = elastic_net_fit(x, y, lam=0.5, alpha=0.5).n_sweeps + 2
+        cap = elastic_net_fit(x, y, lam=0.5, alpha=0.5, columns=names(4)).n_sweeps + 2
         with pytest.raises(ConvergenceError) as single:
-            elastic_net_fit(x, y, lam=1e-6, alpha=0.5, max_sweeps=cap)
+            _descend([_centre(x, y)], np.array([0]), np.array([1e-6]),
+                     np.array([0.5]), max_sweeps=cap, tol=STEP_TOL)
         with pytest.raises(ConvergenceError) as batch:
             _descend([_centre(x, y)], np.array([0, 0]), np.array([0.5, 1e-6]),
                      np.array([0.5, 0.5]), max_sweeps=cap, tol=STEP_TOL)
@@ -563,7 +569,7 @@ class TestBatchedSolver:
         x = rng.normal(size=(30, 6))
         x[:, 1:] = 0.9 * x[:, :1] + 0.1 * x[:, 1:]
         y = 1e4 * (x @ rng.normal(size=6) + rng.normal(scale=1e-3, size=30))
-        fit = elastic_net_fit(x, y, lam=1e-3, alpha=0.5)
+        fit = elastic_net_fit(x, y, lam=1e-3, alpha=0.5, columns=names(6))
         intercept, beta = reference_fit(x, y, 1e-3, 0.5)
         assert np.allclose(fit.coefficients, beta, rtol=1e-9, atol=0.0)
         trace = fit.objective_trace
@@ -577,7 +583,7 @@ class TestCvRandomSearch:
         kw.setdefault("n_candidates", 6)
         kw.setdefault("n_repeats", 2)
         kw.setdefault("n_folds", 3)
-        return cv_random_search(x, y, seed=seed, **kw)
+        return cv_random_search(x, y, columns=names(3), seed=seed, **kw)
 
     def test_deterministic_for_fixed_seed(self):
         a = self.search(seed=3)
@@ -613,9 +619,9 @@ class TestCvRandomSearch:
     def test_validation(self):
         x, y = make_problem(n=10, p=2)
         with pytest.raises(ValidationError, match="n_candidates"):
-            cv_random_search(x, y, n_candidates=0)
+            cv_random_search(x, y, columns=names(2), seed=0, n_candidates=0)
         with pytest.raises(ValidationError):
-            cv_random_search(x, y, n_folds=11)
+            cv_random_search(x, y, columns=names(2), seed=0, n_folds=11)
 
 
 class TestMetadataAssembly:

@@ -19,6 +19,10 @@ def ctx(doc_id, *lemma_pos):
         "\t".join((lp[0], lp[0], lp[1])) for lp in lemma_pos))
 
 
+# a lexicon that holds no lemma: every frequent word's valence is None
+NO_LEXICON = ValenceLexicon({})
+
+
 def match(tid, doc_id, kind="pnc"):
     return ContextMatch(target_id=tid, doc_id=doc_id, kind=kind,
                         matched_variant="v", byte_start=0, byte_end=1)
@@ -250,7 +254,8 @@ class TestFrequentWords:
 
     def test_lemmas_lowercased(self):
         tagged = {"d1": ctx("d1", ("Gold", "NN"), ("gold", "NN"))}
-        top = frequent_context_words(["a"], [match("a", "d1")], tagged)
+        top = frequent_context_words(["a"], [match("a", "d1")], tagged, k=10,
+                                     lexicon=NO_LEXICON)
         assert top == [("a", "pnc", "gold", 2, None)]
 
     def test_nfc_and_nfd_spellings_count_as_one_lemma(self):
@@ -258,19 +263,21 @@ class TestFrequentWords:
         nfd = unicodedata.normalize("NFD", "größe")
         tagged = {"d1": ctx("d1", (nfc, "NN"), (nfd, "NN"))}
         lex = ValenceLexicon({nfc: 6.0})
-        top = frequent_context_words(["a"], [match("a", "d1")], tagged, lexicon=lex)
+        top = frequent_context_words(["a"], [match("a", "d1")], tagged, k=10,
+                                     lexicon=lex)
         assert top == [("a", "pnc", nfc, 2, 6.0)]
 
     def test_k_truncates(self):
         tagged = {"d1": ctx("d1", ("a", "NN"), ("b", "NN"), ("c", "NN"))}
-        top = frequent_context_words(["a"], [match("a", "d1")], tagged, k=2)
+        top = frequent_context_words(["a"], [match("a", "d1")], tagged, k=2,
+                                     lexicon=NO_LEXICON)
         assert len(top) == 2
 
     def test_kind_filter(self):
         tagged = {"d1": ctx("d1", ("gut", "ADJD")),
                   "d2": ctx("d2", ("schlecht", "ADJA"))}
         matches = [match("a", "d1"), match("a", "d2", kind="full_name")]
-        top = frequent_context_words(["a"], matches, tagged)
+        top = frequent_context_words(["a"], matches, tagged, k=10, lexicon=NO_LEXICON)
         assert top == [("a", "pnc", "gut", 1, None),
                        ("a", "full_name", "schlecht", 1, None)]
 
@@ -280,10 +287,11 @@ class TestFrequentWords:
         # b's matches come first, and its full_name match before its pnc one
         matches = [match("b", "d2", kind="full_name"), match("b", "d1"),
                    match("a", "d3"), match("c", "d1")]
-        top = frequent_context_words(["b", "a", "z"], matches, tagged)
+        top = frequent_context_words(["b", "a", "z"], matches, tagged, k=10,
+                                     lexicon=NO_LEXICON)
         assert [row[:3] for row in top] == [
             ("b", "pnc", "gut"), ("b", "full_name", "alt"), ("a", "pnc", "neu")]
 
     def test_k_validated(self):
         with pytest.raises(ValidationError):
-            frequent_context_words(["a"], [], {}, k=0)
+            frequent_context_words(["a"], [], {}, k=0, lexicon=NO_LEXICON)
