@@ -9,8 +9,9 @@ from scipy import stats as scipy_stats
 from pncvalence.corpus import TargetSpec
 from pncvalence.errors import (ConvergenceError, ParseError,
                                RankDeficiencyError, ValidationError)
-from pncvalence.regression import (AGE_LIMIT, INTERCEPT, MAX_SWEEPS, STEP_TOL,
-                                   FeatureRow, _centre,
+from pncvalence.regression import (AGE_LIMIT, DEFAULT_MODEL_SPECS,
+                                   DEFAULT_UNIVARIATE_PREDICTORS, INTERCEPT,
+                                   MAX_SWEEPS, STEP_TOL, FeatureRow, _centre,
                                    _descend, assemble_rows, cv_random_search,
                                    elastic_net_fit, elastic_net_objective,
                                    encode_features, lambda_max,
@@ -285,6 +286,11 @@ class TestUnivariateScan:
         assert notes[0].startswith("party: skipped")
         assert notes[1].startswith("nationality: skipped")
 
+    def test_default_predictor_list(self):
+        assert "name_valence" in DEFAULT_UNIVARIATE_PREDICTORS
+        assert "delta" not in DEFAULT_UNIVARIATE_PREDICTORS
+        assert len(DEFAULT_UNIVARIATE_PREDICTORS) == 10
+
 
 class TestMultivariateSuite:
     def test_named_models_fit(self):
@@ -304,6 +310,12 @@ class TestMultivariateSuite:
         results, notes = multivariate_suite(rows, [("p", "delta ~ party")])
         assert results == []
         assert notes[0].startswith("p: skipped")
+
+    def test_default_spec_names(self):
+        assert [name for name, _ in DEFAULT_MODEL_SPECS] == [
+            "personal", "personal_extended", "compound", "compound_extended",
+            "domain", "all_except_name_valence", "all_except_pnc_valence",
+            "all_except_both_valences"]
 
 
 class TestStandardize:
