@@ -12,16 +12,18 @@ text, computed only for the spans that match.
 Each document is case-folded once (see _CaseFold): every character becomes
 one representative of its re.IGNORECASE class, or stays as it is when
 matching is case-sensitive. On the folded text, literal variants and full
-names are found with str.find, and each target's one wildcard is a pattern
-without flags; the fold keeps every index, so the spans are those that the
-variants' own patterns find in the unfolded text.
+names are found with str.find, and each target's one wildcard is the pair
+(folded modifier, folded head), scanned with str.find and str.startswith
+(see _wildcard_spans); the fold keeps every index, so the spans are those
+that the variants' own patterns find in the unfolded text.
 
 A gate keeps the scan to the targets that can match a document. Every match
-of a target contains one of its anchors (see _anchors); each distinct folded
-anchor is looked up in the folded document with `in`, and only the targets
-owning an anchor that occurs are scanned. The gate is a necessary condition
-only: the per-target scan decides what matches, exactly as if every target
-were scanned in every document.
+of a target contains one of its anchors (see _anchors). One pattern over all
+distinct folded anchors reads each folded document once and yields, at each
+position, the longest anchor that starts there (see _Gate); a target is
+scanned if it owns that anchor or one of its prefixes. The gate is a
+necessary condition only: the per-target scan decides what matches, exactly
+as if every target were scanned in every document.
 """
 
 from __future__ import annotations
@@ -64,7 +66,8 @@ INTERFIXES = ("s", "es", "n", "en")
 NUMBER_SUFFIXES = ("e", "en", "n", "s")
 
 # wildcard between modifier and head: 0-2 arbitrary non-newline characters
-# (hyphen, space, hashtag, nothing, ...)
+# (hyphen, space, hashtag, nothing, ...); _wildcard_spans scans this gap
+# without re
 WILDCARD_GAP = ".{0,2}"
 
 
@@ -239,8 +242,9 @@ class _CaseFold(dict):
 @dataclass(frozen=True)
 class _CompiledTarget:
     target_id: str
-    # (folded literal or wildcard pattern over folded text, variant_string)
-    pnc_needles: tuple[tuple[str | re.Pattern, str], ...]
+    # (folded literal or the wildcard's (folded modifier, folded head),
+    # variant_string)
+    pnc_needles: tuple[tuple[str | tuple[str, str], str], ...]
     name_needle: str  # folded full name
     name_string: str
     anchors: tuple[str, ...]  # folded
@@ -266,7 +270,7 @@ def _compile_targets(targets: Sequence[TargetSpec],
     """The case fold of all targets' patterns, and each target's needles under it.
 
     Literal variants and the full name become folded strings; the one
-    wildcard becomes a pattern without flags over the folded text.
+    wildcard becomes the pair (folded modifier, folded head).
     """
     expanded, alphabet = [], set()
     for target in targets:
@@ -279,8 +283,7 @@ def _compile_targets(targets: Sequence[TargetSpec],
     fold = _CaseFold(alphabet, flags)
     compiled = []
     for target, variants, mod, head, name in expanded:
-        wildcard = re.compile(
-            re.escape(fold(mod)) + WILDCARD_GAP + re.escape(fold(head)))
+        wildcard = (fold(mod), fold(head))
         compiled.append(_CompiledTarget(
             target_id=target.target_id,
             pnc_needles=tuple(
@@ -293,7 +296,29 @@ def _compile_targets(targets: Sequence[TargetSpec],
     return fold, compiled
 
 
-def _spans(needle: str | re.Pattern, text: str) -> Iterable[tuple[int, int]]:
+def _wildcard_spans(mod: str, head: str, text: str) -> Iterable[tuple[int, int]]:
+    """Spans of re.finditer(re.escape(mod) + WILDCARD_GAP + re.escape(head), text).
+
+    At each occurrence of mod, from the left, the greedy gap of 2, then 1,
+    then 0 characters without a line break is tried before head; after a hit
+    the search resumes at its end, so the spans are leftmost and do not
+    overlap.
+    """
+    start = text.find(mod)
+    while start >= 0:
+        gap_start = start + len(mod)
+        for gap in (2, 1, 0):
+            gap_end = gap_start + gap
+            if "\n" not in text[gap_start:gap_end] and text.startswith(head, gap_end):
+                end = gap_end + len(head)
+                yield start, end
+                start = text.find(mod, end)
+                break
+        else:
+            start = text.find(mod, start + 1)
+
+
+def _spans(needle: str | tuple[str, str], text: str) -> Iterable[tuple[int, int]]:
     """Leftmost non-overlapping spans of needle in text, as re.finditer gives them."""
     if isinstance(needle, str):
         start = text.find(needle)
@@ -302,8 +327,7 @@ def _spans(needle: str | re.Pattern, text: str) -> Iterable[tuple[int, int]]:
             yield start, end
             start = text.find(needle, end)
     else:
-        for m in needle.finditer(text):
-            yield m.span()
+        yield from _wildcard_spans(*needle, text)
 
 
 def _match_document(doc_id: str, text: str, folded: str,
@@ -338,6 +362,48 @@ def _match_document(doc_id: str, text: str, folded: str,
     return found
 
 
+class _Gate:
+    """The targets that can match a folded text, found in one pass over it.
+
+    It takes each target's folded anchors, in target order. The pattern is a
+    lookahead around an alternation of all
+    anchors, so findall yields, at each position of the text, the longest
+    anchor that starts there. Every anchor that occurs at a position is a
+    prefix of that one, so the candidates are the owners of the anchors found
+    and of their prefixes among the anchors, a closure computed once.
+
+    The alternation is flat: anchors grouped by first character, the rests
+    of a group longest first, so the first rest that matches is the longest.
+    Its nesting depth does not grow with an anchor's length, and at each
+    position re enters only the group whose first character is there.
+    """
+
+    def __init__(self, anchors: Iterable[tuple[str, ...]]) -> None:
+        owners: dict[str, list[int]] = {}  # anchor -> indices of its targets
+        for i, target_anchors in enumerate(anchors):
+            for anchor in target_anchors:
+                owners.setdefault(anchor, []).append(i)
+        groups: dict[str, list[str]] = {}
+        for anchor in owners:
+            groups.setdefault(anchor[0], []).append(anchor[1:])
+        alternation = "|".join(
+            re.escape(first) + "(?:" + "|".join(
+                map(re.escape, sorted(rests, key=len, reverse=True))) + ")"
+            for first, rests in sorted(groups.items()))
+        # with no anchors, a pattern that never matches
+        self.findall = re.compile(f"(?=({alternation or '(?!)'}))").findall
+        lengths = sorted({len(anchor) for anchor in owners})
+        self.closure = {
+            anchor: tuple(i for n in lengths if n <= len(anchor)
+                          for i in owners.get(anchor[:n], ()))
+            for anchor in owners}
+
+    def __call__(self, folded: str) -> list[int]:
+        """Sorted indices of the targets owning an anchor that occurs in folded."""
+        return sorted({i for anchor in set(self.findall(folded))
+                       for i in self.closure[anchor]})
+
+
 def match_contexts(corpus: Sequence[Document], targets: Sequence[TargetSpec], *,
                    case_insensitive: bool = False,
                    include_overlaps: bool = True) -> list[ContextMatch]:
@@ -349,25 +415,22 @@ def match_contexts(corpus: Sequence[Document], targets: Sequence[TargetSpec], *,
     order is fixed by the final sort.
 
     Each document is folded once (see _CaseFold; the identity unless
-    case_insensitive) and searched with str operations on the folded text.
-    Only the targets one of whose folded anchors it contains are scanned
-    (see _anchors); the gate is a necessary condition, so the result equals
-    scanning every target in every document.
+    case_insensitive) and searched with str operations on the folded text;
+    a wildcard is its (modifier, head) pair, scanned with str.find and
+    str.startswith. Only the targets one of whose folded anchors it contains
+    are scanned (see _anchors). One pattern over all anchors finds them in
+    a single pass over the document (see _Gate). The gate is a necessary
+    condition, so the result equals scanning every target in every document.
     """
     fold, compiled = _compile_targets(
         targets, re.IGNORECASE if case_insensitive else 0)
-    owners: dict[str, list[int]] = {}  # folded anchor -> indices of its targets
-    for i, target in enumerate(compiled):
-        for anchor in target.anchors:
-            owners.setdefault(anchor, []).append(i)
+    gate = _Gate(target.anchors for target in compiled)
     matches = []
     for doc in corpus:
         text = nfc(doc.text)
         folded = fold(text)
-        candidates = {i for anchor, indices in owners.items() if anchor in folded
-                      for i in indices}
         matches.extend(_match_document(
-            doc.doc_id, text, folded, (compiled[i] for i in sorted(candidates)),
+            doc.doc_id, text, folded, (compiled[i] for i in gate(folded)),
             include_overlaps))
     matches.sort(key=lambda m: (m.target_id, m.doc_id, m.byte_start, m.byte_end, m.kind))
     return matches
@@ -425,7 +488,8 @@ TARGETS_FIELDS = ("target_id", "pnc_surface", "modifier_surface", "head_surface"
 def read_targets_csv(path: str) -> list[TargetSpec]:
     """Load the target list. Header columns per TARGETS_FIELDS; an optional
     trailing modifier_lemma column carries manually determined modifier lemmas.
-    alt_spellings are semicolon-joined."""
+    alt_spellings are semicolon-joined. first_name and last_name must not be
+    empty: the full name " " would match every space."""
     seen_ids: set[str] = set()
 
     def parse(row) -> TargetSpec:
@@ -435,6 +499,9 @@ def read_targets_csv(path: str) -> list[TargetSpec]:
         if target_id in seen_ids:
             raise ValueError(f"duplicate target_id {target_id!r}")
         seen_ids.add(target_id)
+        for column in ("first_name", "last_name"):
+            if not (row[column] or "").strip():
+                raise ValueError(f"empty {column} for target {target_id!r}")
         domain = (row["domain"] or "").strip()
         if domain not in DOMAINS:
             raise ValueError(f"unknown domain {domain!r} for target {target_id!r}")

@@ -415,6 +415,20 @@ class TestExitCodes:
         assert f"{bad}:2]" in err
         assert "field larger than field limit" in err
 
+    def test_target_without_names_is_exit_3(self, tmp_path, capsys):
+        # a full name of " " would match every space in the corpus
+        bad = (tmp_path / "targets.csv").resolve()
+        lines = (TOY / "targets.csv").read_text(encoding="utf-8").splitlines(True)
+        lines[1] = lines[1].replace(",Miroslav,Klose,", ",,,")
+        bad.write_text("".join(lines), encoding="utf-8")
+        cfg = toy_config(tmp_path / "cfg", targets=str(bad))
+        out_dir = tmp_path / "o"
+        assert main(["match", "--config", cfg, "--out", str(out_dir)]) == 3
+        err = capsys.readouterr().err
+        assert f"{bad}:2]" in err
+        assert "empty first_name for target 't1'" in err
+        assert not (out_dir / "matches.csv").exists()
+
 
 class TestOverrides:
     def test_min_freq_override_changes_retention_and_hash(self, tmp_path):

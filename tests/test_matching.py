@@ -9,8 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pncvalence.cli import RunConfig, _match_record, read_csv_artifact, write_csv_artifact
-from pncvalence.corpus import (H_WILDCARD, ContextMatch, Document, TargetSpec,
-                               _CaseFold, dedupe_documents, frequency_filter,
+from pncvalence.corpus import (H_WILDCARD, WILDCARD_GAP, ContextMatch, Document,
+                               TargetSpec, _CaseFold, _wildcard_spans,
+                               dedupe_documents, frequency_filter,
                                generate_variants, match_contexts,
                                pnc_match_counts, read_corpus_jsonl,
                                read_targets_csv)
@@ -110,6 +111,104 @@ class TestGatedMatchingEqualsBruteForce:
                 == brute_force(corpus, targets, **options))
 
 
+# characters with a meaning in a regular expression, to be matched literally
+METACHARACTERS = ".()|\\*+?[]^$"
+
+
+class TestGateUnderStress:
+    """The gate's one pattern over all anchors, where anchors nest deeply,
+    run long or hold regex metacharacters: matches equal brute_force's."""
+
+    @pytest.mark.parametrize("case_insensitive", [False, True])
+    def test_heads_nested_600_deep(self, case_insensitive):
+        targets = [TargetSpec(
+            target_id=f"t{n:03d}", pnc_surface=f"M-{'a' * n}", modifier_surface="M",
+            head_surface="a" * n, first_name="Uli", last_name="b" * n,
+            domain="sports") for n in range(1, 601)]
+        corpus = [doc("d1", "M-" + "a" * 300 + " Uli bbb\nx" + "A" * 650 + "M#a")]
+        options = dict(case_insensitive=case_insensitive)
+        assert (match_contexts(corpus, targets, **options)
+                == brute_force(corpus, targets, **options))
+
+    def test_full_name_of_5000_characters(self):
+        last = "Kl" + "o" * 4_996 + "se"
+        targets = [target("long", "Tore-Klose", "Miroslav", last), KLOSE]
+        corpus = [doc("d1", f"Miroslav {last} und Tore-Klose"),
+                  doc("d2", f"Miroslav {last[:-1]}")]
+        for case_insensitive in (False, True):
+            found = match_contexts(corpus, targets, case_insensitive=case_insensitive)
+            assert found == brute_force(corpus, targets,
+                                        case_insensitive=case_insensitive)
+            assert ("long", "d1", "full_name") in {
+                (m.target_id, m.doc_id, m.kind) for m in found}
+
+    @pytest.mark.parametrize("meta", METACHARACTERS)
+    def test_metacharacters_are_literal(self, meta):
+        mod, head, last = f"Spa{meta}", f"{meta}Gu{meta}ido", f"W{meta}"
+        targets = [TargetSpec(
+            target_id="t1", pnc_surface=f"{mod}-{head}", modifier_surface=mod,
+            head_surface=head, first_name=meta, last_name=last, domain="politics",
+            alt_spellings=(f"{meta}Spassi{meta}", meta * 2))]
+        corpus = [doc("d1", f"{mod}-{head}, {mod}##{head} und {meta} {last}"),
+                  doc("d2", f"{meta}Spassi{meta} {meta * 3} Spa-Guido"),
+                  doc("d3", "SpaxxGuido Spa Gu ido W " + METACHARACTERS)]
+        for case_insensitive in (False, True):
+            for include_overlaps in (False, True):
+                options = dict(case_insensitive=case_insensitive,
+                               include_overlaps=include_overlaps)
+                assert (match_contexts(corpus, targets, **options)
+                        == brute_force(corpus, targets, **options))
+
+    def test_all_metacharacters_in_one_target(self):
+        meta = METACHARACTERS
+        targets = [TargetSpec(
+            target_id="t1", pnc_surface=f"{meta}-{meta}", modifier_surface=meta,
+            head_surface=meta, first_name=meta, last_name=meta, domain="others",
+            alt_spellings=(meta[::-1],))]
+        corpus = [doc("d1", f"{meta}-{meta} {meta}{meta} {meta} {meta}"),
+                  doc("d2", meta[::-1] + "\n" + meta)]
+        assert match_contexts(corpus, targets) == brute_force(corpus, targets)
+
+
+# texts over a small alphabet with a line break, so the gap's greedy tries,
+# its refusal of "\n" and the resumption after a hit all show up
+WILDCARD_ALPHABET = "ab\n-"
+
+
+@st.composite
+def wildcard_case(draw):
+    word = st.text(WILDCARD_ALPHABET, min_size=1, max_size=3)
+    mod = draw(word)
+    head = draw(st.one_of(st.just(mod), word, st.builds(
+        lambda n: mod[:n], st.integers(1, len(mod)))))
+    text = draw(st.one_of(
+        st.text(WILDCARD_ALPHABET, max_size=len(mod) + 1),
+        st.text(WILDCARD_ALPHABET, max_size=30),
+        st.lists(st.sampled_from((mod, head, "a", "b", "\n", "-", "--")),
+                 max_size=8).map("".join)))
+    return mod, head, text
+
+
+class TestWildcardSpans:
+    @settings(max_examples=500, deadline=None)
+    @given(wildcard_case())
+    def test_equal_to_finditer(self, case):
+        mod, head, text = case
+        pattern = re.escape(mod) + WILDCARD_GAP + re.escape(head)
+        assert (list(_wildcard_spans(mod, head, text))
+                == [m.span() for m in re.finditer(pattern, text)])
+
+    @pytest.mark.parametrize("mod, head, text, spans", [
+        ("ab", "ab", "abab", [(0, 4)]),
+        ("ab", "a", "ab--a ab\na aba", [(0, 5), (11, 14)]),
+        ("aa", "a", "aaaa", [(0, 4)]),
+        ("ab", "b", "a", []),
+        ("a", "b", "a-\nb", []),
+    ])
+    def test_hand_cases(self, mod, head, text, spans):
+        assert list(_wildcard_spans(mod, head, text)) == spans
+
+
 # the IGNORECASE classes of LETTERS, ASCII letters and a character without case
 FOLD_POOL = "\u212akKİıiIµμΜσςΣßẞǅǆǄ" + string.ascii_letters + "日"
 
@@ -200,6 +299,9 @@ class TestMatchContexts:
             assert matches == brute_force(corpus, [ha], case_insensitive)
         assert [(m.doc_id, m.byte_start, m.byte_end) for m in matches] == [
             ("d1", 0, 5), ("d2", 0, 5)]
+
+    def test_no_targets_no_matches(self):
+        assert match_contexts([doc("d1", "Tore-Klose")], []) == []
 
     def test_multiple_occurrences_in_one_doc(self):
         matches = match_contexts([doc("d1", "Tore-Klose und Tore-Klose")], [KLOSE])
@@ -365,6 +467,23 @@ class TestFileInterfaces:
             encoding="utf-8")
         with pytest.raises(ParseError, match="domain"):
             read_targets_csv(str(p))
+
+    @pytest.mark.parametrize("first, last, column", [
+        ("", "", "first_name"), ("Miroslav", " ", "last_name"),
+        ("", "Klose", "first_name"),
+    ])
+    def test_targets_empty_name_rejected(self, tmp_path, first, last, column):
+        p = tmp_path / "targets.csv"
+        p.write_text(
+            "target_id,pnc_surface,modifier_surface,head_surface,"
+            "first_name,last_name,domain,alt_spellings\n"
+            "t1,Spaß-Guido,,,Guido,Westerwelle,politics,\n"
+            f"t2,Tore-Klose,,,{first},{last},sports,\n",
+            encoding="utf-8")
+        with pytest.raises(ParseError, match=f"empty {column} for target 't2'") as exc:
+            read_targets_csv(str(p))
+        assert exc.value.line == 3
+        assert f"{p}:3]" in str(exc.value)
 
     def test_targets_missing_column_rejected(self, tmp_path):
         p = tmp_path / "targets.csv"
