@@ -666,7 +666,7 @@ def cmd_regress(cfg: RunConfig) -> None:
          u.fit.adj_r_squared, u.fit.f_p_value, u.stars] for u in uni_results))
 
     multi_results, multi_notes = multivariate_suite(
-        rows, cfg.get("model_specs") or DEFAULT_MODEL_SPECS)
+        rows, cfg.get("model_specs", DEFAULT_MODEL_SPECS))
     write_csv_artifact(cfg, "multivariate.csv", (
         [m.model, m.formula, m.fit.n, m.fit.r_squared, m.fit.adj_r_squared,
          m.fit.residual_se, m.fit.f_statistic, m.fit.f_p_value, m.stars]

@@ -33,6 +33,7 @@ import re
 import unicodedata
 from collections import Counter
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterable, Sequence
 
 from .csvio import read_csv, read_jsonl
@@ -56,8 +57,8 @@ H_WILDCARD = "wildcard_pattern"
 HEURISTICS = (H_ORIGINAL, H_UMLAUT, H_ESZETT, H_INTERFIX_ADD, H_INTERFIX_DROP,
               H_NUMBER, H_ALT_SPELLING, H_WILDCARD)
 
-_UMLAUT_FOLD = {"ä": "ae", "ö": "oe", "ü": "ue", "Ä": "Ae", "Ö": "Oe", "Ü": "Ue"}
-_ESZETT_FOLD = {"ß": "ss"}
+_UMLAUT_FOLD = str.maketrans({"ä": "ae", "ö": "oe", "ü": "ue", "Ä": "Ae", "Ö": "Oe", "Ü": "Ue"})
+_ESZETT_FOLD = str.maketrans({"ß": "ss"})
 
 # German linking elements toggled between modifier and head ("Hoffnungs-" vs
 # "Hoffnung-"), and the final letters toggled for singular/plural pairs
@@ -65,10 +66,11 @@ _ESZETT_FOLD = {"ß": "ss"}
 INTERFIXES = ("s", "es", "n", "en")
 NUMBER_SUFFIXES = ("e", "en", "n", "s")
 
-# wildcard between modifier and head: 0-2 arbitrary non-newline characters
-# (hyphen, space, hashtag, nothing, ...); _wildcard_spans scans this gap
-# without re
-WILDCARD_GAP = ".{0,2}"
+# wildcard between modifier and head: 0 to WILDCARD_MAX_GAP arbitrary
+# non-newline characters (hyphen, space, hashtag, nothing, ...);
+# _wildcard_spans scans this gap without re
+WILDCARD_MAX_GAP = 2
+WILDCARD_GAP = f".{{0,{WILDCARD_MAX_GAP}}}"
 
 
 def nfc(s: str) -> str:
@@ -77,7 +79,15 @@ def nfc(s: str) -> str:
 
 @dataclass(frozen=True)
 class TargetSpec:
-    """A personal name compound linked to a full name and a domain."""
+    """A personal name compound linked to a full name and a domain.
+
+    A target is resolved when it is built. Every field but target_id and
+    domain is NFC-normalised. modifier_surface and head_surface become the
+    compound's two parts: given both, they must be pnc_surface's sides of
+    one separator character; otherwise pnc_surface is split at its one
+    hyphen, and a part given alone must equal its side. A compound that
+    does not split raises ValidationError.
+    """
 
     target_id: str
     pnc_surface: str
@@ -89,6 +99,38 @@ class TargetSpec:
     alt_spellings: tuple[str, ...] = ()
     modifier_lemma: str | None = None
 
+    def __post_init__(self) -> None:
+        resolve = partial(object.__setattr__, self)
+        for field in ("pnc_surface", "modifier_surface", "head_surface",
+                      "first_name", "last_name"):
+            resolve(field, nfc(getattr(self, field)))
+        resolve("alt_spellings", tuple(map(nfc, self.alt_spellings)))
+        resolve("modifier_lemma", self.modifier_lemma and nfc(self.modifier_lemma))
+
+        pnc, mod, head = self.pnc_surface, self.modifier_surface, self.head_surface
+        if mod and head:
+            if not (len(pnc) == len(mod) + len(head) + 1
+                    and pnc.startswith(mod) and pnc.endswith(head)):
+                raise ValidationError(
+                    f"target {self.target_id!r}: modifier {mod!r} and head {head!r} "
+                    f"do not concatenate (with one separator) to {pnc!r}")
+            return
+        sides = pnc.split("-")
+        if len(sides) != 2 or not all(sides):
+            raise ValidationError(f"target {self.target_id!r}: cannot separate "
+                                  f"modifier and head in {pnc!r}")
+        for part, given, side in (("modifier", mod, sides[0]), ("head", head, sides[1])):
+            if given not in ("", side):
+                raise ValidationError(f"target {self.target_id!r}: {part} {given!r} "
+                                      f"is not {side!r}, its side of {pnc!r}")
+        resolve("modifier_surface", sides[0])
+        resolve("head_surface", sides[1])
+
+    @property
+    def separator(self) -> str:
+        """The one character between modifier and head in pnc_surface."""
+        return self.pnc_surface[len(self.modifier_surface)]
+
     @property
     def full_name(self) -> str:
         return f"{self.first_name} {self.last_name}"
@@ -99,10 +141,8 @@ class Document:
     """One context unit: a tweet, an already-sentence-split news line, or other."""
 
     doc_id: str
-    source: str
     text: str
     url: str | None = None
-    date: str | None = None
 
 
 @dataclass(frozen=True)
@@ -117,36 +157,6 @@ class ContextMatch:
     byte_end: int
 
 
-def fold_chars(s: str, table: dict[str, str]) -> str:
-    """Replace every character the table maps by its replacement."""
-    return s.translate(str.maketrans(table))
-
-
-def split_compound(target: TargetSpec) -> tuple[str, str, str]:
-    """Resolve (modifier, separator, head) for a target.
-
-    The compound surface must either consist of explicitly given modifier and
-    head joined by exactly one separator character, or contain exactly one
-    hyphen to split on.
-    """
-    pnc = nfc(target.pnc_surface)
-    mod = nfc(target.modifier_surface) if target.modifier_surface else ""
-    head = nfc(target.head_surface) if target.head_surface else ""
-    if mod and head:
-        if (len(pnc) == len(mod) + len(head) + 1
-                and pnc.startswith(mod) and pnc.endswith(head)):
-            return mod, pnc[len(mod)], head
-        raise ValidationError(
-            f"target {target.target_id!r}: modifier {mod!r} and head {head!r} "
-            f"do not concatenate (with one separator) to {pnc!r}")
-    if pnc.count("-") == 1:
-        mod, head = pnc.split("-")
-        if mod and head:
-            return mod, "-", head
-    raise ValidationError(
-        f"target {target.target_id!r}: cannot separate modifier and head in {pnc!r}")
-
-
 def generate_variants(target: TargetSpec) -> tuple[tuple[str, str], ...]:
     """Expand a target into its ordered, deduplicated (variant, heuristic) pairs.
 
@@ -155,11 +165,10 @@ def generate_variants(target: TargetSpec) -> tuple[tuple[str, str], ...]:
     transliteration on modifier and head independently and jointly,
     linking-element and singular/plural toggles on the modifier,
     user-supplied alternative spellings, and a single bounded-gap wildcard,
-    a regex pattern "modifier <0-2 any chars> head"; every other variant is
+    the regex pattern modifier + WILDCARD_GAP + head; every other variant is
     a literal string. Deterministic: repeated calls yield identical pairs.
     """
-    mod, sep, head = split_compound(target)
-    original = mod + sep + head
+    mod, sep, head = target.modifier_surface, target.separator, target.head_surface
 
     entries: list[tuple[str, str]] = []
     seen: set[str] = set()
@@ -169,11 +178,11 @@ def generate_variants(target: TargetSpec) -> tuple[tuple[str, str], ...]:
             seen.add(variant)
             entries.append((variant, tag))
 
-    add(original, H_ORIGINAL)
+    add(target.pnc_surface, H_ORIGINAL)
 
     for table, tag in ((_UMLAUT_FOLD, H_UMLAUT), (_ESZETT_FOLD, H_ESZETT)):
-        mod_f = fold_chars(mod, table)
-        head_f = fold_chars(head, table)
+        mod_f = mod.translate(table)
+        head_f = head.translate(table)
         if mod_f != mod:
             add(mod_f + sep + head, tag)
         if head_f != head:
@@ -194,7 +203,6 @@ def generate_variants(target: TargetSpec) -> tuple[tuple[str, str], ...]:
             add(mod[: -len(suffix)] + sep + head, H_NUMBER)
 
     for alt in target.alt_spellings:
-        alt = nfc(alt)
         if alt:
             add(alt, H_ALT_SPELLING)
 
@@ -275,15 +283,15 @@ def _compile_targets(targets: Sequence[TargetSpec],
     expanded, alphabet = [], set()
     for target in targets:
         variants = generate_variants(target)
-        mod, _, head = split_compound(target)
-        name = nfc(target.full_name)
-        expanded.append((target, variants, mod, head, name))
-        alphabet.update(mod, head, name,
+        expanded.append((target, variants))
+        # the original surface, a literal, holds modifier and head
+        alphabet.update(target.full_name,
                         *(v for v, tag in variants if tag != H_WILDCARD))
     fold = _CaseFold(alphabet, flags)
     compiled = []
-    for target, variants, mod, head, name in expanded:
-        wildcard = (fold(mod), fold(head))
+    for target, variants in expanded:
+        head, name = target.head_surface, target.full_name
+        wildcard = (fold(target.modifier_surface), fold(head))
         compiled.append(_CompiledTarget(
             target_id=target.target_id,
             pnc_needles=tuple(
@@ -299,15 +307,15 @@ def _compile_targets(targets: Sequence[TargetSpec],
 def _wildcard_spans(mod: str, head: str, text: str) -> Iterable[tuple[int, int]]:
     """Spans of re.finditer(re.escape(mod) + WILDCARD_GAP + re.escape(head), text).
 
-    At each occurrence of mod, from the left, the greedy gap of 2, then 1,
-    then 0 characters without a line break is tried before head; after a hit
-    the search resumes at its end, so the spans are leftmost and do not
-    overlap.
+    At each occurrence of mod, from the left, gaps of WILDCARD_MAX_GAP
+    characters down to none, each without a line break, are tried before
+    head, the longest (greedy) first; after a hit the search resumes at its
+    end, so the spans are leftmost and do not overlap.
     """
     start = text.find(mod)
     while start >= 0:
         gap_start = start + len(mod)
-        for gap in (2, 1, 0):
+        for gap in range(WILDCARD_MAX_GAP, -1, -1):
             gap_end = gap_start + gap
             if "\n" not in text[gap_start:gap_end] and text.startswith(head, gap_end):
                 end = gap_end + len(head)
@@ -493,33 +501,22 @@ def read_targets_csv(path: str) -> list[TargetSpec]:
     seen_ids: set[str] = set()
 
     def parse(row) -> TargetSpec:
-        target_id = (row["target_id"] or "").strip()
+        cell = {c: (row.get(c) or "").strip() for c in TARGETS_FIELDS + ("modifier_lemma",)}
+        target_id = cell["target_id"]
         if not target_id:
             raise ValueError("empty target_id")
         if target_id in seen_ids:
             raise ValueError(f"duplicate target_id {target_id!r}")
         seen_ids.add(target_id)
         for column in ("first_name", "last_name"):
-            if not (row[column] or "").strip():
+            if not cell[column]:
                 raise ValueError(f"empty {column} for target {target_id!r}")
-        domain = (row["domain"] or "").strip()
-        if domain not in DOMAINS:
-            raise ValueError(f"unknown domain {domain!r} for target {target_id!r}")
-        alts = tuple(a.strip() for a in (row["alt_spellings"] or "").split(";") if a.strip())
-        lemma = (row.get("modifier_lemma") or "").strip() or None
-        target = TargetSpec(
-            target_id=target_id,
-            pnc_surface=nfc((row["pnc_surface"] or "").strip()),
-            modifier_surface=nfc((row["modifier_surface"] or "").strip()),
-            head_surface=nfc((row["head_surface"] or "").strip()),
-            first_name=nfc((row["first_name"] or "").strip()),
-            last_name=nfc((row["last_name"] or "").strip()),
-            domain=domain,
-            alt_spellings=alts,
-            modifier_lemma=nfc(lemma) if lemma else None,
-        )
-        split_compound(target)  # validate separability up front
-        return target
+        if cell["domain"] not in DOMAINS:
+            raise ValueError(f"unknown domain {cell['domain']!r} for target {target_id!r}")
+        cell["alt_spellings"] = tuple(a.strip() for a in cell["alt_spellings"].split(";")
+                                      if a.strip())
+        cell["modifier_lemma"] = cell["modifier_lemma"] or None
+        return TargetSpec(**cell)
 
     targets = read_csv(path, TARGETS_FIELDS, parse)
     if not targets:
@@ -549,7 +546,6 @@ def read_corpus_jsonl(path: str) -> list[Document]:
         for key in ("url", "date"):
             if not isinstance(obj.get(key), (str, type(None))):
                 raise ValueError(f"{key} of doc {doc_id!r} is not a string")
-        return Document(doc_id=doc_id, source=source, text=text,
-                        url=obj.get("url"), date=obj.get("date"))
+        return Document(doc_id=doc_id, text=text, url=obj.get("url"))
 
     return read_jsonl(path, parse)

@@ -12,7 +12,7 @@ import json
 import re
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
-from .errors import ParseError
+from .errors import ParseError, ValidationError
 
 T = TypeVar("T")
 
@@ -55,8 +55,9 @@ def read_csv(path: str, fields: Sequence[str],
     """Parse every row of a CSV file whose header holds at least `fields`.
 
     parse turns one row (column -> value, None where the row is cut short)
-    into a record, raising ValueError or TypeError for a bad value. A missing
-    column or a bad value raises ParseError with the file's line number.
+    into a record, raising ValueError, TypeError or ValidationError for a bad
+    value. A missing column or a bad value raises ParseError with the file's
+    line number.
     """
     line_no = 0
 
@@ -77,7 +78,7 @@ def read_csv(path: str, fields: Sequence[str],
         for row in reader:
             try:
                 records.append(parse(row))
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, ValidationError) as exc:
                 short = "; the row is cut short" if None in row.values() else ""
                 raise ParseError(f"bad row: {exc}{short}", path=path,
                                  line=line_no) from exc

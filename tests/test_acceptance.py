@@ -22,8 +22,8 @@ from scipy import integrate
 from pncvalence.cli import main
 from pncvalence.corpus import (H_ALT_SPELLING, H_ESZETT, H_INTERFIX_DROP,
                                H_NUMBER, H_ORIGINAL, H_UMLAUT, ContextMatch,
-                               TargetSpec, fold_chars, generate_variants,
-                               _ESZETT_FOLD, _UMLAUT_FOLD)
+                               TargetSpec, generate_variants, _ESZETT_FOLD,
+                               _UMLAUT_FOLD)
 from pncvalence.lexicon import TaggedContext, TaggedToken, ValenceLexicon
 from pncvalence.regression import (FeatureRow, elastic_net_fit,
                                    encode_features, lambda_max,
@@ -175,8 +175,8 @@ def test_criterion_03_variant_mappings_and_fuzz(capsys):
             # every fold variant must transliterate one or both sides
             for table, tag in ((_UMLAUT_FOLD, H_UMLAUT),
                                (_ESZETT_FOLD, H_ESZETT)):
-                folded_mod = fold_chars(mod, table)
-                folded_head = fold_chars(head, table)
+                folded_mod = mod.translate(table)
+                folded_head = head.translate(table)
                 candidates = {f"{m}-{h}"
                               for m in (mod, folded_mod)
                               for h in (head, folded_head)

@@ -7,6 +7,7 @@ import shutil
 import subprocess
 import sys
 import threading
+import unicodedata
 import warnings
 from dataclasses import astuple
 from http.server import BaseHTTPRequestHandler, HTTPServer
@@ -429,6 +430,23 @@ class TestExitCodes:
         assert "empty first_name for target 't1'" in err
         assert not (out_dir / "matches.csv").exists()
 
+    @pytest.mark.parametrize("parts, message", [
+        ("ToreKlose,,", "cannot separate modifier and head in 'ToreKlose'"),
+        ("Tore-Klose,,Kloss", "head 'Kloss' is not 'Klose', its side of 'Tore-Klose'"),
+    ])
+    def test_unresolvable_compound_is_exit_3_with_its_line(self, tmp_path, capsys,
+                                                           parts, message):
+        bad = (tmp_path / "targets.csv").resolve()
+        lines = (TOY / "targets.csv").read_text(encoding="utf-8").splitlines(True)
+        lines[1] = lines[1].replace("t1,Tore-Klose,Tore,Klose,", f"t1,{parts},")
+        bad.write_text("".join(lines), encoding="utf-8")
+        cfg = toy_config(tmp_path / "cfg", targets=str(bad))
+        out_dir = tmp_path / "o"
+        assert main(["variants", "--config", cfg, "--out", str(out_dir)]) == 3
+        err = capsys.readouterr().err
+        assert f"target 't1': {message} [{bad}:2]" in err
+        assert not (out_dir / "variants.csv").exists()
+
 
 class TestOverrides:
     def test_min_freq_override_changes_retention_and_hash(self, tmp_path):
@@ -750,6 +768,19 @@ class TestRegressDefaults:
         net = json.loads((run_dir / "elasticnet.json").read_text(encoding="utf-8"))
         assert net["formula"] == dict(regression.DEFAULT_MODEL_SPECS)[
             "all_except_name_valence"]
+
+    @pytest.mark.parametrize("key, table, other", [
+        ("univariate_predictors", "univariate.csv", "multivariate.csv"),
+        ("model_specs", "multivariate.csv", "univariate.csv"),
+    ])
+    def test_an_empty_list_fits_nothing(self, tmp_path, out, key, table, other):
+        cfg = toy_config(tmp_path, **{key: []})
+        run_dir = tmp_path / "o"
+        shutil.copytree(out, run_dir)
+        assert main(["regress", "--config", cfg, "--out", str(run_dir)]) == 0
+        assert read_rows(run_dir / table) == []
+        # the other list is the toy config's, fitted as before
+        assert read_rows(run_dir / other) == read_rows(out / other)
 
 
 def metadata_all_female(tmp_path):
@@ -1120,6 +1151,29 @@ class TestLineEndings:
                           for p in sorted(out_dir.rglob("*")) if p.is_file()
                           and not p.name.startswith("manifest_")}
         assert runs["crlf"] == runs["lf"]
+
+
+class TestNfdTargets:
+    def test_nfd_targets_without_parts_write_the_toy_artifacts(self, tmp_path, out):
+        # targets.csv in NFD with modifier_surface and head_surface blank: each
+        # target resolves to the same NFC parts, so the matching artifacts are
+        # the toy run's bytes
+        shutil.copytree(TOY, tmp_path / "toy")
+        with open(TOY / "targets.csv", encoding="utf-8", newline="") as fh:
+            header, *rows = csv.reader(fh)
+        for row in rows:
+            row[header.index("modifier_surface")] = row[header.index("head_surface")] = ""
+        nfd = [[unicodedata.normalize("NFD", cell) for cell in row] for row in rows]
+        assert nfd != rows
+        with open(tmp_path / "toy" / "targets.csv", "w", encoding="utf-8",
+                  newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows([header, *nfd])
+        out_dir = tmp_path / "o"
+        for command in ("variants", "match"):
+            assert main([command, "--config", str(tmp_path / "toy" / "config.json"),
+                         "--out", str(out_dir)]) == 0, command
+        for name in ("variants.csv", "matches.csv", "freq_report.csv"):
+            assert (out_dir / name).read_bytes() == (out / name).read_bytes(), name
 
 
 class TestCaseInsensitiveMatch:

@@ -30,7 +30,7 @@ MERKEL = target("merkel", "Willkommens-Merkel", "Angela", "Merkel",
 
 
 def doc(doc_id, text, url=None):
-    return Document(doc_id=doc_id, source="tweet", text=text, url=url)
+    return Document(doc_id=doc_id, text=text, url=url)
 
 
 def brute_force(corpus, targets, case_insensitive=False, include_overlaps=True):
@@ -500,6 +500,26 @@ class TestFileInterfaces:
             encoding="utf-8")
         with pytest.raises(ValidationError, match="t1"):
             read_targets_csv(str(p))
+
+    @pytest.mark.parametrize("parts, message", [
+        ("ToreKlose,,", "cannot separate modifier and head in 'ToreKlose'"),
+        ("Tore-Klose,,Kloss", "head 'Kloss' is not 'Klose', its side of 'Tore-Klose'"),
+        ("Tore-Klose,Tor,", "modifier 'Tor' is not 'Tore', its side of 'Tore-Klose'"),
+        ("Tore-Klose,Tor,Klose", "do not concatenate"),
+    ])
+    def test_targets_unresolvable_compound_names_its_line(self, tmp_path, parts,
+                                                          message):
+        p = tmp_path / "targets.csv"
+        p.write_text(
+            "target_id,pnc_surface,modifier_surface,head_surface,"
+            "first_name,last_name,domain,alt_spellings\n"
+            "t1,Spaß-Guido,,,Guido,Westerwelle,politics,\n"
+            f"t2,{parts},Miroslav,Klose,sports,\n",
+            encoding="utf-8")
+        with pytest.raises(ParseError, match=f"target 't2': .*{re.escape(message)}") as exc:
+            read_targets_csv(str(p))
+        assert exc.value.line == 3
+        assert str(exc.value).endswith(f"[{p}:3]")
 
     def test_corpus_jsonl_round_trip(self, tmp_path):
         p = tmp_path / "corpus.jsonl"

@@ -1,5 +1,6 @@
 import re
 import random
+import unicodedata
 
 import pytest
 from hypothesis import given, settings
@@ -8,8 +9,7 @@ from hypothesis import strategies as st
 from pncvalence.corpus import (H_ALT_SPELLING, H_ESZETT, H_INTERFIX_ADD,
                                H_INTERFIX_DROP, H_NUMBER, H_ORIGINAL,
                                H_UMLAUT, H_WILDCARD, HEURISTICS, TargetSpec,
-                               fold_chars, generate_variants, split_compound,
-                               _UMLAUT_FOLD, _ESZETT_FOLD)
+                               generate_variants, _UMLAUT_FOLD, _ESZETT_FOLD)
 from pncvalence.errors import ValidationError
 
 
@@ -21,27 +21,74 @@ def make_target(pnc, first="Max", last="Muster", tid="t1", alts=(),
                       alt_spellings=tuple(alts))
 
 
+def parts(target):
+    return target.modifier_surface, target.separator, target.head_surface
+
+
+def nfd(s):
+    return unicodedata.normalize("NFD", s)
+
+
 class TestSplitCompound:
+    """TargetSpec splits the compound when it is built."""
+
     def test_single_hyphen(self):
-        assert split_compound(make_target("Tore-Klose")) == ("Tore", "-", "Klose")
+        assert parts(make_target("Tore-Klose")) == ("Tore", "-", "Klose")
 
     def test_explicit_parts_override(self):
         t = make_target("Willkommens Merkel", modifier="Willkommens",
                         head="Merkel")
-        assert split_compound(t) == ("Willkommens", " ", "Merkel")
+        assert parts(t) == ("Willkommens", " ", "Merkel")
 
     def test_explicit_parts_must_concatenate(self):
-        t = make_target("Tore-Klose", modifier="Tor", head="Klose")
         with pytest.raises(ValidationError, match="t1"):
-            split_compound(t)
+            make_target("Tore-Klose", modifier="Tor", head="Klose")
 
     def test_no_hyphen_rejected(self):
         with pytest.raises(ValidationError, match="t1"):
-            split_compound(make_target("ToreKlose"))
+            make_target("ToreKlose")
 
     def test_two_hyphens_rejected(self):
         with pytest.raises(ValidationError):
-            split_compound(make_target("a-b-c"))
+            make_target("a-b-c")
+
+    @pytest.mark.parametrize("modifier, head", [("Tore", ""), ("", "Klose")])
+    def test_lone_part_equal_to_its_side_is_kept(self, modifier, head):
+        t = make_target("Tore-Klose", modifier=modifier, head=head)
+        assert parts(t) == ("Tore", "-", "Klose")
+
+    @pytest.mark.parametrize("modifier, head, message", [
+        ("Tor", "", "modifier 'Tor' is not 'Tore'"),
+        ("", "Kloss", "head 'Kloss' is not 'Klose'"),
+        ("Klose", "", "modifier 'Klose' is not 'Tore'"),
+    ])
+    def test_lone_part_must_equal_its_side(self, modifier, head, message):
+        with pytest.raises(ValidationError, match=f"t1.*{message}"):
+            make_target("Tore-Klose", modifier=modifier, head=head)
+
+    def test_fields_are_nfc_normalised(self):
+        t = TargetSpec(target_id="t1", pnc_surface=nfd("Bätschi-Nahles"),
+                       modifier_surface="", head_surface="",
+                       first_name=nfd("Andréa"), last_name=nfd("Nählés"),
+                       domain="politics", alt_spellings=(nfd("Bätsch-Nahles"),),
+                       modifier_lemma=nfd("bätschi"))
+        assert parts(t) == ("Bätschi", "-", "Nahles")
+        assert t.pnc_surface == "Bätschi-Nahles"
+        assert t.full_name == "Andréa Nählés"
+        assert t.alt_spellings == ("Bätsch-Nahles",)
+        assert t.modifier_lemma == "bätschi"
+        same = make_target("Bätschi-Nahles", modifier=nfd("Bätschi"),
+                           head=nfd("Nahles"))
+        assert parts(same) == parts(t)
+
+    @given(st.text(alphabet="abäöüß\u0308\u0301 ", min_size=1, max_size=6),
+           st.text(alphabet="abäöüß\u0308\u0301 ", min_size=1, max_size=6))
+    @settings(max_examples=200)
+    def test_nfd_surface_resolves_like_its_nfc(self, mod, head):
+        t = make_target(nfd(f"{mod}-{head}"))
+        assert parts(t) == tuple(unicodedata.normalize("NFC", s)
+                                 for s in (mod, "-", head))
+        assert generate_variants(t) == generate_variants(make_target(f"{mod}-{head}"))
 
 
 class TestPublishedMappings:
@@ -121,18 +168,18 @@ class TestVariantSetShape:
 
 class TestFold:
     def test_umlaut(self):
-        assert fold_chars("Bätschi", _UMLAUT_FOLD) == "Baetschi"
+        assert "Bätschi".translate(_UMLAUT_FOLD) == "Baetschi"
 
     def test_eszett(self):
-        assert fold_chars("Spaß", _ESZETT_FOLD) == "Spass"
+        assert "Spaß".translate(_ESZETT_FOLD) == "Spass"
 
     @given(st.text(alphabet="aäoöuüsßAÄOÖUÜxyz-", min_size=0, max_size=20))
     @settings(max_examples=200)
     def test_folded_side_holds_no_table_character(self, s):
         for table in (_UMLAUT_FOLD, _ESZETT_FOLD):
-            folded = fold_chars(s, table)
-            for ch in table:
-                assert ch not in folded
+            folded = s.translate(table)
+            for code in table:
+                assert chr(code) not in folded
 
 
 UMLAUT_POOL = "abdehiklmnorstuäöüß"
@@ -164,7 +211,7 @@ class TestFuzz:
     def test_transliterations_are_side_folds_over_100_targets(self):
         # every transliteration variant folds one or both sides of the original
         for target in random_targets(99):
-            mod, sep, head = split_compound(target)
+            mod, sep, head = parts(target)
             for variant, tag in generate_variants(target):
                 if tag == H_UMLAUT:
                     table = _UMLAUT_FOLD
@@ -173,8 +220,8 @@ class TestFuzz:
                 else:
                     continue
                 candidates = set()
-                for m in (mod, fold_chars(mod, table)):
-                    for h in (head, fold_chars(head, table)):
+                for m in (mod, mod.translate(table)):
+                    for h in (head, head.translate(table)):
                         if (m, h) != (mod, head):
                             candidates.add(m + sep + h)
                 assert variant in candidates
