@@ -27,8 +27,6 @@ import os
 import shutil
 import sys
 from contextlib import contextmanager
-from dataclasses import asdict, astuple, fields
-from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -67,23 +65,22 @@ class MissingArtifactError(PncValenceError):
 # the columns of every CSV artifact, in order, for its one writer and reader.
 # A float cell is formatted by its column's name: .4g for a *p_value, .2f for
 # a pct_*, and DECIMALS places otherwise. Tables 2 and 3 of the report copy a
-# subset of the columns of sign_breakdown.csv and comparison.csv. matches.csv
-# holds one ContextMatch a row, a delta artifact one DeltaRecord
-_DELTA_COLUMNS = tuple(f.name for f in fields(DeltaRecord))
+# subset of the columns of sign_breakdown.csv and comparison.csv. A row of
+# matches.csv is a ContextMatch, of scores.csv a ScoreRecord and of a delta
+# artifact a DeltaRecord, each written as it is
 CSV_ARTIFACTS: dict[str, tuple[str, ...]] = {
     "variants.csv": ("target_id", "position", "variant", "heuristic"),
-    "matches.csv": tuple(f.name for f in fields(ContextMatch)),
+    "matches.csv": ContextMatch._fields,
     "freq_report.csv": ("target_id", "n_pnc_matches", "min_freq", "retained"),
-    "scores.csv": ("target_id", "kind", "approach", "valence", "n_contexts",
-                   "n_context_lemmas"),
-    "deltas.csv": _DELTA_COLUMNS,
+    "scores.csv": ScoreRecord._fields,
+    "deltas.csv": DeltaRecord._fields,
     "exclusions.csv": ("stage", "item", "reason"),
     "domain_summary.csv": ("group", "n", "n_negative", "n_positive", "n_zero",
                            "mean_delta", "pct_negative", "pct_positive"),
     "frequent_words.csv": ("target_id", "kind", "lemma", "count", "valence"),
     "correlations.csv": ("pair", "method", "n", "coefficient", "p_value"),
     "plm_scores.csv": ("target_id", "kind", "approach", "valence", "n_contexts"),
-    "plm_deltas.csv": _DELTA_COLUMNS,
+    "plm_deltas.csv": DeltaRecord._fields,
     "iaa.csv": ("kind", "annotator_a", "annotator_b", "n_shared", "rho"),
     "sign_breakdown.csv": ("approach", "n", "n_negative", "n_positive", "n_zero",
                            "pct_delta_negative", "pct_delta_positive",
@@ -415,9 +412,7 @@ def cmd_match(cfg: RunConfig) -> None:
     matches = match_contexts(
         corpus, targets, case_insensitive=cfg["case_insensitive"],
         include_overlaps=cfg["include_overlaps"])
-    # attrgetter, not astuple, which deep-copies every field of every match
-    matches_path = write_csv_artifact(cfg, "matches.csv", map(
-        attrgetter(*CSV_ARTIFACTS["matches.csv"]), matches))
+    matches_path = write_csv_artifact(cfg, "matches.csv", matches)
 
     min_freq = cfg["min_freq"]
     retained, _ = frequency_filter(matches, min_freq, targets)
@@ -457,10 +452,8 @@ def cmd_score(cfg: RunConfig) -> None:
     deltas, delta_notes = compute_deltas(scores, targets, lexicon)
     summaries, domain_notes = domain_summary(deltas, targets)
 
-    scores_out = write_csv_artifact(cfg, "scores.csv", (
-        [s.target_id, s.kind, s.approach, s.valence, s.n_contexts, s.n_context_lemmas]
-        for s in scores))
-    write_csv_artifact(cfg, "deltas.csv", map(astuple, deltas))
+    scores_out = write_csv_artifact(cfg, "scores.csv", scores)
+    write_csv_artifact(cfg, "deltas.csv", deltas)
 
     exclusion_rows = [["frequency", t, f"fewer than {cfg['min_freq']} compound matches"]
                       for t in dropped]
@@ -538,15 +531,17 @@ def cmd_sentiment(cfg: RunConfig) -> None:
     matches, _retained, _dropped = _retained_matches(cfg, targets)
     kinds = kind_index(matches)
 
+    # a (target, context, source) triple is labelled once across all label files
+    seen: set[tuple[str, str, str]] = set()
     model_records: dict[str, list] = {}
     for rel in cfg["label_files"]:
-        for rec in read_label_jsonl(str(cfg.input_file(rel, "label"))):
+        for rec in read_label_jsonl(str(cfg.input_file(rel, "label")), seen):
             model_records.setdefault(rec.source_id, []).append(rec)
 
     if cfg.get("service"):
         live_records = _classify_live(cfg, kinds)
         cfg.output_path("labels_live.jsonl").write_text("".join(
-            json.dumps(asdict(rec), ensure_ascii=False) + "\n" for rec in live_records),
+            json.dumps(rec._asdict(), ensure_ascii=False) + "\n" for rec in live_records),
             encoding="utf-8")
         for rec in live_records:
             model_records.setdefault(rec.source_id, []).append(rec)
@@ -554,7 +549,8 @@ def cmd_sentiment(cfg: RunConfig) -> None:
     human_records = []
     human_rel = cfg.get("human_label_file")
     if human_rel:
-        human_records = read_label_jsonl(str(cfg.input_file(human_rel, "human label")))
+        human_records = read_label_jsonl(
+            str(cfg.input_file(human_rel, "human label")), seen)
 
     scores: list[ScoreRecord] = []
     for source_id in sorted(model_records):
@@ -570,7 +566,7 @@ def cmd_sentiment(cfg: RunConfig) -> None:
         [s.target_id, s.kind, s.approach, s.valence, s.n_contexts] for s in scores))
 
     deltas, delta_notes = compute_deltas(scores)
-    write_csv_artifact(cfg, "plm_deltas.csv", map(astuple, deltas))
+    write_csv_artifact(cfg, "plm_deltas.csv", deltas)
     for item, reason in delta_notes:
         logger.info("sentiment delta: %s: %s", item, reason)
 
@@ -604,11 +600,17 @@ def _classify_live(cfg: RunConfig, kinds):
 
 
 def _write_iaa(cfg: RunConfig, human_records) -> None:
+    annotators = sorted({r.source_id for r in human_records})
+    if len(annotators) < 2:
+        # undefined, as for a pair without shared items: an empty mean rho
+        logger.warning("inter-annotator agreement undefined: the human labels "
+                       "hold one annotator, %s", annotators[0])
+        write_csv_artifact(cfg, "iaa.csv", [["mean", "", "", "", None]])
+        return
     result = pairwise_iaa(human_records)
     rows = [["pair", p.annotator_a, p.annotator_b, p.n_shared, p.rho]
             for p in result.pairs]
     rows.append(["mean", "", "", "", result.mean_rho])
-    annotators = sorted({r.source_id for r in human_records})
     if len(annotators) >= 3:
         rows.extend(["mean_excluding", left_out, "", "",
                      result.mean_rho_without(left_out)]

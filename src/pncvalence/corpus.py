@@ -34,7 +34,7 @@ import unicodedata
 from collections import Counter
 from dataclasses import dataclass
 from functools import partial
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .csvio import read_csv, read_jsonl
 from .errors import ParseError, ValidationError
@@ -136,8 +136,7 @@ class TargetSpec:
         return f"{self.first_name} {self.last_name}"
 
 
-@dataclass(frozen=True)
-class Document:
+class Document(NamedTuple):
     """One context unit: a tweet, an already-sentence-split news line, or other."""
 
     doc_id: str
@@ -145,8 +144,7 @@ class Document:
     url: str | None = None
 
 
-@dataclass(frozen=True)
-class ContextMatch:
+class ContextMatch(NamedTuple):
     """One occurrence of a target (as compound or full name) in a document."""
 
     target_id: str
@@ -247,8 +245,7 @@ class _CaseFold(dict):
         return s.translate(self)
 
 
-@dataclass(frozen=True)
-class _CompiledTarget:
+class _CompiledTarget(NamedTuple):
     target_id: str
     # (folded literal or the wildcard's (folded modifier, folded head),
     # variant_string)
@@ -266,11 +263,15 @@ def _anchors(variants: Sequence[tuple[str, str]], head: str,
     head) has the head, and the full-name pattern has the full name. An
     anchor that contains another anchor of the same target is dropped:
     wherever it matches, the shorter one matches too, with or without
-    IGNORECASE.
+    IGNORECASE. Taken shortest first, an anchor is kept unless it contains
+    one kept before: containment is transitive, so that drops the same ones.
     """
     found = {name, head} | {v for v, tag in variants if tag != H_WILDCARD}
-    return tuple(sorted(a for a in found
-                        if not any(b != a and b in a for b in found)))
+    kept: list[str] = []
+    for anchor in sorted(found, key=len):
+        if not any(shorter in anchor for shorter in kept):
+            kept.append(anchor)
+    return tuple(sorted(kept))
 
 
 def _compile_targets(targets: Sequence[TargetSpec],

@@ -20,8 +20,7 @@ from __future__ import annotations
 import logging
 import math
 from array import array
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
 
 from .csvio import read_csv
 from .errors import ConvergenceError, RankDeficiencyError, ValidationError
@@ -78,8 +77,7 @@ def significance_stars(p: float | None) -> str:
     return ""
 
 
-@dataclass(frozen=True)
-class FeatureRow:
+class FeatureRow(NamedTuple):
     """Per-target feature values; None marks a missing value."""
 
     target_id: str
@@ -113,8 +111,7 @@ def parse_formula(formula: str) -> tuple[str, tuple[str, ...]]:
     return response, tuple(terms)
 
 
-@dataclass(frozen=True)
-class DesignMatrix:
+class DesignMatrix(NamedTuple):
     """Encoded regression problem.
 
     columns[0] is the intercept. reference_levels maps each factor term to
@@ -217,8 +214,7 @@ def _check_problem(x: np.ndarray, y: np.ndarray, columns: Sequence[str],
     return x, y, columns
 
 
-@dataclass(frozen=True)
-class OlsFit:
+class OlsFit(NamedTuple):
     """Ordinary least squares fit with standard inference.
 
     p-values are None when residual degrees of freedom run out. For a model
@@ -317,8 +313,7 @@ def ols_fit(x: np.ndarray, y: np.ndarray, columns: Sequence[str]) -> OlsFit:
         f_statistic=f_stat, f_p_value=f_p, residuals=resid, fitted=fitted)
 
 
-@dataclass(frozen=True)
-class UnivariateResult:
+class UnivariateResult(NamedTuple):
     """One row of the single-predictor scan: numeric predictors yield one
     row (level is empty), factors one row per non-reference level sharing
     the model's fit. The row's slope is fit's coefficient at column."""
@@ -356,8 +351,7 @@ def univariate_scan(rows: Sequence[FeatureRow], predictors: Sequence[str],
     return results, notes
 
 
-@dataclass(frozen=True)
-class MultivariateResult:
+class MultivariateResult(NamedTuple):
     """One named model's fit; its fit statistics are those of fit."""
 
     model: str
@@ -432,8 +426,7 @@ def elastic_net_objective(x: np.ndarray, y: np.ndarray, beta: np.ndarray,
     return loss + penalty
 
 
-@dataclass(frozen=True)
-class ElasticNetFit:
+class ElasticNetFit(NamedTuple):
     """Elastic-net solution on the given predictor scale. The intercept is
     unpenalized and recovered from the column means."""
 
@@ -447,8 +440,7 @@ class ElasticNetFit:
     objective_trace: tuple[float, ...]
 
 
-@dataclass(frozen=True)
-class _Centred:
+class _Centred(NamedTuple):
     """One training set, centred, with its Gram form over m rows:
     gram = xcᵀxc/m, cov = xcᵀyc/m and yy = ycᵀyc/m. Constant columns are
     exactly zero in xc, so their rows of gram and cov are too."""
@@ -622,16 +614,14 @@ def lambda_max(x: np.ndarray, y: np.ndarray, alpha: float) -> float:
     return top / (n * max(alpha, ALPHA_FLOOR))
 
 
-@dataclass(frozen=True)
-class CvCandidate:
+class CvCandidate(NamedTuple):
     index: int
     alpha: float
     lam: float
     mean_error: float
 
 
-@dataclass(frozen=True)
-class CvSearchResult:
+class CvSearchResult(NamedTuple):
     """Random-search outcome: the tried candidates in draw order, the winner
     (lowest mean validation error, earliest draw on ties), and the winning
     model refitted on all rows. Predictors are standardized once up front;

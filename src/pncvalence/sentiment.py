@@ -18,8 +18,8 @@ import json
 import logging
 import time
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from dataclasses import dataclass
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .corpus import ContextMatch
 from .csvio import read_jsonl
@@ -33,8 +33,7 @@ LABELS = ("negative", "neutral", "positive")
 _LABEL_RANK = {"negative": 0, "neutral": 1, "positive": 2}
 
 
-@dataclass(frozen=True)
-class LabelRecord:
+class LabelRecord(NamedTuple):
     """One sentiment label for one context of one target, from one source
     (a classifier model id or an annotator id)."""
 
@@ -44,8 +43,7 @@ class LabelRecord:
     source_id: str
 
 
-@dataclass(frozen=True)
-class LabelHistogram:
+class LabelHistogram(NamedTuple):
     target_id: str
     n_negative: int
     n_neutral: int
@@ -56,8 +54,7 @@ class LabelHistogram:
         return self.n_negative + self.n_neutral + self.n_positive
 
 
-@dataclass(frozen=True)
-class ContextItem:
+class ContextItem(NamedTuple):
     """One text to classify, keyed back to its target and document."""
 
     target_id: str
@@ -172,10 +169,13 @@ def _classify_batch(url: str, batch: Sequence[ContextItem],
         context_ids=ids)
 
 
-def read_label_jsonl(path: str) -> list[LabelRecord]:
+def read_label_jsonl(path: str, seen: set[tuple[str, str, str]] | None = None,
+                     ) -> list[LabelRecord]:
     """Load label records, one JSON object per line. A (target, context,
-    source) triple may appear only once."""
-    seen: set[tuple[str, str, str]] = set()
+    source) triple may appear only once, and not in seen, the triples of the
+    label files read before this one; seen gains this file's triples."""
+    if seen is None:
+        seen = set()
 
     def parse(obj: dict) -> LabelRecord:
         rec = LabelRecord(
@@ -242,8 +242,7 @@ def eq2_valence(hist: LabelHistogram, kind: str, approach: str) -> ScoreRecord |
                        valence=valence, n_contexts=total, n_context_lemmas=0)
 
 
-@dataclass(frozen=True)
-class CompareResult:
+class CompareResult(NamedTuple):
     """Per-target classification of one label-based approach's deltas against
     the lexicon-based deltas, plus aggregate shares."""
 
@@ -251,7 +250,7 @@ class CompareResult:
     pct_agree: float
     pct_plm_more_negative: float
     pct_plm_more_positive: float
-    per_target: tuple[tuple[str, str], ...] = field(repr=False)  # (target_id, class)
+    per_target: tuple[tuple[str, str], ...]  # (target_id, class)
 
 
 def compare_approaches(plm_deltas: Sequence[DeltaRecord],
@@ -295,16 +294,14 @@ def compare_approaches(plm_deltas: Sequence[DeltaRecord],
         per_target=tuple(per_target))
 
 
-@dataclass(frozen=True)
-class PairAgreement:
+class PairAgreement(NamedTuple):
     annotator_a: str
     annotator_b: str
     n_shared: int
     rho: float | None  # None when agreement is undefined for the pair
 
 
-@dataclass(frozen=True)
-class AgreementResult:
+class AgreementResult(NamedTuple):
     pairs: tuple[PairAgreement, ...]
 
     @property

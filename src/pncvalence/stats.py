@@ -11,14 +11,12 @@ no special-function library.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import ConvergenceError, UndefinedCorrelationError, ValidationError
 
 
-@dataclass(frozen=True)
-class CorrelationResult:
+class CorrelationResult(NamedTuple):
     """A correlation coefficient with sample size and significance.
 
     Attributes

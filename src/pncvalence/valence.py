@@ -17,8 +17,7 @@ from __future__ import annotations
 import logging
 import math
 from collections import Counter, defaultdict
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .corpus import ContextMatch, TargetSpec
 from .errors import ValidationError
@@ -46,8 +45,7 @@ def delta_sign(delta: float) -> int:
     return (written > 0) - (written < 0)
 
 
-@dataclass(frozen=True)
-class ScoreRecord:
+class ScoreRecord(NamedTuple):
     """Valence score for one (target, kind) under one scoring approach.
 
     approach is "norms" for lexicon-based scores, "plm:<model_id>" for scores
@@ -64,8 +62,7 @@ class ScoreRecord:
     n_context_lemmas: int
 
 
-@dataclass(frozen=True)
-class DeltaRecord:
+class DeltaRecord(NamedTuple):
     """Compound-minus-name valence shift for one target under one approach."""
 
     target_id: str
@@ -175,8 +172,7 @@ def compute_deltas(scores: Sequence[ScoreRecord],
     return deltas, notes
 
 
-@dataclass(frozen=True)
-class SignSummary:
+class SignSummary(NamedTuple):
     """How many deltas of one group fall below, above and at zero (delta_sign)."""
 
     group: str

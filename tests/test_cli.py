@@ -9,7 +9,6 @@ import sys
 import threading
 import unicodedata
 import warnings
-from dataclasses import astuple
 from http.server import BaseHTTPRequestHandler, HTTPServer
 from pathlib import Path
 
@@ -957,20 +956,18 @@ def disk_full(*args):
 
 
 class TestPublish:
-    def test_failed_sentiment_leaves_out_dir_as_it_was(self, tmp_path, out, capsys):
-        # with one annotator left, sentiment fails at the agreement table,
-        # after it has written its label-based scores and deltas
+    def test_failed_sentiment_leaves_out_dir_as_it_was(
+            self, tmp_path, out, capsys, monkeypatch):
+        # sentiment fails at the agreement table, after it has written its
+        # label-based scores and deltas; under a config of another hash, each
+        # would differ from the one it replaces
         run_dir = tmp_path / "o"
         shutil.copytree(out, run_dir)
-        labels = tmp_path / "labels_human.jsonl"
-        labels.write_text("".join(
-            line for line in (TOY / "labels_human.jsonl").read_text(
-                encoding="utf-8").splitlines(keepends=True)
-            if json.loads(line)["source_id"] == "a1"), encoding="utf-8")
-        cfg = toy_config(tmp_path / "cfg", human_label_file=str(labels))
+        cfg = toy_config(tmp_path / "cfg", top_k_words=3)
         before = tree(run_dir)
-        assert main(["sentiment", "--config", cfg, "--out", str(run_dir)]) == 3
-        assert "two annotators" in capsys.readouterr().err
+        monkeypatch.setattr(cli, "_write_iaa", disk_full)
+        assert main(["sentiment", "--config", cfg, "--out", str(run_dir)]) == 2
+        assert "No space left on device" in capsys.readouterr().err
         assert tree(run_dir) == before
 
     def test_write_failing_midway_leaves_out_dir_as_it_was(
@@ -1006,6 +1003,56 @@ def run_python(*args, timeout, hash_seed=None):
         env["PYTHONHASHSEED"] = str(hash_seed)
     return subprocess.run([sys.executable, *args], env=env, capture_output=True,
                           text=True, timeout=timeout)
+
+
+class TestLabelFiles:
+    MODELS = str(TOY / "labels_models.jsonl")
+
+    @pytest.mark.parametrize("changes", [
+        {"label_files": [MODELS, MODELS]}, {"human_label_file": MODELS}])
+    def test_a_label_file_read_twice_is_exit_3_with_the_repeat(
+            self, tmp_path, out, capsys, changes):
+        cfg = toy_config(tmp_path / "cfg", **changes)
+        run_dir = tmp_path / "o"
+        shutil.copytree(out, run_dir)
+        before = tree(run_dir)
+        assert main(["sentiment", "--config", cfg, "--out", str(run_dir)]) == 3
+        err = capsys.readouterr().err
+        assert "duplicate label for" in err and f"[{self.MODELS}:1]" in err
+        assert tree(run_dir) == before
+
+    def test_a_label_repeated_in_another_file_names_its_line(
+            self, tmp_path, out, capsys):
+        lines = (TOY / "labels_models.jsonl").read_text(encoding="utf-8").splitlines(True)
+        second = tmp_path / "labels_more.jsonl"
+        second.write_text('{"target_id": "t1", "context_id": "t1p1", '
+                          '"label": "neutral", "source_id": "m3"}\n' + lines[3],
+                          encoding="utf-8")
+        cfg = toy_config(tmp_path / "cfg", label_files=[self.MODELS, str(second)])
+        run_dir = tmp_path / "o"
+        shutil.copytree(out, run_dir)
+        assert main(["sentiment", "--config", cfg, "--out", str(run_dir)]) == 3
+        assert f"[{second}:2]" in capsys.readouterr().err
+
+    def test_one_annotator_scores_the_human_approach_with_one_warning(
+            self, tmp_path, out):
+        labels = tmp_path / "labels_human.jsonl"
+        labels.write_text("".join(
+            line for line in (TOY / "labels_human.jsonl").read_text(
+                encoding="utf-8").splitlines(keepends=True)
+            if json.loads(line)["source_id"] == "a1"), encoding="utf-8")
+        cfg = toy_config(tmp_path / "cfg", human_label_file=str(labels))
+        run_dir = tmp_path / "o"
+        shutil.copytree(out, run_dir)
+        proc = run_python("-m", "pncvalence", "sentiment", "--config", cfg,
+                          "--out", str(run_dir), timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.count("WARNING") == 1 and "one annotator" in proc.stderr
+        assert read_rows(run_dir / "iaa.csv") == [{
+            "kind": "mean", "annotator_a": "", "annotator_b": "", "n_shared": "",
+            "rho": ""}]
+        scores = read_rows(run_dir / "plm_scores.csv")
+        assert "human" in {row["approach"] for row in scores}
 
 
 class TestManifest:
@@ -1101,6 +1148,21 @@ class TestModuleEntryPoint:
             timeout=300)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == f"{[0] * len(ALL_COMMANDS)} []"
+
+
+class TestRecords:
+    def test_only_records_that_compute_when_built_are_dataclasses(self):
+        # every other record is a NamedTuple, which costs far less to define
+        # when a stage starts
+        proc = run_python(
+            "-c", "import dataclasses, sys, pncvalence.cli; print(sorted("
+            "name for module in list(sys.modules.values()) "
+            "if module.__name__.split('.')[0] == 'pncvalence' "
+            "for name, obj in vars(module).items() if isinstance(obj, type) "
+            "and dataclasses.is_dataclass(obj) and obj.__module__ == module.__name__))",
+            timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "['ServiceConfig', 'TaggedContext', 'TargetSpec']"
 
 
 class TestUnmatchedContexts:
@@ -1203,7 +1265,7 @@ class TestCaseInsensitiveMatch:
         written = (out_dir / "matches.csv").read_text(encoding="utf-8")
         cfg = RunConfig.load(config, str(tmp_path / "expected"))
         with cfg.publishing("match"):
-            expected_path = write_csv_artifact(cfg, "matches.csv", map(astuple, expected))
+            expected_path = write_csv_artifact(cfg, "matches.csv", expected)
         assert written == expected_path.read_text(encoding="utf-8")
 
 

@@ -2,7 +2,6 @@ import random
 import re
 import string
 import unicodedata
-from dataclasses import astuple
 
 import pytest
 from hypothesis import given, settings
@@ -578,7 +577,7 @@ class TestFileInterfaces:
             [doc("d1", "für Tore-Klose und Miroslav Klose")], [KLOSE])
         cfg = RunConfig({"out_dir": ".", "seed": 1}, tmp_path)
         with cfg.publishing("match"):
-            p = write_csv_artifact(cfg, "matches.csv", map(astuple, matches))
+            p = write_csv_artifact(cfg, "matches.csv", matches)
         text = p.read_text(encoding="utf-8")
         assert text.startswith(f"# {cfg.comment()}\n")
         assert read_csv_artifact(cfg, "matches.csv", _match_record) == matches
