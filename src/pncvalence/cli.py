@@ -35,8 +35,7 @@ from .corpus import (ContextMatch, TargetSpec, dedupe_documents, frequency_filte
                      generate_variants, match_contexts, pnc_match_counts,
                      read_corpus_jsonl, read_targets_csv)
 from .csvio import parse_json, read_csv, write_csv
-from .errors import (ParseError, PncValenceError, UndefinedCorrelationError,
-                     ValidationError)
+from .errors import ParseError, PncValenceError, ValidationError
 from .lexicon import load_lexicon, read_tagged_contexts
 from .regression import (DEFAULT_MODEL_SPECS, DEFAULT_UNIVARIATE_PREDICTORS,
                          assemble_rows, check_cv_settings, cv_random_search,
@@ -516,12 +515,10 @@ def _write_correlations(cfg: RunConfig, deltas: Sequence[DeltaRecord]) -> None:
     rows = []
     for label, xs, ys in pairs:
         for func in (pearson, spearman):
-            try:
-                res = func(xs, ys)
-            except (ValidationError, UndefinedCorrelationError) as exc:
-                logger.warning("correlation %s/%s undefined: %s",
-                               label, func.__name__, exc)
-                continue
+            res = func(xs, ys)
+            if res.coefficient is None:
+                logger.warning("correlation %s/%s undefined over %d delta(s)",
+                               label, res.method, res.n)
             rows.append([label, res.method, res.n, res.coefficient, res.p_value])
     write_csv_artifact(cfg, "correlations.csv", rows)
 
@@ -538,6 +535,18 @@ def cmd_sentiment(cfg: RunConfig) -> None:
         for rec in read_label_jsonl(str(cfg.input_file(rel, "label")), seen):
             model_records.setdefault(rec.source_id, []).append(rec)
 
+    human_records = []
+    human_path = None
+    if cfg.get("human_label_file"):
+        human_path = cfg.input_file(cfg["human_label_file"], "human label")
+        human_records = read_label_jsonl(str(human_path), seen)
+    labelled = {r.source_id for r in human_records}
+    unlabelled = [a for a in cfg["annotators"] if a not in labelled]
+    if unlabelled:
+        raise ValidationError(
+            f"annotators without a label in human_label_file "
+            f"{human_path or '(not set)'}: {', '.join(unlabelled)}")
+
     if cfg.get("service"):
         live_records = _classify_live(cfg, kinds)
         cfg.output_path("labels_live.jsonl").write_text("".join(
@@ -546,18 +555,12 @@ def cmd_sentiment(cfg: RunConfig) -> None:
         for rec in live_records:
             model_records.setdefault(rec.source_id, []).append(rec)
 
-    human_records = []
-    human_rel = cfg.get("human_label_file")
-    if human_rel:
-        human_records = read_label_jsonl(
-            str(cfg.input_file(human_rel, "human label")), seen)
-
     scores: list[ScoreRecord] = []
     for source_id in sorted(model_records):
         scores.extend(_label_scores(model_records[source_id], kinds,
                                     f"plm:{source_id}"))
     if human_records:
-        annotators = cfg["annotators"] or sorted({r.source_id for r in human_records})
+        annotators = cfg["annotators"] or sorted(labelled)
         pooled = pool_annotators(human_records, annotators)
         scores.extend(_label_scores(pooled, kinds, "human"))
 
@@ -602,11 +605,8 @@ def _classify_live(cfg: RunConfig, kinds):
 def _write_iaa(cfg: RunConfig, human_records) -> None:
     annotators = sorted({r.source_id for r in human_records})
     if len(annotators) < 2:
-        # undefined, as for a pair without shared items: an empty mean rho
         logger.warning("inter-annotator agreement undefined: the human labels "
                        "hold one annotator, %s", annotators[0])
-        write_csv_artifact(cfg, "iaa.csv", [["mean", "", "", "", None]])
-        return
     result = pairwise_iaa(human_records)
     rows = [["pair", p.annotator_a, p.annotator_b, p.n_shared, p.rho]
             for p in result.pairs]
@@ -633,6 +633,9 @@ def cmd_compare(cfg: RunConfig) -> None:
     detail_rows = []
     for approach in sorted(by_approach):
         result = compare_approaches(by_approach[approach], norm_deltas)
+        if not result.n_common:
+            logger.warning("compare: %s shares no target with the lexicon-based "
+                           "deltas; its shares are undefined", approach)
         # mode and epsilon stay as fixed columns: deltas compare by sign alone
         agg_rows.append([approach, "sign_class", 0.0, result.n_common,
                          result.pct_plm_more_negative, result.pct_plm_more_positive,
@@ -757,7 +760,10 @@ def cmd_report(cfg: RunConfig) -> None:
     deltas = _norm_deltas(cfg)
     counts = dict(read_csv_artifact(cfg, "freq_report.csv", lambda row: (
         row["target_id"], int(row["n_pnc_matches"]))))
-    domains = read_csv_artifact(cfg, "domain_summary.csv")
+    # fig3 holds each domain's counts as ints and its mean and shares as floats
+    domains = read_csv_artifact(cfg, "domain_summary.csv", lambda row: {
+        c: v if c == "group" else int(v) if c.startswith("n") else float(v)
+        for c, v in row.items()})
     targets = read_targets_csv(str(cfg.input_path("targets")))
 
     for table, rows in tables.items():

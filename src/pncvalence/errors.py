@@ -21,10 +21,6 @@ class ParseError(ValidationError):
         super().__init__(message + where)
 
 
-class UndefinedCorrelationError(PncValenceError):
-    """Correlation is undefined for the given input (zero variance, all ties)."""
-
-
 class RankDeficiencyError(ValidationError):
     """Design matrix is rank deficient. Carries the offending column names."""
 

@@ -217,8 +217,9 @@ def _check_problem(x: np.ndarray, y: np.ndarray, columns: Sequence[str],
 class OlsFit(NamedTuple):
     """Ordinary least squares fit with standard inference.
 
-    p-values are None when residual degrees of freedom run out. For a model
-    with only the intercept, r_squared is 0 and the F-test is undefined.
+    p-values, adj_r_squared (unless the model is the intercept alone) and
+    residual_se are None when residual degrees of freedom run out. For a
+    model with only the intercept, r_squared is 0 and the F-test is undefined.
     """
 
     columns: tuple[str, ...]
@@ -230,8 +231,8 @@ class OlsFit(NamedTuple):
     df_model: int
     df_resid: int
     r_squared: float
-    adj_r_squared: float
-    residual_se: float
+    adj_r_squared: float | None
+    residual_se: float | None
     f_statistic: float | None
     f_p_value: float | None
     residuals: np.ndarray
@@ -271,6 +272,7 @@ def ols_fit(x: np.ndarray, y: np.ndarray, columns: Sequence[str]) -> OlsFit:
 
     if df_resid > 0:
         sigma2 = rss / df_resid
+        residual_se = math.sqrt(sigma2)
         r_inv = np.linalg.solve(r, np.eye(p))
         cov = sigma2 * (r_inv @ r_inv.T)
         se = np.sqrt(np.maximum(np.diag(cov), 0.0))
@@ -283,7 +285,7 @@ def ols_fit(x: np.ndarray, y: np.ndarray, columns: Sequence[str]) -> OlsFit:
         p_vals: tuple[float | None, ...] = tuple(
             student_t_sf(abs(t), df_resid) for t in t_list)
     else:
-        sigma2 = float("nan")
+        residual_se = None
         se = np.full(p, np.nan)
         t_vals = np.full(p, np.nan)
         p_vals = tuple(None for _ in range(p))
@@ -301,15 +303,14 @@ def ols_fit(x: np.ndarray, y: np.ndarray, columns: Sequence[str]) -> OlsFit:
             f_stat = float("inf")
         f_p = fisher_f_sf(f_stat, df_model, df_resid)
     else:
-        adj_r2 = r2 if df_model == 0 else float("nan")
+        adj_r2 = r2 if df_model == 0 else None
         f_stat = None
         f_p = None
 
     return OlsFit(
         columns=columns, coefficients=beta, standard_errors=se, t_values=t_vals,
         p_values=p_vals, n=n, df_model=df_model, df_resid=df_resid,
-        r_squared=r2, adj_r_squared=adj_r2,
-        residual_se=math.sqrt(sigma2) if df_resid > 0 else float("nan"),
+        r_squared=r2, adj_r_squared=adj_r2, residual_se=residual_se,
         f_statistic=f_stat, f_p_value=f_p, residuals=resid, fitted=fitted)
 
 

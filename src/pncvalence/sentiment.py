@@ -19,11 +19,12 @@ import logging
 import time
 from collections import Counter, defaultdict
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .corpus import ContextMatch
 from .csvio import read_jsonl
-from .errors import ClassificationError, UndefinedCorrelationError, ValidationError
+from .errors import ClassificationError, ValidationError
 from .stats import spearman
 from .valence import DeltaRecord, ScoreRecord, delta_sign
 
@@ -244,12 +245,13 @@ def eq2_valence(hist: LabelHistogram, kind: str, approach: str) -> ScoreRecord |
 
 class CompareResult(NamedTuple):
     """Per-target classification of one label-based approach's deltas against
-    the lexicon-based deltas, plus aggregate shares."""
+    the lexicon-based deltas, plus aggregate shares, None when no target is
+    shared."""
 
     n_common: int
-    pct_agree: float
-    pct_plm_more_negative: float
-    pct_plm_more_positive: float
+    pct_agree: float | None
+    pct_plm_more_negative: float | None
+    pct_plm_more_positive: float | None
     per_target: tuple[tuple[str, str], ...]  # (target_id, class)
 
 
@@ -269,8 +271,6 @@ def compare_approaches(plm_deltas: Sequence[DeltaRecord],
     plm_by_id = {d.target_id: d for d in plm_deltas}
     norm_by_id = {d.target_id: d for d in norm_deltas}
     common = sorted(set(plm_by_id) & set(norm_by_id))
-    if not common:
-        raise ValidationError("no target scored by both approaches; nothing to compare")
 
     per_target: list[tuple[str, str]] = []
     for target_id in common:
@@ -286,11 +286,14 @@ def compare_approaches(plm_deltas: Sequence[DeltaRecord],
 
     n_common = len(common)
     counts = Counter(cls for _, cls in per_target)
+
+    def pct(cls: str) -> float | None:
+        return 100.0 * counts[cls] / n_common if n_common else None
+
     return CompareResult(
-        n_common=n_common,
-        pct_agree=100.0 * counts["agree"] / n_common,
-        pct_plm_more_negative=100.0 * counts["plm_more_negative"] / n_common,
-        pct_plm_more_positive=100.0 * counts["plm_more_positive"] / n_common,
+        n_common=n_common, pct_agree=pct("agree"),
+        pct_plm_more_negative=pct("plm_more_negative"),
+        pct_plm_more_positive=pct("plm_more_positive"),
         per_target=tuple(per_target))
 
 
@@ -321,26 +324,17 @@ def pairwise_iaa(records: Sequence[LabelRecord]) -> AgreementResult:
     over their shared items, labels encoded ordinally (negative < neutral <
     positive). Pairs with fewer than two shared items, or whose shared
     labels are all tied on either side, have undefined agreement, which
-    the means leave out."""
+    the means leave out; fewer than two annotators make no pair."""
     by_annotator: dict[str, dict[tuple[str, str], str]] = defaultdict(dict)
     for rec in records:
         by_annotator[rec.source_id][(rec.target_id, rec.context_id)] = rec.label
-    annotators = sorted(by_annotator)
-    if len(annotators) < 2:
-        raise ValidationError("pairwise agreement needs at least two annotators")
 
     pairs: list[PairAgreement] = []
-    for i, a in enumerate(annotators):
-        for b in annotators[i + 1:]:
-            shared = sorted(set(by_annotator[a]) & set(by_annotator[b]))
-            rho = None
-            if len(shared) >= 2:
-                xa = [float(_LABEL_RANK[by_annotator[a][item]]) for item in shared]
-                xb = [float(_LABEL_RANK[by_annotator[b][item]]) for item in shared]
-                try:
-                    rho = spearman(xa, xb).coefficient
-                except UndefinedCorrelationError:
-                    rho = None
-            pairs.append(PairAgreement(annotator_a=a, annotator_b=b,
-                                       n_shared=len(shared), rho=rho))
+    for a, b in combinations(sorted(by_annotator), 2):
+        shared = sorted(set(by_annotator[a]) & set(by_annotator[b]))
+        rho = spearman([float(_LABEL_RANK[by_annotator[a][item]]) for item in shared],
+                       [float(_LABEL_RANK[by_annotator[b][item]]) for item in shared],
+                       ).coefficient
+        pairs.append(PairAgreement(annotator_a=a, annotator_b=b,
+                                   n_shared=len(shared), rho=rho))
     return AgreementResult(pairs=tuple(pairs))

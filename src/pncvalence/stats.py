@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple, Sequence
 
-from .errors import ConvergenceError, UndefinedCorrelationError, ValidationError
+from .errors import ConvergenceError, ValidationError
 
 
 class CorrelationResult(NamedTuple):
@@ -21,24 +21,26 @@ class CorrelationResult(NamedTuple):
 
     Attributes
     ----------
-    coefficient : float
-        Sample coefficient in [-1, 1].
+    coefficient : float or None
+        Sample coefficient in [-1, 1]; None when it is undefined: fewer than
+        2 pairs, or a side without variance.
     n : int
         Number of paired observations.
     method : str
         "pearson" or "spearman".
     p_value : float or None
         Two-sided p-value from the t approximation, computed when read;
-        None when n < 3, where the test statistic has no degrees of freedom.
+        None when n < 3, where the test statistic has no degrees of freedom,
+        or when the coefficient is None.
     """
 
-    coefficient: float
+    coefficient: float | None
     n: int
     method: str
 
     @property
     def p_value(self) -> float | None:
-        if self.n < 3:
+        if self.n < 3 or self.coefficient is None:
             return None
         r = self.coefficient
         denom = 1.0 - r * r
@@ -52,20 +54,19 @@ def _check_pair(x: Sequence[float], y: Sequence[float]) -> tuple[list[float], li
     ys = [float(v) for v in y]
     if len(xs) != len(ys):
         raise ValidationError(f"vectors differ in length: {len(xs)} vs {len(ys)}")
-    if len(xs) < 2:
-        raise ValidationError("correlation needs at least 2 paired observations")
     return xs, ys
 
 
 def _pearson_core(xs: list[float], ys: list[float], method: str) -> CorrelationResult:
     n = len(xs)
+    if n < 2:
+        return CorrelationResult(coefficient=None, n=n, method=method)
     mx = math.fsum(xs) / n
     my = math.fsum(ys) / n
     sxx = math.fsum((v - mx) ** 2 for v in xs)
     syy = math.fsum((v - my) ** 2 for v in ys)
     if sxx == 0.0 or syy == 0.0:
-        what = "ranks" if method == "spearman" else "values"
-        raise UndefinedCorrelationError(f"zero variance in {what}; correlation undefined")
+        return CorrelationResult(coefficient=None, n=n, method=method)
     sxy = math.fsum((a - mx) * (b - my) for a, b in zip(xs, ys))
     r = sxy / (math.sqrt(sxx) * math.sqrt(syy))
     # guard against |r| exceeding 1 by an ulp of rounding noise
@@ -74,15 +75,9 @@ def _pearson_core(xs: list[float], ys: list[float], method: str) -> CorrelationR
 
 
 def pearson(x: Sequence[float], y: Sequence[float]) -> CorrelationResult:
-    """Sample Pearson correlation with a two-sided t-test p-value.
-
-    Raises
-    ------
-    ValidationError
-        If the vectors differ in length or hold fewer than 2 items.
-    UndefinedCorrelationError
-        If either vector has zero variance.
-    """
+    """Sample Pearson correlation with a two-sided t-test p-value. The
+    coefficient is None for fewer than 2 pairs or a constant vector; vectors
+    of different lengths raise ValidationError."""
     xs, ys = _check_pair(x, y)
     return _pearson_core(xs, ys, "pearson")
 
@@ -108,7 +103,7 @@ def spearman(x: Sequence[float], y: Sequence[float]) -> CorrelationResult:
     """Tie-corrected Spearman rank correlation: Pearson over mid-ranks.
 
     An input whose values are all tied leaves the ranks constant, so the
-    coefficient is undefined and UndefinedCorrelationError is raised.
+    coefficient is None, as it is for fewer than 2 pairs.
     """
     xs, ys = _check_pair(x, y)
     return _pearson_core(average_ranks(xs), average_ranks(ys), "spearman")

@@ -350,6 +350,20 @@ class TestPipelineArtifacts:
         fig3 = json.loads((out / "report" / "fig3.json").read_text(encoding="utf-8"))
         assert [d["group"] for d in fig3["domains"]] == [
             "all", "politics", "show_business", "sports"]
+        # the rows of domain_summary.csv, counts as ints and the rest as floats
+        rows = read_rows(out / "domain_summary.csv")
+        assert len(fig3["domains"]) == len(rows)
+        for domain, row in zip(fig3["domains"], rows):
+            assert list(domain) == list(row)
+            for column, cell in row.items():
+                if column == "group":
+                    assert domain[column] == cell
+                elif column.startswith("n"):
+                    assert type(domain[column]) is int, column
+                    assert domain[column] == int(cell)
+                else:
+                    assert type(domain[column]) is float, column
+                    assert domain[column] == float(cell)
 
     def test_manifest_paths_are_relative(self, out):
         manifest = json.loads(
@@ -642,8 +656,10 @@ def perfect(rows, deltas):
 
 
 class TestStrictJson:
-    @pytest.mark.parametrize("model", [saturated, perfect])
-    def test_non_finite_values_are_written_as_null(self, tmp_path, out, model):
+    @staticmethod
+    def regress(tmp_path, out, model):
+        """Run regress on a copy of out with the model alone; return the
+        config path and the copy."""
         run_dir = tmp_path / "o"
         shutil.copytree(out, run_dir)
         rows = read_rows(TOY / "metadata.csv")
@@ -658,6 +674,11 @@ class TestStrictJson:
                          model_specs=[[model.__name__, formula]],
                          univariate_predictors=["age"])
         assert main(["regress", "--config", cfg, "--out", str(run_dir)]) == 0
+        return cfg, run_dir
+
+    @pytest.mark.parametrize("model", [saturated, perfect])
+    def test_non_finite_values_are_written_as_null(self, tmp_path, out, model):
+        _, run_dir = self.regress(tmp_path, out, model)
 
         def reject(constant):
             raise ValueError(f"not strict JSON: {constant}")
@@ -674,6 +695,22 @@ class TestStrictJson:
             assert fit["f_statistic"] is None
         for path in run_dir.glob("*.json"):
             json.loads(path.read_text(encoding="utf-8"), parse_constant=reject)
+
+    @pytest.mark.parametrize("model", [saturated, perfect])
+    def test_undefined_values_are_empty_cells(self, tmp_path, out, model):
+        cfg, run_dir = self.regress(tmp_path, out, model)
+        assert main(["report", "--config", cfg, "--out", str(run_dir)]) == 0
+        for name in ("univariate.csv", "multivariate.csv",
+                     "report/table6.csv", "report/table7.csv"):
+            cells = [v for row in read_rows(run_dir / name) for v in row.values()]
+            assert cells and "nan" not in cells, name
+        row = read_rows(run_dir / "multivariate.csv")[0]
+        if model is saturated:
+            assert row["r_squared"] == "1.000000"
+            assert [row[c] for c in ("adj_r_squared", "residual_se", "f_statistic",
+                                     "f_p_value")] == ["", "", "", ""]
+        else:
+            assert row["f_statistic"] == "inf"
 
 
 def write_metadata(tmp_path, rows):
@@ -1041,7 +1078,8 @@ class TestLabelFiles:
             line for line in (TOY / "labels_human.jsonl").read_text(
                 encoding="utf-8").splitlines(keepends=True)
             if json.loads(line)["source_id"] == "a1"), encoding="utf-8")
-        cfg = toy_config(tmp_path / "cfg", human_label_file=str(labels))
+        cfg = toy_config(tmp_path / "cfg", human_label_file=str(labels),
+                         annotators=["a1"])
         run_dir = tmp_path / "o"
         shutil.copytree(out, run_dir)
         proc = run_python("-m", "pncvalence", "sentiment", "--config", cfg,
@@ -1053,6 +1091,23 @@ class TestLabelFiles:
             "rho": ""}]
         scores = read_rows(run_dir / "plm_scores.csv")
         assert "human" in {row["approach"] for row in scores}
+
+    @pytest.mark.parametrize("changes, missing", [
+        ({"annotators": ["a1", "a2", "a9"]}, "a9"),
+        ({"annotators": ["zz"]}, "zz"),
+        ({"human_label_file": None}, "a1, a2, a3")])
+    def test_an_annotator_without_labels_is_exit_3_naming_it_and_the_file(
+            self, tmp_path, out, capsys, changes, missing):
+        cfg = toy_config(tmp_path / "cfg", **changes)
+        run_dir = tmp_path / "o"
+        shutil.copytree(out, run_dir)
+        before = tree(run_dir)
+        assert main(["sentiment", "--config", cfg, "--out", str(run_dir)]) == 3
+        err = capsys.readouterr().err
+        human = "(not set)" if "human_label_file" in changes else str(
+            TOY / "labels_human.jsonl")
+        assert f"human_label_file {human}: {missing}" in err
+        assert tree(run_dir) == before
 
 
 class TestManifest:
@@ -1267,6 +1322,47 @@ class TestCaseInsensitiveMatch:
         with cfg.publishing("match"):
             expected_path = write_csv_artifact(cfg, "matches.csv", expected)
         assert written == expected_path.read_text(encoding="utf-8")
+
+
+class TestUndefinedStatistics:
+    def test_an_approach_sharing_no_target_is_an_empty_comparison_row(
+            self, tmp_path, out, caplog):
+        # the lonely source labels only t6, which the lexicon cannot score
+        lonely = tmp_path / "labels_lonely.jsonl"
+        lonely.write_text(
+            '{"target_id": "t6", "context_id": "t6p1", "label": "negative", '
+            '"source_id": "lonely"}\n'
+            '{"target_id": "t6", "context_id": "t6n1", "label": "positive", '
+            '"source_id": "lonely"}\n', encoding="utf-8")
+        cfg = toy_config(tmp_path / "cfg", label_files=[
+            str(TOY / "labels_models.jsonl"), str(lonely)])
+        run_dir = tmp_path / "o"
+        shutil.copytree(out, run_dir)
+        for command in ("sentiment", "compare", "report"):
+            assert main([command, "--config", cfg, "--out", str(run_dir)]) == 0, command
+        lines = (run_dir / "comparison.csv").read_text(encoding="utf-8").splitlines()
+        assert "plm:lonely,sign_class,0.000000,0,,," in lines
+        assert not any(row["plm_approach"] == "plm:lonely"
+                       for row in read_rows(run_dir / "comparison_detail.csv"))
+        assert {"plm_approach": "plm:lonely", "n_common": "0",
+                "pct_plm_more_negative": "", "pct_plm_more_positive": "",
+                "pct_agree": ""} in read_rows(run_dir / "report" / "table3.csv")
+        assert sum("plm:lonely shares no target" in r.getMessage()
+                   for r in caplog.records) == 1
+
+    def test_one_delta_writes_six_undefined_correlations(self, tmp_path):
+        # only t1 has 6 compound matches, so score sees one delta
+        cfg = toy_config(tmp_path / "cfg", min_freq=6)
+        for command in ("match", "score"):
+            assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        assert len(read_rows(tmp_path / "o" / "deltas.csv")) == 1
+        rows = read_rows(tmp_path / "o" / "correlations.csv")
+        assert [(r["pair"], r["method"]) for r in rows] == [
+            (pair, method) for pair in ("pnc_valence_vs_name_valence",
+                                        "delta_vs_name_valence", "delta_vs_pnc_valence")
+            for method in ("pearson", "spearman")]
+        for r in rows:
+            assert (r["n"], r["coefficient"], r["p_value"]) == ("1", "", "")
 
 
 class TestStageOrder:

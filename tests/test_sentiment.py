@@ -194,9 +194,12 @@ class TestCompareApproaches:
                                  [delta("a", 1.0), delta("y", 1.0)])
         assert res.n_common == 1
 
-    def test_disjoint_targets_rejected(self):
-        with pytest.raises(ValidationError, match="nothing to compare"):
-            compare_approaches([delta("a", 1.0, "plm:m1")], [delta("b", 1.0)])
+    def test_disjoint_targets_share_nothing(self):
+        res = compare_approaches([delta("a", 1.0, "plm:m1")], [delta("b", 1.0)])
+        assert res.n_common == 0 and res.per_target == ()
+        assert res.pct_agree is None
+        assert res.pct_plm_more_negative is None
+        assert res.pct_plm_more_positive is None
 
     def test_mixed_plm_approaches_rejected(self):
         with pytest.raises(ValidationError, match="one label-based approach"):
@@ -254,11 +257,12 @@ class TestPairwiseIaa:
             assert len(reduced.pairs) == 1
             assert full.mean_rho_without(left_out) == reduced.mean_rho
 
-    def test_needs_two_annotators(self):
-        with pytest.raises(ValidationError):
-            pairwise_iaa([rec("t", "c1", "neutral", "a1")])
-        with pytest.raises(ValidationError):
-            pairwise_iaa([r for r in self.annotations() if r.source_id != "a2"])
+    def test_one_annotator_makes_no_pair(self):
+        for records in ([rec("t", "c1", "neutral", "a1")],
+                        [r for r in self.annotations() if r.source_id != "a2"]):
+            res = pairwise_iaa(records)
+            assert res.pairs == ()
+            assert res.mean_rho is None
 
     def test_result_type(self):
         assert isinstance(pairwise_iaa(self.annotations()), AgreementResult)
