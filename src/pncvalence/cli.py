@@ -32,8 +32,7 @@ from typing import Iterable, Sequence
 
 from . import __version__
 from .corpus import (ContextMatch, TargetSpec, dedupe_documents, frequency_filter,
-                     generate_variants, match_contexts, pnc_match_counts,
-                     read_corpus_jsonl, read_targets_csv)
+                     generate_variants, match_contexts, read_corpus_jsonl, read_targets_csv)
 from .csvio import parse_json, read_csv, write_csv
 from .errors import ParseError, PncValenceError, ValidationError
 from .lexicon import load_lexicon, read_tagged_contexts
@@ -208,14 +207,16 @@ class RunConfig:
         require(isinstance(specs, list)
                 and all(_strings(s) and len(s) == 2 for s in specs),
                 "model_specs must be a list of [name, formula] pairs")
+        predictors = self.get("univariate_predictors", [])
+        for key, names in (("model_specs", [name for name, _ in specs]),
+                           ("univariate_predictors", predictors)):
+            require(len(set(names)) == len(names), f"{key} must not repeat a name")
         for block, types in _BLOCK_TYPES.items():
             settings = self.get(block, {})
             require(isinstance(settings, dict), f"{block} must be an object")
             for key, value in settings.items():
                 require(key in types and _typed(value, types[key]),
                         f"{block}.{key}: unknown setting or wrong type ({value!r})")
-        require(not self.get("service") or "base_url" in self.get("service"),
-                "service.base_url is required")
 
         def check(where: str, test, *args, **kwargs) -> None:
             try:
@@ -225,12 +226,13 @@ class RunConfig:
 
         for name, formula in specs:
             check(f"model_specs {name}: ", parse_formula, formula)
-        for predictor in self.get("univariate_predictors", []):
+        for predictor in predictors:
             check("univariate_predictors: ", parse_formula, f"delta ~ {predictor}")
         if "elasticnet_formula" in self.data:
             check("elasticnet_formula: ", parse_formula, self["elasticnet_formula"])
         check("elasticnet.", check_cv_settings, **self.get("elasticnet", {}))
-        if self.get("service"):
+        if "service" in self.data:
+            require("base_url" in self["service"], "service.base_url is required")
             check("service.", ServiceConfig, **self["service"])
 
     # config identity: everything that shapes artifact content. Where the
@@ -327,14 +329,14 @@ def _float_format(column: str) -> str:
 
 def write_csv_artifact(cfg: RunConfig, name: str,
                        rows: Iterable[Sequence[object]]) -> Path:
-    """Write rows under the artifact's declared columns. A float cell takes
-    its column's format and None an empty cell; other values pass as is."""
+    """Write rows under the artifact's declared columns. A finite float takes its
+    column's format; None and any other float, null in JSON, are empty cells."""
     header = CSV_ARTIFACTS[name]
     formats = [_float_format(column) for column in header]
 
     def cells(row: Sequence[object]) -> list[object]:
-        return ["" if v is None else format(v, spec) if isinstance(v, float) else v
-                for v, spec in zip(row, formats, strict=True)]
+        return [(format(v, spec) if math.isfinite(v) else "") if isinstance(v, float)
+                else "" if v is None else v for v, spec in zip(row, formats, strict=True)]
 
     write_csv(str(cfg.output_path(name)), header, map(cells, rows), cfg.comment())
     return cfg.out_dir / name
@@ -414,10 +416,9 @@ def cmd_match(cfg: RunConfig) -> None:
     matches_path = write_csv_artifact(cfg, "matches.csv", matches)
 
     min_freq = cfg["min_freq"]
-    retained, _ = frequency_filter(matches, min_freq, targets)
-    counts = pnc_match_counts(matches)
+    retained, _, counts = frequency_filter(matches, min_freq, targets)
     retained_set = set(retained)
-    freq_rows = [[t.target_id, counts.get(t.target_id, 0), min_freq,
+    freq_rows = [[t.target_id, counts[t.target_id], min_freq,
                   str(t.target_id in retained_set).lower()]
                  for t in targets]
     write_csv_artifact(cfg, "freq_report.csv", freq_rows)
@@ -430,7 +431,7 @@ def _retained_matches(cfg: RunConfig, targets: Sequence[TargetSpec],
                       ) -> tuple[list[ContextMatch], list[str], list[str]]:
     """The matches.csv rows of targets that pass min_freq; retained and dropped ids."""
     matches = read_csv_artifact(cfg, "matches.csv", _match_record)
-    retained, dropped = frequency_filter(matches, cfg["min_freq"], targets)
+    retained, dropped, _ = frequency_filter(matches, cfg["min_freq"], targets)
     keep = set(retained)
     return [m for m in matches if m.target_id in keep], retained, dropped
 
@@ -531,9 +532,13 @@ def cmd_sentiment(cfg: RunConfig) -> None:
     # a (target, context, source) triple is labelled once across all label files
     seen: set[tuple[str, str, str]] = set()
     model_records: dict[str, list] = {}
-    for rel in cfg["label_files"]:
-        for rec in read_label_jsonl(str(cfg.input_file(rel, "label")), seen):
+
+    def read_model_labels(path: Path) -> None:
+        for rec in read_label_jsonl(str(path), seen):
             model_records.setdefault(rec.source_id, []).append(rec)
+
+    for rel in cfg["label_files"]:
+        read_model_labels(cfg.input_file(rel, "label"))
 
     human_records = []
     human_path = None
@@ -548,12 +553,13 @@ def cmd_sentiment(cfg: RunConfig) -> None:
             f"{human_path or '(not set)'}: {', '.join(unlabelled)}")
 
     if cfg.get("service"):
-        live_records = _classify_live(cfg, kinds)
-        cfg.output_path("labels_live.jsonl").write_text("".join(
-            json.dumps(rec._asdict(), ensure_ascii=False) + "\n" for rec in live_records),
-            encoding="utf-8")
-        for rec in live_records:
-            model_records.setdefault(rec.source_id, []).append(rec)
+        live_path = cfg.output_path("labels_live.jsonl")
+        live_path.write_text("".join(json.dumps(r._asdict(), ensure_ascii=False) + "\n"
+                                     for r in _classify_live(cfg, kinds)), encoding="utf-8")
+        try:
+            read_model_labels(live_path)
+        except ParseError as exc:  # name the artifact; its staging copy is removed
+            raise ParseError(exc.reason, path="labels_live.jsonl", line=exc.line) from None
 
     scores: list[ScoreRecord] = []
     for source_id in sorted(model_records):

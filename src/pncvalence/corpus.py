@@ -461,18 +461,10 @@ def dedupe_documents(corpus: Sequence[Document]) -> list[Document]:
     return kept
 
 
-def pnc_match_counts(matches: Iterable[ContextMatch]) -> Counter:
-    """Count kind="pnc" matches per target."""
-    counts: Counter = Counter()
-    for m in matches:
-        if m.kind == "pnc":
-            counts[m.target_id] += 1
-    return counts
-
-
 def frequency_filter(matches: Iterable[ContextMatch], min_freq: int,
-                     targets: Sequence[TargetSpec]) -> tuple[list[str], list[str]]:
-    """Partition targets into (retained, dropped) by compound match count.
+                     targets: Sequence[TargetSpec]) -> tuple[list[str], list[str], Counter]:
+    """Partition targets into (retained, dropped) by compound match count, and
+    give that count: the kind="pnc" matches of each matched target.
 
     A target is retained iff it has at least min_freq kind="pnc" matches.
     The targets partitioned are those of the list and those matched, so a
@@ -480,11 +472,11 @@ def frequency_filter(matches: Iterable[ContextMatch], min_freq: int,
     """
     if min_freq < 1:
         raise ValidationError(f"min_freq must be >= 1, got {min_freq}")
-    counts = pnc_match_counts(matches)
+    counts = Counter(m.target_id for m in matches if m.kind == "pnc")
     ids = set(counts) | {t.target_id for t in targets}
-    retained = sorted(t for t in ids if counts.get(t, 0) >= min_freq)
-    dropped = sorted(t for t in ids if counts.get(t, 0) < min_freq)
-    return retained, dropped
+    retained = sorted(t for t in ids if counts[t] >= min_freq)
+    dropped = sorted(t for t in ids if counts[t] < min_freq)
+    return retained, dropped, counts
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ import sys
 import threading
 import unicodedata
 import warnings
+from contextlib import contextmanager
 from http.server import BaseHTTPRequestHandler, HTTPServer
 from pathlib import Path
 
@@ -503,36 +504,43 @@ class TestOverrides:
         assert exc.value.code == 2
 
 
+@contextmanager
+def neutral_service():
+    """A classification service on a free local port that labels every text
+    neutral; yields its base URL."""
+    class Handler(BaseHTTPRequestHandler):
+        def do_POST(self):
+            n = len(json.loads(self.rfile.read(
+                int(self.headers["Content-Length"])))["texts"])
+            body = json.dumps({"labels": ["neutral"] * n}).encode()
+            self.send_response(200)
+            self.send_header("Content-Length", str(len(body)))
+            self.end_headers()
+            self.wfile.write(body)
+
+        def log_message(self, *args):
+            pass
+
+    server = HTTPServer(("127.0.0.1", 0), Handler)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield f"http://127.0.0.1:{server.server_address[1]}"
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
 class TestLiveClassification:
     def test_service_block_drives_live_labeling(self, tmp_path):
-        class Handler(BaseHTTPRequestHandler):
-            def do_POST(self):
-                n = len(json.loads(self.rfile.read(
-                    int(self.headers["Content-Length"])))["texts"])
-                body = json.dumps({"labels": ["neutral"] * n}).encode()
-                self.send_response(200)
-                self.send_header("Content-Length", str(len(body)))
-                self.end_headers()
-                self.wfile.write(body)
-
-            def log_message(self, *args):
-                pass
-
-        server = HTTPServer(("127.0.0.1", 0), Handler)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        try:
+        with neutral_service() as url:
             cfg_path = toy_config(tmp_path, service={
-                "base_url": f"http://127.0.0.1:{server.server_address[1]}",
-                "model_id": "stub-model", "batch_size": 16})
+                "base_url": url, "model_id": "stub-model", "batch_size": 16})
             out_dir = tmp_path / "o"
             assert main(["match", "--config", cfg_path,
                          "--out", str(out_dir)]) == 0
             assert main(["sentiment", "--config", cfg_path,
                          "--out", str(out_dir)]) == 0
-        finally:
-            server.shutdown()
-            server.server_close()
         live = (out_dir / "labels_live.jsonl").read_text(encoding="utf-8")
         records = [json.loads(line) for line in live.splitlines()]
         assert records
@@ -606,6 +614,12 @@ class TestConfigValidation:
         ("regress", {"metadata": {"path": "metadata.csv"}}, "metadata"),
         ("variants", {"out_dir": 5}, "out_dir"),
         ("variants", {"out_dir": None}, "out_dir"),
+        # a name that tables 6 and 7 and regression.json would hold twice
+        ("regress", {"model_specs": [["simple", "delta ~ pnc_valence"],
+                                     ["simple", "delta ~ age"]]}, "model_specs"),
+        ("regress", {"univariate_predictors": ["age", "age"]}, "univariate_predictors"),
+        # an empty object is a service block all the same
+        ("sentiment", {"service": {}}, "service.base_url"),
     ])
     def test_bad_value_is_exit_3_naming_the_key(self, tmp_path, out, capsys,
                                                 command, change, key):
@@ -703,14 +717,15 @@ class TestStrictJson:
         for name in ("univariate.csv", "multivariate.csv",
                      "report/table6.csv", "report/table7.csv"):
             cells = [v for row in read_rows(run_dir / name) for v in row.values()]
-            assert cells and "nan" not in cells, name
+            assert cells and not {"inf", "-inf", "nan"} & set(cells), name
         row = read_rows(run_dir / "multivariate.csv")[0]
         if model is saturated:
             assert row["r_squared"] == "1.000000"
             assert [row[c] for c in ("adj_r_squared", "residual_se", "f_statistic",
                                      "f_p_value")] == ["", "", "", ""]
         else:
-            assert row["f_statistic"] == "inf"
+            # the +inf F statistic, null in regression.json
+            assert row["f_statistic"] == ""
 
 
 def write_metadata(tmp_path, rows):
@@ -1070,6 +1085,23 @@ class TestLabelFiles:
         shutil.copytree(out, run_dir)
         assert main(["sentiment", "--config", cfg, "--out", str(run_dir)]) == 3
         assert f"[{second}:2]" in capsys.readouterr().err
+
+    # the model of a label file, and an annotator of the human file
+    @pytest.mark.parametrize("model_id", ["xlm-demo", "a1"])
+    def test_a_live_label_repeating_a_file_is_exit_3_naming_its_line(
+            self, tmp_path, out, capsys, model_id):
+        run_dir = tmp_path / "o"
+        shutil.copytree(out, run_dir)
+        before = tree(run_dir)
+        with neutral_service() as url:
+            cfg = toy_config(tmp_path / "cfg",
+                             service={"base_url": url, "model_id": model_id})
+            assert main(["sentiment", "--config", cfg, "--out", str(run_dir)]) == 3
+        err = capsys.readouterr().err
+        # the live labels' first line, (t1, t1n1), is labelled in both files
+        assert (f"duplicate label for ('t1', 't1n1', '{model_id}') "
+                f"[labels_live.jsonl:1]") in err
+        assert tree(run_dir) == before
 
     def test_one_annotator_scores_the_human_approach_with_one_warning(
             self, tmp_path, out):
