@@ -28,7 +28,7 @@ import shutil
 import sys
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Collection, Iterable, Sequence
 
 from . import __version__
 from .corpus import (ContextMatch, TargetSpec, dedupe_documents, frequency_filter,
@@ -342,15 +342,19 @@ def write_csv_artifact(cfg: RunConfig, name: str,
     return cfg.out_dir / name
 
 
-def read_csv_artifact(cfg: RunConfig, name: str, parse=dict) -> list:
+def read_csv_artifact(cfg: RunConfig, name: str, parse=dict,
+                      target_ids: Collection[str] | None = None) -> list:
     """Every row of an upstream CSV artifact: parse receives the declared
-    columns, in order, as strings. A row cut short is a ParseError."""
+    columns, in order, as strings. A row cut short is a ParseError, and so,
+    given the listed target_ids, is a row naming any other target."""
     columns = CSV_ARTIFACTS[name]
 
     def parse_row(row: dict[str, str | None]):
         values = {c: row[c] for c in columns}
         if None in values.values():
             raise ValueError("missing values")
+        if target_ids is not None and values["target_id"] not in target_ids:
+            raise ValueError(f"unlisted target_id {values['target_id']!r}")
         return parse(values)
 
     return read_csv(str(cfg.artifact_path(name)), columns, parse_row)
@@ -430,7 +434,8 @@ def cmd_match(cfg: RunConfig) -> None:
 def _retained_matches(cfg: RunConfig, targets: Sequence[TargetSpec],
                       ) -> tuple[list[ContextMatch], list[str], list[str]]:
     """The matches.csv rows of targets that pass min_freq; retained and dropped ids."""
-    matches = read_csv_artifact(cfg, "matches.csv", _match_record)
+    matches = read_csv_artifact(cfg, "matches.csv", _match_record,
+                                {t.target_id for t in targets})
     retained, dropped, _ = frequency_filter(matches, cfg["min_freq"], targets)
     keep = set(retained)
     return [m for m in matches if m.target_id in keep], retained, dropped
@@ -450,20 +455,18 @@ def cmd_score(cfg: RunConfig) -> None:
 
     scores, score_notes = target_valence(matches, tagged, lexicon)
     deltas, delta_notes = compute_deltas(scores, targets, lexicon)
-    summaries, domain_notes = domain_summary(deltas, targets)
 
     scores_out = write_csv_artifact(cfg, "scores.csv", scores)
     write_csv_artifact(cfg, "deltas.csv", deltas)
 
     exclusion_rows = [["frequency", t, f"fewer than {cfg['min_freq']} compound matches"]
                       for t in dropped]
-    for stage, notes in (("score", score_notes), ("delta", delta_notes),
-                         ("domain", domain_notes)):
+    for stage, notes in (("score", score_notes), ("delta", delta_notes)):
         exclusion_rows.extend([stage, item, reason] for item, reason in notes)
     write_csv_artifact(cfg, "exclusions.csv", exclusion_rows)
     write_csv_artifact(cfg, "domain_summary.csv", (
         [s.group, s.n, s.n_negative, s.n_positive, s.n_zero, s.mean_delta,
-         s.pct_negative, s.pct_positive] for s in summaries))
+         s.pct_negative, s.pct_positive] for s in domain_summary(deltas, targets)))
     write_csv_artifact(cfg, "frequent_words.csv", frequent_context_words(
         retained, matches, tagged, k=cfg["top_k_words"], lexicon=lexicon))
 
@@ -495,13 +498,16 @@ def _delta_record(row: dict[str, str]) -> DeltaRecord:
         modifier_delta=_optional_float(row["modifier_delta"]))
 
 
-def _norm_deltas(cfg: RunConfig) -> list[DeltaRecord]:
-    """The lexicon-based deltas of deltas.csv; there must be at least one."""
-    deltas = [d for d in read_csv_artifact(cfg, "deltas.csv", _delta_record)
-              if d.approach == "norms"]
-    if not deltas:
-        raise ValidationError("deltas.csv holds no lexicon-based deltas")
-    return deltas
+def _norm_deltas(cfg: RunConfig,
+                 target_ids: Collection[str] | None = None) -> list[DeltaRecord]:
+    """The rows of deltas.csv, which score writes for the lexicon-based
+    approach alone; a row of another approach is a ParseError."""
+    def parse(row: dict[str, str]) -> DeltaRecord:
+        if row["approach"] != "norms":
+            raise ValueError(f"approach {row['approach']!r}; expected 'norms'")
+        return _delta_record(row)
+
+    return read_csv_artifact(cfg, "deltas.csv", parse, target_ids)
 
 
 def _write_correlations(cfg: RunConfig, deltas: Sequence[DeltaRecord]) -> None:
@@ -593,14 +599,14 @@ def _label_scores(records, kinds, approach: str) -> list[ScoreRecord]:
 
 def _classify_live(cfg: RunConfig, kinds):
     # the kind index holds each (target, document) once, in first-match order
-    corpus = {d.doc_id: d for d in read_corpus_jsonl(str(cfg.input_path("corpus")))}
+    texts = {d.doc_id: d.text for d in read_corpus_jsonl(str(cfg.input_path("corpus")))}
     items = []
     for target_id, doc_id in kinds:
-        doc = corpus.get(doc_id)
-        if doc is None:
-            logger.warning("matched doc %s missing from corpus; skipped", doc_id)
-            continue
-        items.append(ContextItem(target_id=target_id, context_id=doc_id, text=doc.text))
+        if doc_id not in texts:
+            raise ValidationError(f"matches.csv names document {doc_id!r}, "
+                                  f"which the corpus lacks")
+        items.append(ContextItem(target_id=target_id, context_id=doc_id,
+                                 text=texts[doc_id]))
     service = ServiceConfig(**cfg["service"])
     records, errors = classify_contexts(items, service, service.model_id)
     for err in errors:
@@ -662,11 +668,9 @@ def cmd_regress(cfg: RunConfig) -> None:
     except ImportError as exc:
         raise MissingArtifactError(f"regress needs numpy, which failed to import: {exc}")
 
-    deltas = _norm_deltas(cfg)
-    targets_path = cfg.input_path("targets")
-    metadata_path = cfg.input_path("metadata")
-    targets = read_targets_csv(str(targets_path))
-    metadata = read_metadata_csv(str(metadata_path))
+    targets = read_targets_csv(str(cfg.input_path("targets")))
+    deltas = _norm_deltas(cfg, {t.target_id for t in targets})
+    metadata = read_metadata_csv(str(cfg.input_path("metadata")))
     rows = assemble_rows(deltas, metadata, targets)
 
     uni_results, uni_notes = univariate_scan(
@@ -763,14 +767,15 @@ def cmd_report(cfg: RunConfig) -> None:
                                     ("comparison.csv", "report/table3.csv"))}
     uni_path = cfg.artifact_path("univariate.csv")
     multi_path = cfg.artifact_path("multivariate.csv")
-    deltas = _norm_deltas(cfg)
+    target_by_id = {t.target_id: t for t in read_targets_csv(
+        str(cfg.input_path("targets")))}
+    deltas = _norm_deltas(cfg, target_by_id)
     counts = dict(read_csv_artifact(cfg, "freq_report.csv", lambda row: (
         row["target_id"], int(row["n_pnc_matches"]))))
     # fig3 holds each domain's counts as ints and its mean and shares as floats
     domains = read_csv_artifact(cfg, "domain_summary.csv", lambda row: {
         c: v if c == "group" else int(v) if c.startswith("n") else float(v)
         for c, v in row.items()})
-    targets = read_targets_csv(str(cfg.input_path("targets")))
 
     for table, rows in tables.items():
         write_csv_artifact(cfg, table, rows)
@@ -778,13 +783,9 @@ def cmd_report(cfg: RunConfig) -> None:
     cfg.output_path("report/table6.csv").write_bytes(uni_path.read_bytes())
     cfg.output_path("report/table7.csv").write_bytes(multi_path.read_bytes())
 
-    target_by_id = {t.target_id: t for t in targets}
-
     names: dict[str, dict] = {}
     for d in sorted(deltas, key=lambda d: d.target_id):
-        t = target_by_id.get(d.target_id)
-        if t is None:
-            continue
+        t = target_by_id[d.target_id]
         entry = names.setdefault(t.full_name, {
             "full_name": t.full_name, "name_valence": d.name_valence, "pncs": []})
         entry["pncs"].append({

@@ -769,9 +769,9 @@ def read_metadata_csv(path: str) -> dict[str, dict[str, float | str | None]]:
 def assemble_rows(deltas, metadata: Mapping[str, Mapping[str, float | str | None]],
                   targets) -> list[FeatureRow]:
     """Join lexicon-based delta records with per-target metadata into feature
-    rows. The domain comes from the target list; metadata supplies the
-    person-level fields. Targets without metadata get None there and fall to
-    listwise deletion when such a field is used."""
+    rows. The domain comes from targets, which list every delta's target;
+    metadata supplies the person-level fields. Targets without metadata get
+    None there and fall to listwise deletion when such a field is used."""
     domain_by_id = {t.target_id: t.domain for t in targets}
     rows: list[FeatureRow] = []
     for d in deltas:
@@ -781,7 +781,7 @@ def assemble_rows(deltas, metadata: Mapping[str, Mapping[str, float | str | None
             "name_valence": d.name_valence,
             "pnc_valence": d.pnc_valence,
             "modifier_valence": d.modifier_valence,
-            "domain": domain_by_id.get(d.target_id),
+            "domain": domain_by_id[d.target_id],
         }
         for key in METADATA_FIELDS[1:]:
             values[key] = meta.get(key)

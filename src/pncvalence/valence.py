@@ -135,9 +135,9 @@ def compute_deltas(scores: Sequence[ScoreRecord],
                    ) -> tuple[list[DeltaRecord], list[Note]]:
     """Pair pnc and full_name scores per (target, approach) and take the
     difference. Targets lacking either side are reported in the notes, not
-    silently dropped. For the lexicon-based approach, when targets and the
-    lexicon are supplied, modifier valence and its shift against the
-    compound are attached.
+    silently dropped. For the lexicon-based approach, when the lexicon is
+    supplied with targets that list every scored target, modifier valence
+    and its shift against the compound are attached.
     """
     by_pair: dict[tuple[str, str], dict[str, ScoreRecord]] = defaultdict(dict)
     for rec in scores:
@@ -161,7 +161,7 @@ def compute_deltas(scores: Sequence[ScoreRecord],
         name_v = slot["full_name"].valence
         mod_v = None
         mod_delta = None
-        if approach == "norms" and lexicon is not None and target_id in target_by_id:
+        if approach == "norms" and lexicon is not None:
             mod_v = modifier_valence(target_by_id[target_id], lexicon)
             if mod_v is not None:
                 mod_delta = mod_v - pnc_v
@@ -199,24 +199,16 @@ def sign_summary(deltas: Sequence[DeltaRecord], group: str) -> SignSummary:
 
 
 def domain_summary(deltas: Sequence[DeltaRecord], targets: Sequence[TargetSpec],
-                   ) -> tuple[list[SignSummary], list[Note]]:
+                   ) -> list[SignSummary]:
     """Delta sign breakdown per domain (plus an 'all' row), for one approach's
-    deltas. Targets missing from the target list are noted and skipped."""
-    target_by_id = {t.target_id: t for t in targets}
+    deltas, each of a target in targets."""
+    domain_by_id = {t.target_id: t.domain for t in targets}
     by_domain: dict[str, list[DeltaRecord]] = defaultdict(list)
-    notes: list[Note] = []
-    known: list[DeltaRecord] = []
     for d in deltas:
-        t = target_by_id.get(d.target_id)
-        if t is None:
-            notes.append((d.target_id, "not in target list; skipped in domain summary"))
-            continue
-        by_domain[t.domain].append(d)
-        known.append(d)
-    summaries = [sign_summary(known, "all")] if known else []
-    for domain in sorted(by_domain):
-        summaries.append(sign_summary(by_domain[domain], domain))
-    return summaries, notes
+        by_domain[domain_by_id[d.target_id]].append(d)
+    summaries = [sign_summary(deltas, "all")] if deltas else []
+    return summaries + [sign_summary(by_domain[domain], domain)
+                        for domain in sorted(by_domain)]
 
 
 def sign_breakdown(deltas: Sequence[DeltaRecord]) -> list[SignSummary]:

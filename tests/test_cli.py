@@ -556,6 +556,26 @@ class TestLiveClassification:
         assert "corpus.jsonl" in {e["file"] for e in manifest["inputs"]}
 
 
+    def test_matched_document_missing_from_the_corpus_is_exit_3(
+            self, tmp_path, out, capsys):
+        # the corpus lost t1n1 after match wrote matches.csv
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text("".join(
+            line for line in (TOY / "corpus.jsonl").read_text(
+                encoding="utf-8").splitlines(keepends=True)
+            if '"t1n1"' not in line), encoding="utf-8")
+        run_dir = tmp_path / "o"
+        shutil.copytree(out, run_dir)
+        before = tree(run_dir)
+        with neutral_service() as url:
+            cfg = toy_config(tmp_path / "cfg", corpus=str(corpus), service={
+                "base_url": url, "model_id": "stub-model"})
+            assert main(["sentiment", "--config", cfg, "--out", str(run_dir)]) == 3
+        err = capsys.readouterr().err
+        assert "matches.csv" in err and "'t1n1'" in err
+        assert tree(run_dir) == before
+
+
 # a service address; each config below that names it is rejected before
 # any request is sent
 LOCAL = "http://127.0.0.1:9"
@@ -897,6 +917,14 @@ def bad_kind_in_row_1(path):
     return 3
 
 
+def label_approach_in_row_1(path):
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    target_id, _approach, rest = lines[2].split(",", 2)
+    lines[2] = ",".join((target_id, "plm:m1", rest))
+    path.write_text("".join(lines), encoding="utf-8")
+    return 3
+
+
 class TestCorruptArtifacts:
     @pytest.mark.parametrize("artifact, command, corrupt", [
         ("deltas.csv", "compare", bad_value_in_row_1),
@@ -907,6 +935,8 @@ class TestCorruptArtifacts:
         ("matches.csv", "score", bad_byte_in_row_1),
         ("matches.csv", "score", bad_kind_in_row_1),
         ("matches.csv", "sentiment", bad_kind_in_row_1),
+        ("deltas.csv", "compare", label_approach_in_row_1),
+        ("deltas.csv", "report", label_approach_in_row_1),
     ])
     def test_reading_stage_exits_3_with_path_and_line(
             self, tmp_path, out, capsys, artifact, command, corrupt):
@@ -915,6 +945,35 @@ class TestCorruptArtifacts:
         line = corrupt(run_dir / artifact)
         assert run(command, run_dir) == 3
         assert f"{run_dir / artifact}:{line}]" in capsys.readouterr().err
+
+
+class TestStaleTargetList:
+    """A target-keyed artifact read with targets.csv may name only listed
+    targets: t3's row deleted from targets.csv after the artifact was written
+    makes the reading stage exit 3 at t3's first row."""
+
+    @pytest.mark.parametrize("artifact, command", [
+        ("matches.csv", "score"), ("matches.csv", "sentiment"),
+        ("deltas.csv", "regress"), ("deltas.csv", "report"),
+    ])
+    def test_reading_stage_exits_3_at_the_unlisted_target(
+            self, tmp_path, out, capsys, artifact, command):
+        run_dir = (tmp_path / "o").resolve()
+        shutil.copytree(out, run_dir)
+        targets = tmp_path / "targets.csv"
+        targets.write_text("".join(
+            line for line in (TOY / "targets.csv").read_text(
+                encoding="utf-8").splitlines(keepends=True)
+            if not line.startswith("t3,")), encoding="utf-8")
+        cfg = toy_config(tmp_path / "cfg", targets=str(targets))
+        line = next(i for i, text in enumerate((run_dir / artifact).read_text(
+            encoding="utf-8").splitlines(), start=1) if text.startswith("t3,"))
+        before = tree(run_dir)
+        assert main([command, "--config", cfg, "--out", str(run_dir)]) == 3
+        err = capsys.readouterr().err
+        assert f"{run_dir / artifact}:{line}]" in err
+        assert "'t3'" in err
+        assert tree(run_dir) == before
 
 
 class TestNonUtf8Input:
@@ -1282,6 +1341,32 @@ class TestUnmatchedContexts:
         assert manifests[0] == manifests[1]
 
 
+class TestMatchedDocumentWithoutContext:
+    def test_only_its_pair_loses_a_context(self, tmp_path, out, caplog):
+        # t1n1 is matched only as t1/full_name; its #doc: block is gone
+        shutil.copytree(TOY, tmp_path / "toy")
+        tagged = tmp_path / "toy" / "tagged_contexts.tsv"
+        text = tagged.read_text(encoding="utf-8")
+        start = text.index("#doc:t1n1\n")
+        tagged.write_text(text[:start] + text[text.index("#doc:", start + 1):],
+                          encoding="utf-8")
+        cfg = str(tmp_path / "toy" / "config.json")
+        run_dir = tmp_path / "o"
+        for command in ("match", "score"):
+            assert main([command, "--config", cfg, "--out", str(run_dir)]) == 0
+        assert [r.getMessage() for r in caplog.records
+                if "no tagged context" in r.getMessage()] == [
+            "no tagged context for 1 matched document(s): t1n1"]
+        toy = read_rows(out / "scores.csv")
+        scores = read_rows(run_dir / "scores.csv")
+        assert len(scores) == len(toy)
+        for row, toy_row in zip(scores, toy):
+            if (row["target_id"], row["kind"]) == ("t1", "full_name"):
+                assert int(row["n_contexts"]) == int(toy_row["n_contexts"]) - 1
+            else:
+                assert row == toy_row
+
+
 class TestLineEndings:
     def test_crlf_inputs_write_the_lf_artifacts(self, tmp_path):
         # every toy input with CRLF line ends: each stage writes the bytes the
@@ -1397,6 +1482,21 @@ class TestUndefinedStatistics:
             assert (r["n"], r["coefficient"], r["p_value"]) == ("1", "", "")
 
 
+    def test_no_delta_runs_every_stage(self, tmp_path):
+        # no toy target has 1000 compound matches: deltas.csv holds no row
+        cfg = toy_config(tmp_path / "cfg", min_freq=1000)
+        run_dir = tmp_path / "o"
+        for command in ALL_COMMANDS:
+            assert main([command, "--config", cfg, "--out", str(run_dir)]) == 0, command
+        assert read_rows(run_dir / "deltas.csv") == []
+        for table in ("table2.csv", "table3.csv"):
+            assert read_rows(run_dir / "report" / table) == [], table
+        elasticnet = json.loads((run_dir / "elasticnet.json").read_text(encoding="utf-8"))
+        assert "skipped" in elasticnet
+        fig1 = json.loads((run_dir / "report" / "fig1.json").read_text(encoding="utf-8"))
+        assert fig1["names"] == []
+
+
 class TestStageOrder:
     def test_sign_breakdown_does_not_depend_on_stage_order(self, tmp_path, out):
         for command in ("match", "sentiment", "score", "compare"):
@@ -1467,6 +1567,18 @@ class TestReadme:
         section = readme.split("## Configuration", 1)[1].split("\n## ", 1)[0]
         keys = set(cli._KEYS).union(*map(set, cli._BLOCK_TYPES.values()))
         assert sorted(k for k in keys if f"`{k}`" not in section) == []
+
+    def test_stage_table_lists_each_manifests_outputs(self, out):
+        readme = (REPO / "README.md").read_text(encoding="utf-8")
+        table = readme.split("What each stage produces:", 1)[1].split("\n\n", 2)[1]
+        listed = {}
+        for line in table.splitlines()[2:]:
+            command, artifacts = (cell.strip() for cell in line.strip("|").split("|"))
+            names = set(re.findall(r"`([^`]+\.(?:csv|json|jsonl))`", artifacts))
+            listed[command] = sorted(names - {"labels_live.jsonl"})
+        manifests = {command: json.loads((out / f"manifest_{command}.json").read_text(
+            encoding="utf-8"))["outputs"] for command in ALL_COMMANDS}
+        assert listed == manifests
 
     def test_library_use_example_runs_on_toy_fixture(self, monkeypatch):
         readme = (REPO / "README.md").read_text(encoding="utf-8")

@@ -685,15 +685,17 @@ class TestMetadataAssembly:
                               name_valence=5.0, delta=-2.0)]
         metadata = {"t1": {"age": 40.0, "gender": "male", "nationality": None,
                            "birthplace": None, "party": None, "frame": "praise"}}
-        targets = [TargetSpec(target_id="t1", pnc_surface="A-B",
+        targets = [TargetSpec(target_id=t, pnc_surface="A-B",
                               modifier_surface="", head_surface="",
-                              first_name="F", last_name="L", domain="sports")]
+                              first_name="F", last_name="L", domain=domain)
+                   for t, domain in (("t1", "sports"), ("t2", "politics"))]
         rows = assemble_rows(deltas, metadata, targets)
         assert rows[0].values["delta"] == 1.0
         assert rows[0].values["age"] == 40.0
         assert rows[0].values["domain"] == "sports"
         assert rows[0].values["modifier_valence"] == 7.0
-        # t2 has no metadata and no target entry: everything person-level is None
+        # t2 has no metadata: everything person-level is None
         assert rows[1].values["age"] is None
-        assert rows[1].values["domain"] is None
+        assert rows[1].values["gender"] is None
+        assert rows[1].values["domain"] == "politics"
         assert rows[1].values["pnc_valence"] == 3.0

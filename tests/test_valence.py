@@ -210,17 +210,14 @@ class TestSummaries:
         targets = [target("a", domain="politics"), target("b", domain="sports"),
                    target("c", domain="politics")]
         deltas = [delta("a", -1.0), delta("b", 1.0), delta("c", -2.0)]
-        summaries, notes = domain_summary(deltas, targets)
+        summaries = domain_summary(deltas, targets)
         assert [s.group for s in summaries] == ["all", "politics", "sports"]
         assert summaries[0].n == 3
         assert summaries[1].n == 2
         assert summaries[1].pct_negative == 100.0
-        assert notes == []
 
-    def test_domain_summary_unknown_target_noted(self):
-        summaries, notes = domain_summary([delta("zz", 1.0)], [target("a")])
-        assert summaries == []
-        assert notes == [("zz", "not in target list; skipped in domain summary")]
+    def test_domain_summary_of_no_delta_is_empty(self):
+        assert domain_summary([], [target("a")]) == []
 
 
 class TestDeltaSign:
