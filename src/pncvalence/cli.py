@@ -34,7 +34,7 @@ from . import __version__
 from .corpus import (ContextMatch, TargetSpec, dedupe_documents, frequency_filter,
                      generate_variants, match_contexts, read_corpus_jsonl, read_targets_csv)
 from .csvio import parse_json, read_csv, write_csv
-from .errors import ParseError, PncValenceError, ValidationError
+from .errors import ParseError, PncValenceError, ValidationError, typed
 from .lexicon import load_lexicon, read_tagged_contexts
 from .regression import (DEFAULT_MODEL_SPECS, DEFAULT_UNIVARIATE_PREDICTORS,
                          assemble_rows, check_cv_settings, cv_random_search,
@@ -99,45 +99,33 @@ CSV_ARTIFACTS: dict[str, tuple[str, ...]] = {
 }
 
 
-# the context unit a corpus holds: whole documents (tweets), or news that
-# arrives one sentence per document; matching is the same for both
-UNIT_POLICIES = ("whole_document", "per_sentence")
-
+# the one home of every top-level default; the config hash covers them
 _DEFAULTS: dict[str, object] = {
     "min_freq": 1,
     "seed": 0,
-    "unit_policy": "whole_document",
     "case_insensitive": False,
     "include_overlaps": True,
     "top_k_words": 10,
     "annotators": [],
     "label_files": [],
+    "univariate_predictors": list(DEFAULT_UNIVARIATE_PREDICTORS),
+    "model_specs": [list(spec) for spec in DEFAULT_MODEL_SPECS],
+    "elasticnet_formula": dict(DEFAULT_MODEL_SPECS)["all_except_name_valence"],
+    "elasticnet": {},
     "out_dir": "out",
 }
 
-# keys the config's nested objects may set, with the types their values take
-_NUMBER = (int, float)
-_BLOCK_TYPES: dict[str, dict[str, type | tuple[type, ...]]] = {
-    "elasticnet": {"n_candidates": int, "n_repeats": int, "n_folds": int},
-    "service": {"base_url": str, "model_id": str, "batch_size": int,
-                "max_retries": int, "timeout": _NUMBER, "backoff_base": _NUMBER,
-                "backoff_cap": _NUMBER},
-}
+# keys older configs may still set: accepted, read by no stage, left out of the hash
+_IGNORED_KEYS = frozenset({"workers", "unit_policy"})
 
-# every top-level key a config may set; "workers" is accepted and ignored
-_KEYS = frozenset(_DEFAULTS) | frozenset(_BLOCK_TYPES) | {
+# every top-level key a config may set
+_KEYS = frozenset(_DEFAULTS) | _IGNORED_KEYS | {
     "targets", "corpus", "lexicon", "tagged_contexts", "metadata",
-    "human_label_file", "univariate_predictors", "model_specs",
-    "elasticnet_formula", "workers"}
+    "human_label_file", "service"}
 
 
 def _strings(value: object) -> bool:
     return isinstance(value, list) and all(isinstance(v, str) for v in value)
-
-
-def _typed(value: object, types: type | tuple[type, ...]) -> bool:
-    # a JSON true or false is a Python int, but no count, seed or setting
-    return isinstance(value, types) and not isinstance(value, bool)
 
 
 def _not_json(constant: str):
@@ -189,59 +177,50 @@ class RunConfig:
         unknown = sorted(set(self.data) - _KEYS)
         require(not unknown, f"unknown config key(s): {', '.join(unknown)}")
         for key in ("min_freq", "top_k_words"):
-            require(_typed(self[key], int) and self[key] >= 1,
+            require(typed(self[key], int) and self[key] >= 1,
                     f"{key} must be an integer >= 1")
-        require(_typed(self["seed"], int) and self["seed"] >= 0,
+        require(typed(self["seed"], int) and self["seed"] >= 0,
                 "seed must be an integer >= 0")
-        require(self["unit_policy"] in UNIT_POLICIES,
-                f"unit_policy must be one of {UNIT_POLICIES}, "
-                f"got {self['unit_policy']!r}")
         for key in ("case_insensitive", "include_overlaps"):
             require(isinstance(self[key], bool), f"{key} must be true or false")
         for key in ("annotators", "label_files", "univariate_predictors"):
-            require(_strings(self.get(key, [])), f"{key} must be a list of strings")
+            require(_strings(self[key]), f"{key} must be a list of strings")
         for key in ("targets", "corpus", "lexicon", "tagged_contexts", "metadata",
                     "out_dir", "human_label_file", "elasticnet_formula"):
-            require(isinstance(self.get(key, ""), str), f"{key} must be a string")
-        specs = self.get("model_specs", [])
+            require(key not in self.data or isinstance(self[key], str),
+                    f"{key} must be a string")
+        specs = self["model_specs"]
         require(isinstance(specs, list)
                 and all(_strings(s) and len(s) == 2 for s in specs),
                 "model_specs must be a list of [name, formula] pairs")
-        predictors = self.get("univariate_predictors", [])
         for key, names in (("model_specs", [name for name, _ in specs]),
-                           ("univariate_predictors", predictors)):
+                           ("univariate_predictors", self["univariate_predictors"])):
             require(len(set(names)) == len(names), f"{key} must not repeat a name")
-        for block, types in _BLOCK_TYPES.items():
-            settings = self.get(block, {})
-            require(isinstance(settings, dict), f"{block} must be an object")
-            for key, value in settings.items():
-                require(key in types and _typed(value, types[key]),
-                        f"{block}.{key}: unknown setting or wrong type ({value!r})")
 
-        def check(where: str, test, *args, **kwargs) -> None:
+        def check(where: str, test, /, *args, **kwargs) -> None:
             try:
                 test(*args, **kwargs)
             except ValidationError as exc:
                 raise ValidationError(f"{where}{exc}") from None
 
+        # each nested block is checked by the code that takes it
+        for block, test in (("elasticnet", check_cv_settings),
+                            ("service", ServiceConfig.from_settings)):
+            if block in self.data:
+                require(isinstance(self[block], dict), f"{block} must be an object")
+                check(f"{block}.", test, **self[block])
         for name, formula in specs:
             check(f"model_specs {name}: ", parse_formula, formula)
-        for predictor in predictors:
+        for predictor in self["univariate_predictors"]:
             check("univariate_predictors: ", parse_formula, f"delta ~ {predictor}")
-        if "elasticnet_formula" in self.data:
-            check("elasticnet_formula: ", parse_formula, self["elasticnet_formula"])
-        check("elasticnet.", check_cv_settings, **self.get("elasticnet", {}))
-        if "service" in self.data:
-            require("base_url" in self["service"], "service.base_url is required")
-            check("service.", ServiceConfig, **self["service"])
+        check("elasticnet_formula: ", parse_formula, self["elasticnet_formula"])
 
-    # config identity: everything that shapes artifact content. Where the
-    # artifacts land does not, nor does "workers", a key that is accepted and
-    # ignored so that configs which still set it keep their hash.
+    # config identity: everything that shapes artifact content, the defaults
+    # included. Where the artifacts land does not, nor do the ignored keys.
     @property
     def hash(self) -> str:
         hashed = {k: v for k, v in self.data.items()
-                  if k not in ("out_dir", "workers")}
+                  if k != "out_dir" and k not in _IGNORED_KEYS}
         canon = json.dumps(hashed, sort_keys=True, separators=(",", ":"),
                            ensure_ascii=False)
         return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:12]
@@ -252,9 +231,6 @@ class RunConfig:
 
     def __getitem__(self, key: str):
         return self.data[key]
-
-    def get(self, key: str, default=None):
-        return self.data.get(key, default)
 
     def input_path(self, key: str) -> Path:
         """Resolve a required input file named by config key."""
@@ -548,7 +524,7 @@ def cmd_sentiment(cfg: RunConfig) -> None:
 
     human_records = []
     human_path = None
-    if cfg.get("human_label_file"):
+    if cfg.data.get("human_label_file"):
         human_path = cfg.input_file(cfg["human_label_file"], "human label")
         human_records = read_label_jsonl(str(human_path), seen)
     labelled = {r.source_id for r in human_records}
@@ -558,7 +534,7 @@ def cmd_sentiment(cfg: RunConfig) -> None:
             f"annotators without a label in human_label_file "
             f"{human_path or '(not set)'}: {', '.join(unlabelled)}")
 
-    if cfg.get("service"):
+    if cfg.data.get("service"):
         live_path = cfg.output_path("labels_live.jsonl")
         live_path.write_text("".join(json.dumps(r._asdict(), ensure_ascii=False) + "\n"
                                      for r in _classify_live(cfg, kinds)), encoding="utf-8")
@@ -673,18 +649,16 @@ def cmd_regress(cfg: RunConfig) -> None:
     metadata = read_metadata_csv(str(cfg.input_path("metadata")))
     rows = assemble_rows(deltas, metadata, targets)
 
-    uni_results, uni_notes = univariate_scan(
-        rows, cfg.get("univariate_predictors", DEFAULT_UNIVARIATE_PREDICTORS))
+    uni_results, uni_notes = univariate_scan(rows, cfg["univariate_predictors"])
     uni_out = write_csv_artifact(cfg, "univariate.csv", (
         [u.predictor, u.level, u.fit.n, u.fit.coefficients[0],
          u.fit.coefficients[u.column], u.fit.p_values[u.column], u.fit.r_squared,
          u.fit.adj_r_squared, u.fit.f_p_value, u.stars] for u in uni_results))
 
-    multi_results, multi_notes = multivariate_suite(
-        rows, cfg.get("model_specs", DEFAULT_MODEL_SPECS))
+    multi_results, multi_notes = multivariate_suite(rows, cfg["model_specs"])
+    fit_stats = CSV_ARTIFACTS["multivariate.csv"][2:-1]  # n to f_p_value: OlsFit fields
     write_csv_artifact(cfg, "multivariate.csv", (
-        [m.model, m.formula, m.fit.n, m.fit.r_squared, m.fit.adj_r_squared,
-         m.fit.residual_se, m.fit.f_statistic, m.fit.f_p_value, m.stars]
+        [m.model, m.formula, *(getattr(m.fit, stat) for stat in fit_stats), m.stars]
         for m in multi_results))
 
     detail = {
@@ -694,12 +668,7 @@ def cmd_regress(cfg: RunConfig) -> None:
             {
                 "model": m.model,
                 "formula": m.formula,
-                "n": m.fit.n,
-                "r_squared": m.fit.r_squared,
-                "adj_r_squared": m.fit.adj_r_squared,
-                "residual_se": m.fit.residual_se,
-                "f_statistic": m.fit.f_statistic,
-                "f_p_value": m.fit.f_p_value,
+                **{stat: getattr(m.fit, stat) for stat in fit_stats},
                 "reference_levels": dict(m.design.reference_levels),
                 "dropped_factors": list(m.design.dropped_factors),
                 "excluded_rows": list(m.design.excluded_ids),
@@ -717,8 +686,7 @@ def cmd_regress(cfg: RunConfig) -> None:
     }
     write_json_artifact(cfg, "regression.json", detail)
 
-    formula = cfg.get("elasticnet_formula",
-                      dict(DEFAULT_MODEL_SPECS)["all_except_name_valence"])
+    formula = cfg["elasticnet_formula"]
     try:
         design = encode_features(rows, formula)
         x = design.x[:, 1:]
@@ -726,7 +694,7 @@ def cmd_regress(cfg: RunConfig) -> None:
         if x.shape[1] == 0:
             raise ValidationError("elastic net needs at least one predictor")
         search = cv_random_search(x, design.y, columns=columns, seed=cfg["seed"],
-                                  **cfg.get("elasticnet", {}))
+                                  **cfg["elasticnet"])
     except PncValenceError as exc:
         logger.warning("elastic net skipped: %s", exc)
         write_json_artifact(cfg, "elasticnet.json",

@@ -12,7 +12,7 @@ import json
 import re
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
-from .errors import ParseError, ValidationError
+from .errors import ParseError, ValidationError, typed
 
 T = TypeVar("T")
 
@@ -127,7 +127,7 @@ def read_jsonl(path: str, parse: Callable[[dict], T]) -> list[T]:
                 raise ValueError(f"expected a JSON object, got {type(obj).__name__}")
             for key in JSONL_ID_FIELDS:
                 value = obj.get(key, "")
-                if isinstance(value, bool) or not isinstance(value, (str, int)):
+                if not typed(value, (str, int)):
                     raise ValueError(f"{key} must be a string or an integer, "
                                      f"got {json.dumps(value)}")
             records.append(parse(obj))

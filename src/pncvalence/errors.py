@@ -1,4 +1,4 @@
-"""Shared exception types."""
+"""Shared exception types, and the check of a settings block's names and types."""
 
 
 class PncValenceError(Exception):
@@ -44,3 +44,15 @@ class ClassificationError(PncValenceError):
     def __init__(self, message: str, context_ids: list[str] | None = None):
         self.context_ids = list(context_ids) if context_ids else []
         super().__init__(message)
+
+
+def typed(value: object, types: type | tuple[type, ...]) -> bool:
+    # a JSON true or false is a Python int, but no count, id or setting
+    return isinstance(value, types) and not isinstance(value, bool)
+
+
+def check_settings(settings: dict, types: dict) -> None:
+    """Reject a setting that types does not name, or not of its type, naming it."""
+    for key, value in settings.items():
+        if key not in types or not typed(value, types[key]):
+            raise ValidationError(f"{key}: unknown setting or wrong type ({value!r})")

@@ -23,7 +23,7 @@ from array import array
 from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
 
 from .csvio import read_csv
-from .errors import ConvergenceError, RankDeficiencyError, ValidationError
+from .errors import ConvergenceError, RankDeficiencyError, ValidationError, check_settings
 from .stats import fisher_f_sf, student_t_sf
 
 # each function that computes with numpy imports it in its own body, so the
@@ -643,8 +643,9 @@ _CV_MINIMA = {"n_candidates": 1, "n_repeats": 1, "n_folds": 2}
 
 
 def check_cv_settings(**settings) -> None:
-    """Reject a cv_random_search setting out of range, naming it; a setting
-    not given keeps its default, which is in range."""
+    """Reject a cv_random_search setting that is unknown, no integer or out of
+    range, naming it; one not given keeps its default, which is in range."""
+    check_settings(settings, dict.fromkeys(_CV_MINIMA, int))
     for name, least in _CV_MINIMA.items():
         if name in settings and settings[name] < least:
             raise ValidationError(f"{name} must be >= {least}, got {settings[name]!r}")

@@ -20,11 +20,11 @@ import time
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence, get_type_hints
 
 from .corpus import ContextMatch
 from .csvio import read_jsonl
-from .errors import ClassificationError, ValidationError
+from .errors import ClassificationError, ValidationError, check_settings
 from .stats import spearman
 from .valence import DeltaRecord, ScoreRecord, delta_sign
 
@@ -63,6 +63,10 @@ class ContextItem(NamedTuple):
     text: str
 
 
+# the longest wait in seconds, a day: time.sleep fails near threading.TIMEOUT_MAX
+MAX_WAIT = 86_400
+
+
 @dataclass(frozen=True)
 class ServiceConfig:
     """Connection settings for a sentiment classification HTTP service.
@@ -80,15 +84,26 @@ class ServiceConfig:
     backoff_base: float = 0.5
     backoff_cap: float = 8.0
 
+    @classmethod
+    def from_settings(cls, /, **settings) -> ServiceConfig:
+        """The config of a service block, each setting a field of its type."""
+        check_settings(settings, {name: (int, float) if kind is float else kind
+                                  for name, kind in get_type_hints(cls).items()})
+        if "base_url" not in settings:
+            raise ValidationError("base_url is required")
+        return cls(**settings)
+
     def __post_init__(self) -> None:
         # urllib would also open file:, ftp: and data: URLs
         http = self.base_url.lower().startswith(("http://", "https://"))
+        waits = [(key, getattr(self, key) <= MAX_WAIT, f"<= {MAX_WAIT}")
+                 for key in ("timeout", "backoff_base", "backoff_cap")]
         for key, ok, bound in (("base_url", http, "an http:// or https:// URL"),
                                ("batch_size", self.batch_size >= 1, ">= 1"),
                                ("max_retries", self.max_retries >= 0, ">= 0"),
                                ("timeout", self.timeout > 0, "> 0"),
                                ("backoff_base", self.backoff_base >= 0, ">= 0"),
-                               ("backoff_cap", self.backoff_cap >= 0, ">= 0")):
+                               ("backoff_cap", self.backoff_cap >= 0, ">= 0"), *waits):
             if not ok:
                 raise ValidationError(f"{key} must be {bound}, got {getattr(self, key)!r}")
 
@@ -130,12 +145,14 @@ def _classify_batch(url: str, batch: Sequence[ContextItem],
     ids = [item.context_id for item in batch]
     data = json.dumps({"texts": [item.text for item in batch]}).encode("utf-8")
     last_error = None
+    # doubled after each retry: backoff_base * 2 ** retries can overflow a float
+    delay = min(config.backoff_base, config.backoff_cap)
     for attempt in range(config.max_retries + 1):
         if attempt:
-            delay = min(config.backoff_base * 2 ** (attempt - 1), config.backoff_cap)
             logger.info("retrying batch of %d after %.1fs (attempt %d)",
                         len(batch), delay, attempt + 1)
             time.sleep(delay)
+            delay = min(delay * 2, config.backoff_cap)
         try:
             request = urllib.request.Request(
                 url, data=data, headers={"Content-Type": "application/json"},

@@ -14,6 +14,7 @@ modifier itself, delta_mod = v(modifier) - v(pnc), is reported too.
 
 from __future__ import annotations
 
+import heapq
 import logging
 import math
 from collections import Counter, defaultdict
@@ -241,6 +242,6 @@ def frequent_context_words(target_ids: Sequence[str],
                 if ctx is None:
                     continue
                 counts.update(ctx.content_keys)
-            for w, c in sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))[:k]:
+            for w, c in heapq.nsmallest(k, counts.items(), key=lambda kv: (-kv[1], kv[0])):
                 rows.append((target_id, kind, w, c, lexicon.entries.get(w)))
     return rows

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -19,6 +20,7 @@ import pncvalence
 from pncvalence import cli, regression
 from pncvalence.cli import RunConfig, main, write_csv_artifact
 from pncvalence.corpus import dedupe_documents, read_corpus_jsonl, read_targets_csv
+from pncvalence.sentiment import MAX_WAIT, ServiceConfig
 from test_matching import brute_force
 
 TOY = Path(__file__).parent / "data" / "toy"
@@ -32,6 +34,13 @@ ALL_COMMANDS = ("variants", "match", "score", "sentiment", "compare",
 
 def run(command, out_dir, *extra):
     return main([command, "--config", CONFIG, "--out", str(out_dir), *extra])
+
+
+def pipeline_tree(config, out_dir):
+    """Run every command on config into out_dir; return tree(out_dir)."""
+    for command in ALL_COMMANDS:
+        assert main([command, "--config", config, "--out", str(out_dir)]) == 0, command
+    return tree(out_dir)
 
 
 def toy_config(directory, **changes):
@@ -471,15 +480,40 @@ class TestOverrides:
         assert by_id["t8"]["retained"] == "true"
         assert all(r["min_freq"] == "1" for r in rows)
 
-    def test_workers_do_not_change_hash_or_bytes(self, tmp_path):
-        # "workers" is accepted and ignored, and stays out of the hash
-        written = []
-        for name, workers in (("a", 3), ("b", None)):
-            cfg = toy_config(tmp_path / name, workers=workers)
-            out_dir = tmp_path / name / "o"
-            assert main(["match", "--config", cfg, "--out", str(out_dir)]) == 0
-            written.append((out_dir / "matches.csv").read_bytes())
-        assert written[0] == written[1]
+    def test_ignored_keys_do_not_change_hash_or_bytes(self, tmp_path):
+        # a key that is accepted and ignored, at a value no stage could take,
+        # leaves the hash and every byte of every stage as they are without it
+        values = {"workers": 3, "unit_policy": "sentences"}
+        without = dict.fromkeys(cli._IGNORED_KEYS)  # None removes the key
+        cfg = toy_config(tmp_path / "none", **without)
+        expected = RunConfig.load(cfg, None).hash, pipeline_tree(cfg, tmp_path / "o")
+        for key in sorted(cli._IGNORED_KEYS):
+            cfg = toy_config(tmp_path / key, **{**without, key: values[key]})
+            assert (RunConfig.load(cfg, None).hash,
+                    pipeline_tree(cfg, tmp_path / key / "o")) == expected, key
+
+    def test_spelled_out_defaults_change_no_hash_or_byte(self, tmp_path):
+        # a config of input paths alone, and one that also spells out every
+        # default, regress's models as the regression module states them
+        paths = {key: str(TOY / name) for key, name in (
+            ("targets", "targets.csv"), ("corpus", "corpus.jsonl"),
+            ("lexicon", "lexicon.tsv"), ("tagged_contexts", "tagged_contexts.tsv"),
+            ("metadata", "metadata.csv"), ("human_label_file", "labels_human.jsonl"))}
+        spelled = dict(
+            cli._DEFAULTS, **paths,
+            univariate_predictors=list(regression.DEFAULT_UNIVARIATE_PREDICTORS),
+            model_specs=[list(spec) for spec in regression.DEFAULT_MODEL_SPECS],
+            elasticnet_formula=dict(regression.DEFAULT_MODEL_SPECS)[
+                "all_except_name_valence"],
+            elasticnet={})
+        results = []
+        for name, data in (("paths", paths), ("spelled", spelled)):
+            cfg = tmp_path / name / "cfg.json"
+            cfg.parent.mkdir()
+            cfg.write_text(json.dumps(data), encoding="utf-8")
+            results.append((RunConfig.load(str(cfg), None).hash,
+                            pipeline_tree(str(cfg), tmp_path / name / "o")))
+        assert results[0] == results[1]
 
     def test_different_config_values_change_hash(self, tmp_path):
         # the two configs differ in min_freq alone
@@ -591,7 +625,8 @@ class TestConfigValidation:
         ("sentiment", {"label_files": "l"}, "label_files"),
         ("regress", {"univariate_predictors": "age"}, "univariate_predictors"),
         ("match", {"case_insensitive": "no"}, "case_insensitive"),
-        ("match", {"unit_policy": "per_paragraph"}, "unit_policy"),
+        ("sentiment", {"service": {"base_url": LOCAL, "timeout": 1e10}},
+         "service.timeout"),
         ("regress", {"elasticnet": {"scoring": "rmse"}}, "elasticnet.scoring"),
         ("regress", {"univariate_predictors": ["age", "agee"]},
          "univariate_predictors"),
@@ -640,6 +675,18 @@ class TestConfigValidation:
         ("regress", {"univariate_predictors": ["age", "age"]}, "univariate_predictors"),
         # an empty object is a service block all the same
         ("sentiment", {"service": {}}, "service.base_url"),
+        # a wait that urlopen or time.sleep would reject
+        ("sentiment", {"service": {"base_url": LOCAL, "timeout": MAX_WAIT + 0.5}},
+         "service.timeout"),
+        ("sentiment", {"service": {"base_url": LOCAL, "backoff_base": 1e300,
+                                   "backoff_cap": 1e300, "max_retries": 1}},
+         "service.backoff_base"),
+        ("sentiment", {"service": {"base_url": LOCAL, "backoff_cap": 1e300,
+                                   "max_retries": 1}}, "service.backoff_cap"),
+        # a setting that shares a name with a parameter of the code checking it
+        ("regress", {"elasticnet": {"test": 1}}, "elasticnet.test"),
+        ("sentiment", {"service": {"base_url": LOCAL, "cls": 1}}, "service.cls"),
+        ("regress", {"elasticnet": [5]}, "elasticnet"),
     ])
     def test_bad_value_is_exit_3_naming_the_key(self, tmp_path, out, capsys,
                                                 command, change, key):
@@ -663,15 +710,25 @@ class TestConfigValidation:
         ("sentiment", {"service": {"base_url": LOCAL, "timeout": float("inf")}}),
     ])
     def test_non_json_constant_is_exit_3(self, tmp_path, out, capsys, command, change):
-        # with the upstream artifacts in place, the parsed inf would pass
-        # every range check: compare, which reads no service setting, would
-        # succeed, and the service client crashes on an infinite timeout
+        # the constant is rejected as the config is parsed, before any setting
+        # is checked, and the message names the config file
         run_dir = tmp_path / "o"
         shutil.copytree(out, run_dir)
         cfg = toy_config(tmp_path, **change)  # json.dumps writes inf as Infinity
         assert main([command, "--config", cfg, "--out", str(run_dir)]) == 3
         err = capsys.readouterr().err
         assert "Infinity" in err and cfg in err
+
+    @pytest.mark.parametrize("key", ["timeout", "backoff_base", "backoff_cap"])
+    def test_number_beyond_a_float_is_exit_3(self, tmp_path, out, capsys, key):
+        # json reads 1e400 as inf, a wait that urlopen or time.sleep rejects
+        run_dir = tmp_path / "o"
+        shutil.copytree(out, run_dir)
+        cfg = Path(toy_config(tmp_path, service={"base_url": LOCAL, key: 0}))
+        cfg.write_text(cfg.read_text(encoding="utf-8").replace(
+            f'"{key}": 0', f'"{key}": 1e400'), encoding="utf-8")
+        assert main(["sentiment", "--config", str(cfg), "--out", str(run_dir)]) == 3
+        assert f"service.{key}" in capsys.readouterr().err
 
 
 def saturated(rows, deltas):
@@ -1565,7 +1622,8 @@ class TestReadme:
     def test_configuration_section_names_every_key(self):
         readme = (REPO / "README.md").read_text(encoding="utf-8")
         section = readme.split("## Configuration", 1)[1].split("\n## ", 1)[0]
-        keys = set(cli._KEYS).union(*map(set, cli._BLOCK_TYPES.values()))
+        keys = (set(cli._KEYS) | set(regression._CV_MINIMA)
+                | {f.name for f in dataclasses.fields(ServiceConfig)})
         assert sorted(k for k in keys if f"`{k}`" not in section) == []
 
     def test_stage_table_lists_each_manifests_outputs(self, out):

@@ -1,5 +1,9 @@
 import json
+import subprocess
+import sys
 import threading
+import time
+import urllib.request
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
@@ -7,11 +11,12 @@ import pytest
 from pncvalence.corpus import ContextMatch
 from pncvalence.errors import (ClassificationError, ParseError,
                                ValidationError)
-from pncvalence.sentiment import (AgreementResult, ContextItem, LabelHistogram,
-                                  LabelRecord, ServiceConfig, build_histograms,
-                                  classify_contexts, compare_approaches,
-                                  eq2_valence, filter_records_by_kind,
-                                  kind_index, pairwise_iaa, pool_annotators,
+from pncvalence.sentiment import (MAX_WAIT, AgreementResult, ContextItem,
+                                  LabelHistogram, LabelRecord, ServiceConfig,
+                                  build_histograms, classify_contexts,
+                                  compare_approaches, eq2_valence,
+                                  filter_records_by_kind, kind_index,
+                                  pairwise_iaa, pool_annotators,
                                   read_label_jsonl)
 from pncvalence.valence import DeltaRecord, sign_breakdown
 
@@ -392,3 +397,72 @@ class TestClassifyContexts:
     def test_batch_size_validated(self):
         with pytest.raises(ValidationError):
             classify_contexts(items(1), config("http://x", batch_size=0), "m")
+
+    def test_backoff_doubles_up_to_the_cap_past_a_float_power_of_2(self, monkeypatch):
+        # 0.5 * 2 ** 1024 is too large to be a float; the waits stay at the cap
+        waits = []
+        monkeypatch.setattr(time, "sleep", waits.append)
+
+        def refuse(*args, **kwargs):
+            raise OSError("connection refused")
+
+        monkeypatch.setattr(urllib.request, "urlopen", refuse)
+        with pytest.raises(ClassificationError, match="after 1101 attempts"):
+            classify_contexts(items(1), config("http://x", max_retries=1100,
+                                               backoff_base=0.5, backoff_cap=8), "m")
+        assert waits == [0.5, 1.0, 2.0, 4.0] + [8] * 1096
+
+
+class TestServiceConfig:
+    @pytest.mark.parametrize("key, value", [
+        ("timeout", MAX_WAIT + 0.5), ("timeout", float("inf")),
+        ("timeout", float("nan")), ("backoff_base", float("inf")),
+        ("backoff_base", float("nan")), ("backoff_cap", MAX_WAIT + 0.5),
+        ("backoff_cap", float("inf")), ("backoff_cap", float("nan")),
+    ])
+    def test_wait_out_of_range_names_the_setting(self, key, value):
+        with pytest.raises(ValidationError, match=f"^{key} must be "):
+            ServiceConfig(base_url="http://x", **{key: value})
+
+    @pytest.mark.parametrize("settings, message", [
+        ({"base_url": "http://x", "timeout": "5"},
+         "timeout: unknown setting or wrong type ('5')"),
+        ({"base_url": "http://x", "batch_size": 2.0},
+         "batch_size: unknown setting or wrong type (2.0)"),
+        ({"base_url": "http://x", "max_retries": False},
+         "max_retries: unknown setting or wrong type (False)"),
+        ({"base_url": "http://x", "retries": 1},
+         "retries: unknown setting or wrong type (1)"),
+        ({"model_id": "m"}, "base_url is required"),
+    ])
+    def test_from_settings_checks_names_and_types(self, settings, message):
+        with pytest.raises(ValidationError) as exc:
+            ServiceConfig.from_settings(**settings)
+        assert str(exc.value) == message
+
+    def test_from_settings_takes_an_int_wait_at_the_bound(self):
+        assert ServiceConfig.from_settings(base_url="http://x", timeout=MAX_WAIT,
+                                           backoff_cap=MAX_WAIT) == ServiceConfig(
+            base_url="http://x", timeout=MAX_WAIT, backoff_cap=MAX_WAIT)
+
+    def test_urlopen_takes_the_longest_timeout(self):
+        with StubService([(200, {"labels": ["neutral"]})]) as stub:
+            records, _ = classify_contexts(
+                items(1), config(stub.base_url, timeout=MAX_WAIT), "m")
+        assert [r.label for r in records] == ["neutral"]
+
+    def test_sleep_takes_the_longest_backoff(self):
+        # time.sleep rejects a wait it cannot take at once; this one is still
+        # asleep half a second after it began
+        assert MAX_WAIT < threading.TIMEOUT_MAX
+        proc = subprocess.Popen(
+            [sys.executable, "-S", "-c",
+             f"import time; print(flush=True); time.sleep({MAX_WAIT})"],
+            stdout=subprocess.PIPE, stderr=subprocess.DEVNULL)
+        try:
+            proc.stdout.readline()
+            with pytest.raises(subprocess.TimeoutExpired):
+                proc.wait(0.5)
+        finally:
+            proc.kill()
+            proc.communicate()
