@@ -197,30 +197,29 @@ class RunConfig:
                            ("univariate_predictors", self["univariate_predictors"])):
             require(len(set(names)) == len(names), f"{key} must not repeat a name")
 
-        def check(where: str, test, /, *args, **kwargs) -> None:
+        def check(where: str, test, /, *args, **kwargs):
             try:
-                test(*args, **kwargs)
+                return test(*args, **kwargs)
             except ValidationError as exc:
                 raise ValidationError(f"{where}{exc}") from None
 
-        # each nested block is checked by the code that takes it
-        for block, test in (("elasticnet", check_cv_settings),
-                            ("service", ServiceConfig.from_settings)):
+        # each nested block is checked and completed by the code that takes it
+        for block, resolve in (("elasticnet", check_cv_settings),
+                               ("service", lambda **s: vars(ServiceConfig.from_settings(**s)))):
             if block in self.data:
                 require(isinstance(self[block], dict), f"{block} must be an object")
-                check(f"{block}.", test, **self[block])
+                self.data[block] = check(f"{block}.", resolve, **self[block])
         for name, formula in specs:
             check(f"model_specs {name}: ", parse_formula, formula)
         for predictor in self["univariate_predictors"]:
             check("univariate_predictors: ", parse_formula, f"delta ~ {predictor}")
         check("elasticnet_formula: ", parse_formula, self["elasticnet_formula"])
 
-    # config identity: everything that shapes artifact content, the defaults
+    # config identity: everything that shapes artifact content, every default
     # included. Where the artifacts land does not, nor do the ignored keys.
     @property
     def hash(self) -> str:
-        hashed = {k: v for k, v in self.data.items()
-                  if k != "out_dir" and k not in _IGNORED_KEYS}
+        hashed = {k: v for k, v in self.data.items() if k not in _IGNORED_KEYS | {"out_dir"}}
         canon = json.dumps(hashed, sort_keys=True, separators=(",", ":"),
                            ensure_ascii=False)
         return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:12]
@@ -751,10 +750,11 @@ def cmd_report(cfg: RunConfig) -> None:
     cfg.output_path("report/table6.csv").write_bytes(uni_path.read_bytes())
     cfg.output_path("report/table7.csv").write_bytes(multi_path.read_bytes())
 
-    names: dict[str, dict] = {}
+    # without overlaps, targets that share a full name may differ in its valence
+    names: dict[tuple[str, float], dict] = {}
     for d in sorted(deltas, key=lambda d: d.target_id):
         t = target_by_id[d.target_id]
-        entry = names.setdefault(t.full_name, {
+        entry = names.setdefault((t.full_name, d.name_valence), {
             "full_name": t.full_name, "name_valence": d.name_valence, "pncs": []})
         entry["pncs"].append({
             "target_id": d.target_id,

@@ -414,8 +414,7 @@ class _Gate:
 
 
 def match_contexts(corpus: Sequence[Document], targets: Sequence[TargetSpec], *,
-                   case_insensitive: bool = False,
-                   include_overlaps: bool = True) -> list[ContextMatch]:
+                   case_insensitive: bool, include_overlaps: bool) -> list[ContextMatch]:
     """Find every compound and full-name occurrence of each target in the corpus.
 
     Each document is one context unit, a tweet or a news sentence alike.
@@ -448,12 +447,12 @@ def match_contexts(corpus: Sequence[Document], targets: Sequence[TargetSpec], *,
 def dedupe_documents(corpus: Sequence[Document]) -> list[Document]:
     """Drop retweet-style duplicates: keep the first document per distinct URL.
 
-    Documents without a URL never collide and are always kept. Order is stable.
+    Documents without a URL or with an empty one are always kept. Order is stable.
     """
     seen: set[str] = set()
     kept = []
     for doc in corpus:
-        if doc.url is not None:
+        if doc.url:
             if doc.url in seen:
                 continue
             seen.add(doc.url)

@@ -341,7 +341,7 @@ def univariate_scan(rows: Sequence[FeatureRow], predictors: Sequence[str],
                 raise ValidationError(
                     f"predictor {predictor!r} contributes no column")
             fit = ols_fit(design.x, design.y, design.columns)
-        except (ValidationError, RankDeficiencyError) as exc:
+        except ValidationError as exc:
             notes.append(f"{predictor}: skipped ({exc})")
             continue
         stars = significance_stars(fit.f_p_value)
@@ -372,7 +372,7 @@ def multivariate_suite(rows: Sequence[FeatureRow], specs: Sequence[tuple[str, st
         try:
             design = encode_features(rows, formula)
             fit = ols_fit(design.x, design.y, design.columns)
-        except (ValidationError, RankDeficiencyError) as exc:
+        except ValidationError as exc:
             notes.append(f"{name}: skipped ({exc})")
             continue
         results.append(MultivariateResult(
@@ -638,22 +638,23 @@ class CvSearchResult(NamedTuple):
     train_r_squared: float
 
 
-# the least value each count of a CV search may take
+# the default and the least value of each count of a CV search
+CV_DEFAULTS = {"n_candidates": 25, "n_repeats": 5, "n_folds": 5}
 _CV_MINIMA = {"n_candidates": 1, "n_repeats": 1, "n_folds": 2}
 
 
-def check_cv_settings(**settings) -> None:
-    """Reject a cv_random_search setting that is unknown, no integer or out of
-    range, naming it; one not given keeps its default, which is in range."""
+def check_cv_settings(**settings) -> dict[str, int]:
+    """The given counts of a cv_random_search over CV_DEFAULTS; a setting that
+    is unknown, no integer or out of range is rejected, naming it."""
     check_settings(settings, dict.fromkeys(_CV_MINIMA, int))
     for name, least in _CV_MINIMA.items():
         if name in settings and settings[name] < least:
             raise ValidationError(f"{name} must be >= {least}, got {settings[name]!r}")
+    return CV_DEFAULTS | settings
 
 
-def cv_random_search(x: np.ndarray, y: np.ndarray, *, columns: Sequence[str],
-                     seed: int, n_candidates: int = 25, n_repeats: int = 5,
-                     n_folds: int = 5) -> CvSearchResult:
+def cv_random_search(x: np.ndarray, y: np.ndarray, *, columns: Sequence[str], seed: int,
+                     n_candidates: int, n_repeats: int, n_folds: int) -> CvSearchResult:
     """Tune (alpha, lambda) by random search under repeated k-fold CV.
 
     Draw order is fixed by the seed: first the candidate list (alpha uniform
@@ -666,8 +667,7 @@ def cv_random_search(x: np.ndarray, y: np.ndarray, *, columns: Sequence[str],
     """
     import numpy as np
 
-    check_cv_settings(n_candidates=n_candidates, n_repeats=n_repeats,
-                      n_folds=n_folds)
+    check_cv_settings(n_candidates=n_candidates, n_repeats=n_repeats, n_folds=n_folds)
     x, y, columns = _check_problem(x, y, columns)
     n = x.shape[0]
     if n < n_folds:

@@ -96,16 +96,19 @@ class ServiceConfig:
     def __post_init__(self) -> None:
         # urllib would also open file:, ftp: and data: URLs
         http = self.base_url.lower().startswith(("http://", "https://"))
-        waits = [(key, getattr(self, key) <= MAX_WAIT, f"<= {MAX_WAIT}")
-                 for key in ("timeout", "backoff_base", "backoff_cap")]
+        waits = ("timeout", "backoff_base", "backoff_cap")
         for key, ok, bound in (("base_url", http, "an http:// or https:// URL"),
                                ("batch_size", self.batch_size >= 1, ">= 1"),
                                ("max_retries", self.max_retries >= 0, ">= 0"),
                                ("timeout", self.timeout > 0, "> 0"),
                                ("backoff_base", self.backoff_base >= 0, ">= 0"),
-                               ("backoff_cap", self.backoff_cap >= 0, ">= 0"), *waits):
+                               ("backoff_cap", self.backoff_cap >= 0, ">= 0"),
+                               *((k, getattr(self, k) <= MAX_WAIT, f"<= {MAX_WAIT}") for k in waits)):
             if not ok:
                 raise ValidationError(f"{key} must be {bound}, got {getattr(self, key)!r}")
+        # a whole number of seconds is the same setting as its float
+        for key in waits:
+            object.__setattr__(self, key, float(getattr(self, key)))
 
 
 def classify_contexts(items: Sequence[ContextItem], config: ServiceConfig,
@@ -187,13 +190,10 @@ def _classify_batch(url: str, batch: Sequence[ContextItem],
         context_ids=ids)
 
 
-def read_label_jsonl(path: str, seen: set[tuple[str, str, str]] | None = None,
-                     ) -> list[LabelRecord]:
+def read_label_jsonl(path: str, seen: set[tuple[str, str, str]]) -> list[LabelRecord]:
     """Load label records, one JSON object per line. A (target, context,
     source) triple may appear only once, and not in seen, the triples of the
     label files read before this one; seen gains this file's triples."""
-    if seen is None:
-        seen = set()
 
     def parse(obj: dict) -> LabelRecord:
         rec = LabelRecord(

@@ -505,7 +505,7 @@ class TestOverrides:
             model_specs=[list(spec) for spec in regression.DEFAULT_MODEL_SPECS],
             elasticnet_formula=dict(regression.DEFAULT_MODEL_SPECS)[
                 "all_except_name_valence"],
-            elasticnet={})
+            elasticnet={"n_candidates": 25, "n_repeats": 5, "n_folds": 5})
         results = []
         for name, data in (("paths", paths), ("spelled", spelled)):
             cfg = tmp_path / name / "cfg.json"
@@ -514,6 +514,16 @@ class TestOverrides:
             results.append((RunConfig.load(str(cfg), None).hash,
                             pipeline_tree(str(cfg), tmp_path / name / "o")))
         assert results[0] == results[1]
+
+    def test_spelled_out_service_defaults_change_no_hash(self, tmp_path):
+        # the service settings as README states them, waits in whole seconds
+        url = "http://127.0.0.1:9"
+        spelled = {"base_url": url, "model_id": "live", "batch_size": 32,
+                   "timeout": 30, "max_retries": 3, "backoff_base": 0.5,
+                   "backoff_cap": 8}
+        hashes = {RunConfig.load(toy_config(tmp_path / name, service=block), None).hash
+                  for name, block in (("bare", {"base_url": url}), ("spelled", spelled))}
+        assert len(hashes) == 1
 
     def test_different_config_values_change_hash(self, tmp_path):
         # the two configs differ in min_freq alone
@@ -1366,6 +1376,37 @@ class TestRecords:
             timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "['ServiceConfig', 'TaggedContext', 'TargetSpec']"
+
+
+class TestFig1:
+    def test_each_pnc_sits_under_its_own_name_valence(self, tmp_path):
+        # without overlaps, a document holding Willkommens-Merkel and Angela
+        # Merkel is a full-name context of t4 alone, so t3 and t4 give
+        # Angela Merkel different valences
+        toy = tmp_path / "toy"
+        shutil.copytree(TOY, toy)
+        with open(toy / "corpus.jsonl", "a", encoding="utf-8") as fh:
+            fh.write('{"doc_id": "both", "source": "tweet", "text": '
+                     '"Willkommens-Merkel oder Angela Merkel: Hass und Chaos."}\n')
+        with open(toy / "tagged_contexts.tsv", "a", encoding="utf-8") as fh:
+            fh.write("#doc:both\n" + "".join(f"{token}\n" for token in (
+                "Willkommens-Merkel\tWillkommens-Merkel\tNE", "oder\toder\tKON",
+                "Angela\tAngela\tNE", "Merkel\tMerkel\tNE", ":\t:\t$.",
+                "Hass\tHass\tNN", "und\tund\tKON", "Chaos\tChaos\tNN", ".\t.\t$.")))
+        cfg = toy_config(tmp_path, include_overlaps=False,
+                         corpus=str(toy / "corpus.jsonl"),
+                         tagged_contexts=str(toy / "tagged_contexts.tsv"))
+        pipeline_tree(cfg, tmp_path / "o")
+        names = {r["target_id"]: float(r["name_valence"])
+                 for r in read_rows(tmp_path / "o" / "deltas.csv")}
+        assert names["t3"] != names["t4"]
+        fig1 = json.loads((tmp_path / "o" / "report" / "fig1.json").read_text(
+            encoding="utf-8"))
+        pncs = [(entry, pnc) for entry in fig1["names"] for pnc in entry["pncs"]]
+        assert len(pncs) == len(names)
+        for entry, pnc in pncs:
+            assert abs(pnc["pnc_valence"] - entry["name_valence"]
+                       - pnc["delta"]) <= 2e-6, pnc["target_id"]
 
 
 class TestUnmatchedContexts:

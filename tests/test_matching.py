@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pncvalence.cli import RunConfig, _match_record, read_csv_artifact, write_csv_artifact
+from pncvalence.cli import (_DEFAULTS, RunConfig, _match_record, read_csv_artifact,
+                            write_csv_artifact)
 from pncvalence.corpus import (H_WILDCARD, WILDCARD_GAP, ContextMatch, Document,
                                TargetSpec, _CaseFold, _wildcard_spans,
                                dedupe_documents, frequency_filter,
@@ -29,6 +30,15 @@ MERKEL = target("merkel", "Willkommens-Merkel", "Angela", "Merkel",
 
 def doc(doc_id, text, url=None):
     return Document(doc_id=doc_id, text=text, url=url)
+
+
+# the matching settings of a config that sets neither
+DEFAULTS = {key: _DEFAULTS[key] for key in ("case_insensitive", "include_overlaps")}
+
+
+def match(corpus, targets, **changes):
+    """match_contexts under DEFAULTS, with the given settings changed."""
+    return match_contexts(corpus, targets, **DEFAULTS | changes)
 
 
 def brute_force(corpus, targets, case_insensitive=False, include_overlaps=True):
@@ -125,7 +135,7 @@ class TestGateUnderStress:
             domain="sports") for n in range(1, 601)]
         corpus = [doc("d1", "M-" + "a" * 300 + " Uli bbb\nx" + "A" * 650 + "M#a")]
         options = dict(case_insensitive=case_insensitive)
-        assert (match_contexts(corpus, targets, **options)
+        assert (match(corpus, targets, **options)
                 == brute_force(corpus, targets, **options))
 
     def test_full_name_of_5000_characters(self):
@@ -134,7 +144,7 @@ class TestGateUnderStress:
         corpus = [doc("d1", f"Miroslav {last} und Tore-Klose"),
                   doc("d2", f"Miroslav {last[:-1]}")]
         for case_insensitive in (False, True):
-            found = match_contexts(corpus, targets, case_insensitive=case_insensitive)
+            found = match(corpus, targets, case_insensitive=case_insensitive)
             assert found == brute_force(corpus, targets,
                                         case_insensitive=case_insensitive)
             assert ("long", "d1", "full_name") in {
@@ -165,7 +175,7 @@ class TestGateUnderStress:
             alt_spellings=(meta[::-1],))]
         corpus = [doc("d1", f"{meta}-{meta} {meta}{meta} {meta} {meta}"),
                   doc("d2", meta[::-1] + "\n" + meta)]
-        assert match_contexts(corpus, targets) == brute_force(corpus, targets)
+        assert match(corpus, targets) == brute_force(corpus, targets)
 
 
 # texts over a small alphabet with a line break, so the gap's greedy tries,
@@ -231,31 +241,30 @@ class TestCaseFold:
 
 class TestMatchContexts:
     def test_direct_variant_hit(self):
-        matches = match_contexts([doc("d1", "Sieg für Tor-Klose heute")], [KLOSE])
+        matches = match([doc("d1", "Sieg für Tor-Klose heute")], [KLOSE])
         assert len(matches) == 1
         m = matches[0]
         assert (m.target_id, m.kind, m.matched_variant) == ("klose", "pnc", "Tor-Klose")
 
     def test_full_name_hit(self):
-        matches = match_contexts([doc("d1", "Miroslav Klose trifft")], [KLOSE])
+        matches = match([doc("d1", "Miroslav Klose trifft")], [KLOSE])
         assert len(matches) == 1
         assert matches[0].kind == "full_name"
         assert matches[0].matched_variant == "Miroslav Klose"
 
     def test_byte_offsets_utf8(self):
         # "für " spans bytes 0-5 because ü is two bytes
-        matches = match_contexts([doc("d1", "für Tore-Klose")], [KLOSE])
+        matches = match([doc("d1", "für Tore-Klose")], [KLOSE])
         assert matches[0].byte_start == 5
         assert matches[0].byte_end == 5 + len("Tore-Klose".encode())
 
     def test_byte_offsets_multibyte_before_name(self):
         text = "heißt Miroslav Klose"
-        matches = match_contexts([doc("d1", text)], [KLOSE])
+        matches = match([doc("d1", text)], [KLOSE])
         assert matches[0].byte_start == len("heißt ".encode())
 
     def test_wildcard_gap_match(self):
-        matches = match_contexts([doc("d1", "was für ein Tore#Klose Moment")],
-                                 [KLOSE])
+        matches = match([doc("d1", "was für ein Tore#Klose Moment")], [KLOSE])
         assert len(matches) == 1
         assert matches[0].matched_variant == "Tore.{0,2}Klose"
         assert matches[0].kind == "pnc"
@@ -263,27 +272,27 @@ class TestMatchContexts:
     def test_identical_span_keeps_earliest_variant(self):
         # "Tore-Klose" is hit by the original and the wildcard pattern at the
         # same span; the original is generated first and claims it
-        matches = match_contexts([doc("d1", "Tore-Klose!")], [KLOSE])
+        matches = match([doc("d1", "Tore-Klose!")], [KLOSE])
         assert len(matches) == 1
         assert matches[0].matched_variant == "Tore-Klose"
 
     def test_case_sensitivity_default_and_flag(self):
         corpus = [doc("d1", "tore-klose war da")]
-        assert match_contexts(corpus, [KLOSE]) == []
-        loose = match_contexts(corpus, [KLOSE], case_insensitive=True)
+        assert match(corpus, [KLOSE]) == []
+        loose = match(corpus, [KLOSE], case_insensitive=True)
         assert len(loose) == 1
 
     def test_include_overlaps_toggle(self):
         corpus = [doc("d1", "Tore-Klose alias Miroslav Klose")]
-        both = match_contexts(corpus, [KLOSE])
+        both = match(corpus, [KLOSE])
         assert sorted(m.kind for m in both) == ["full_name", "pnc"]
-        only_pnc = match_contexts(corpus, [KLOSE], include_overlaps=False)
+        only_pnc = match(corpus, [KLOSE], include_overlaps=False)
         assert [m.kind for m in only_pnc] == ["pnc"]
 
     def test_overlap_drop_is_per_document(self):
         corpus = [doc("d1", "Tore-Klose alias Miroslav Klose"),
                   doc("d2", "Miroslav Klose allein")]
-        matches = match_contexts(corpus, [KLOSE], include_overlaps=False)
+        matches = match(corpus, [KLOSE], include_overlaps=False)
         kinds = [(m.doc_id, m.kind) for m in matches]
         assert kinds == [("d1", "pnc"), ("d2", "full_name")]
 
@@ -293,16 +302,16 @@ class TestMatchContexts:
         ha = target("ha", "Ha-Ha", "Hans", "Ha")
         corpus = [doc("d1", "Ha-Ha-Ha"), doc("d2", "ha-hA-HA")]
         for case_insensitive in (False, True):
-            matches = match_contexts(corpus, [ha], case_insensitive=case_insensitive)
+            matches = match(corpus, [ha], case_insensitive=case_insensitive)
             assert matches == brute_force(corpus, [ha], case_insensitive)
         assert [(m.doc_id, m.byte_start, m.byte_end) for m in matches] == [
             ("d1", 0, 5), ("d2", 0, 5)]
 
     def test_no_targets_no_matches(self):
-        assert match_contexts([doc("d1", "Tore-Klose")], []) == []
+        assert match([doc("d1", "Tore-Klose")], []) == []
 
     def test_multiple_occurrences_in_one_doc(self):
-        matches = match_contexts([doc("d1", "Tore-Klose und Tore-Klose")], [KLOSE])
+        matches = match([doc("d1", "Tore-Klose und Tore-Klose")], [KLOSE])
         assert len(matches) == 2
         assert matches[0].byte_start < matches[1].byte_start
 
@@ -321,7 +330,7 @@ class TestMatchContexts:
             doc("d11", "nichts"),
             doc("d12", "nichts"),
         ]
-        matches = match_contexts(corpus, [KLOSE, MERKEL])
+        matches = match(corpus, [KLOSE, MERKEL])
         assert len(matches) == 5
         assert [(m.target_id, m.doc_id, m.kind) for m in matches] == [
             ("klose", "d01", "pnc"),
@@ -335,10 +344,10 @@ class TestMatchContexts:
         corpus = [doc(f"d{i}", t) for i, t in enumerate(
             ["Tore-Klose", "Miroslav Klose", "Willkommens-Merkel",
              "Angela Merkel", "Tor-Klose und Angela Merkel"])]
-        base = match_contexts(corpus, [KLOSE, MERKEL])
+        base = match(corpus, [KLOSE, MERKEL])
         shuffled = corpus[:]
         random.Random(5).shuffle(shuffled)
-        assert match_contexts(shuffled, [KLOSE, MERKEL]) == base
+        assert match(shuffled, [KLOSE, MERKEL]) == base
 
 
 class TestDedupeDocuments:
@@ -351,6 +360,11 @@ class TestDedupeDocuments:
     def test_absent_url_never_collides(self):
         docs = [doc("a", "x"), doc("b", "y"), doc("c", "z")]
         assert len(dedupe_documents(docs)) == 3
+
+    def test_empty_url_never_collides(self):
+        docs = [doc("a", "x", url=""), doc("b", "y", url=""), doc("c", "z"),
+                doc("d", "w", url="http://u/1"), doc("e", "v", url="http://u/1")]
+        assert [d.doc_id for d in dedupe_documents(docs)] == ["a", "b", "c", "d"]
 
     def test_mixed_fixture_hand_count(self):
         # 10 docs: 8 with urls over 7 distinct values, 2 without -> 9 survive
@@ -572,8 +586,7 @@ class TestFileInterfaces:
         assert exc.value.line == 3
 
     def test_matches_csv_round_trip(self, tmp_path):
-        matches = match_contexts(
-            [doc("d1", "für Tore-Klose und Miroslav Klose")], [KLOSE])
+        matches = match([doc("d1", "für Tore-Klose und Miroslav Klose")], [KLOSE])
         cfg = RunConfig({"out_dir": ".", "seed": 1}, tmp_path)
         with cfg.publishing("match"):
             p = write_csv_artifact(cfg, "matches.csv", matches)

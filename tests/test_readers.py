@@ -90,7 +90,7 @@ READERS = {
                jsonl_lines(["doc_id", "source", "text", "url", "date"])),
     "lexicon": (load_lexicon, tsv_lines(2)),
     "tagged_contexts": (read_tagged_contexts, tsv_lines(3)),
-    "labels": (read_label_jsonl,
+    "labels": (lambda path: read_label_jsonl(path, set()),
                jsonl_lines(["target_id", "context_id", "label", "source_id"])),
     "metadata": (read_metadata_csv, csv_lines(METADATA_FIELDS)),
     "matches": artifact_reader("matches.csv", _match_record),

@@ -9,10 +9,11 @@ from scipy import stats as scipy_stats
 from pncvalence.corpus import TargetSpec
 from pncvalence.errors import (ConvergenceError, ParseError,
                                RankDeficiencyError, ValidationError)
-from pncvalence.regression import (AGE_LIMIT, DEFAULT_MODEL_SPECS,
+from pncvalence.regression import (AGE_LIMIT, CV_DEFAULTS, DEFAULT_MODEL_SPECS,
                                    DEFAULT_UNIVARIATE_PREDICTORS, INTERCEPT,
                                    MAX_SWEEPS, STEP_TOL, FeatureRow, _centre,
-                                   _descend, assemble_rows, cv_random_search,
+                                   _descend, assemble_rows, check_cv_settings,
+                                   cv_random_search,
                                    elastic_net_fit, elastic_net_objective,
                                    encode_features, lambda_max,
                                    multivariate_suite, ols_fit, parse_formula,
@@ -469,7 +470,8 @@ class TestElasticNet:
 @pytest.mark.parametrize("fit", [
     lambda x, y: ols_fit(x, y, names(x.shape[1] - 1)),
     lambda x, y: elastic_net_fit(x, y, 0.1, 0.5, columns=names(x.shape[1] - 1)),
-    lambda x, y: cv_random_search(x, y, columns=names(x.shape[1] - 1), seed=0),
+    lambda x, y: cv_random_search(x, y, columns=names(x.shape[1] - 1), seed=0,
+                                  **CV_DEFAULTS),
 ], ids=["ols_fit", "elastic_net_fit", "cv_random_search"])
 def test_every_fit_needs_a_name_per_column(fit):
     # a short list would otherwise cut the coefficient mapping of elasticnet.json
@@ -631,9 +633,15 @@ class TestCvRandomSearch:
     def test_validation(self):
         x, y = make_problem(n=10, p=2)
         with pytest.raises(ValidationError, match="n_candidates"):
-            cv_random_search(x, y, columns=names(2), seed=0, n_candidates=0)
+            cv_random_search(x, y, columns=names(2), seed=0,
+                             **CV_DEFAULTS | {"n_candidates": 0})
         with pytest.raises(ValidationError):
-            cv_random_search(x, y, columns=names(2), seed=0, n_folds=11)
+            cv_random_search(x, y, columns=names(2), seed=0,
+                             **CV_DEFAULTS | {"n_folds": 11})
+
+    def test_settings_are_completed_with_the_defaults(self):
+        assert check_cv_settings() == CV_DEFAULTS
+        assert check_cv_settings(n_folds=3) == CV_DEFAULTS | {"n_folds": 3}
 
 
 class TestMetadataAssembly:

@@ -104,7 +104,7 @@ class TestLabelJsonl:
             '{"target_id": "a", "context_id": "c1", "label": "positive", "source_id": "m1"}\n'
             '{"target_id": "a", "context_id": "c1", "label": "negative", "source_id": "m2"}\n',
             encoding="utf-8")
-        records = read_label_jsonl(str(p))
+        records = read_label_jsonl(str(p), set())
         assert len(records) == 2
         assert records[0].label == "positive"
 
@@ -113,7 +113,7 @@ class TestLabelJsonl:
         p.write_text('{"target_id": "a", "context_id": "c1", '
                      '"label": "meh", "source_id": "m1"}\n', encoding="utf-8")
         with pytest.raises(ParseError, match="unknown label"):
-            read_label_jsonl(str(p))
+            read_label_jsonl(str(p), set())
 
     def test_duplicate_triple_rejected(self, tmp_path):
         p = tmp_path / "labels.jsonl"
@@ -121,14 +121,14 @@ class TestLabelJsonl:
                '"label": "neutral", "source_id": "m1"}\n')
         p.write_text(row + row, encoding="utf-8")
         with pytest.raises(ParseError) as exc:
-            read_label_jsonl(str(p))
+            read_label_jsonl(str(p), set())
         assert exc.value.line == 2
 
     def test_missing_field_rejected(self, tmp_path):
         p = tmp_path / "labels.jsonl"
         p.write_text('{"target_id": "a", "label": "neutral"}\n', encoding="utf-8")
         with pytest.raises(ParseError, match="missing field"):
-            read_label_jsonl(str(p))
+            read_label_jsonl(str(p), set())
 
     @pytest.mark.parametrize("field, value", [
         ("context_id", {"a": 1}), ("target_id", None), ("source_id", 1.5)])
@@ -138,7 +138,7 @@ class TestLabelJsonl:
         p.write_text(json.dumps(row) + "\n" + json.dumps(dict(row, **{field: value}))
                      + "\n", encoding="utf-8")
         with pytest.raises(ParseError, match=f"{field} must be a string or an integer") as exc:
-            read_label_jsonl(str(p))
+            read_label_jsonl(str(p), set())
         assert exc.value.line == 2
 
     def test_non_object_line_rejected(self, tmp_path):
@@ -146,7 +146,7 @@ class TestLabelJsonl:
         p.write_text('{"target_id": "a", "context_id": "c1", '
                      '"label": "neutral", "source_id": "m1"}\n[1]\n', encoding="utf-8")
         with pytest.raises(ParseError, match="expected a JSON object") as exc:
-            read_label_jsonl(str(p))
+            read_label_jsonl(str(p), set())
         assert exc.value.line == 2
 
 
