@@ -2,7 +2,8 @@
 
 Each test permutes or transforms one input, runs all seven stages and states
 exactly how every artifact in out_dir must change. The manifests are left
-out of each comparison: they hash the inputs, which the change alters.
+out of each comparison: they hash the inputs, which the change alters. Every
+run must also keep the cross-artifact invariants of tests/invariants.py.
 
 Two orders are not pinned here, because a documented first-wins rule makes
 the tables depend on them: the corpus order (the first document of a URL is
@@ -11,6 +12,7 @@ key wins). The toy lexicon holds no colliding key.
 """
 
 import csv
+import json
 import random
 import re
 import shutil
@@ -18,6 +20,7 @@ from pathlib import Path
 
 import pytest
 
+from invariants import violations
 from pncvalence.cli import STAGES, main
 
 TOY = Path(__file__).parent / "data" / "toy"
@@ -26,8 +29,8 @@ PERMUTATIONS = 3
 
 def run_pipeline(directory, changes=None):
     """Copy the toy fixture to directory, replace the text of each file named
-    in changes, and run every stage; return {artifact path: bytes} of out_dir
-    without the manifests."""
+    in changes, and run every stage, which must keep every invariant; return
+    {artifact path: bytes} of out_dir without the manifests."""
     shutil.copytree(TOY, directory)
     for name, text in (changes or {}).items():
         (directory / name).write_text(text, encoding="utf-8")
@@ -35,6 +38,7 @@ def run_pipeline(directory, changes=None):
     for command, _, _ in STAGES:
         assert main([command, "--config", str(directory / "config.json"),
                      "--out", str(out_dir)]) == 0, command
+    assert violations(out_dir) == []
     return {p.relative_to(out_dir).as_posix(): p.read_bytes()
             for p in sorted(out_dir.rglob("*"))
             if p.is_file() and not p.name.startswith("manifest_")}
@@ -135,3 +139,13 @@ class TestLexiconReflection:
         # each side is rounded to 6 decimals
         for key, delta in toy_deltas.items():
             assert abs(delta + mirrored[key]) <= 2e-6, key
+
+
+class TestInvariants:
+    # run_pipeline checks the toy and every run above; these copies change
+    # which matches the matcher keeps
+    @pytest.mark.parametrize("setting", [{"include_overlaps": False},
+                                         {"case_insensitive": True}])
+    def test_matcher_settings_keep_every_invariant(self, tmp_path, setting):
+        config = json.loads(toy_text("config.json")) | setting
+        run_pipeline(tmp_path / "toy", {"config.json": json.dumps(config)})
