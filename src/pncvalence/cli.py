@@ -1,15 +1,16 @@
 """Command-line pipeline around the library.
 
 Subcommands mirror the processing stages: variants, match, score, sentiment,
-compare, regress, report. A run is driven by one JSON config file; relative
-paths inside it resolve against the config file's directory. Every artifact
-lands in the config's out_dir when the command succeeds; a command that
-exits non-zero leaves out_dir as it was. CSV artifacts begin with a comment
-line carrying the config hash, the seed, and the package version; JSON
-artifacts carry the same fields in a "meta" object. The config hash ignores
-out_dir, so the same inputs and settings yield byte-identical artifacts
-wherever they are written. Each command also writes manifest_<command>.json,
-listing the files it read and the artifacts it wrote.
+compare, regress, report; beside them, label asks a classification service for
+labels that sentiment reads as one of its label_files. A run is driven by one
+JSON config file; relative paths inside it resolve against the config file's
+directory. Every artifact lands in the config's out_dir when the command
+succeeds; a command that exits non-zero leaves out_dir as it was. CSV
+artifacts begin with a comment line carrying the config hash, the seed, and
+the package version; JSON artifacts carry the same fields in a "meta" object.
+The config hash ignores out_dir, so the same inputs and settings yield
+byte-identical artifacts wherever they are written. Each command also writes
+manifest_<command>.json, listing the files it read and the artifacts it wrote.
 
 Exit codes: 0 on success, 2 when a required input, an upstream artifact or
 numpy (regress) is missing or the out_dir cannot be written, 3 when
@@ -194,7 +195,8 @@ class RunConfig:
                 and all(_strings(s) and len(s) == 2 for s in specs),
                 "model_specs must be a list of [name, formula] pairs")
         for key, names in (("model_specs", [name for name, _ in specs]),
-                           ("univariate_predictors", self["univariate_predictors"])):
+                           ("univariate_predictors", self["univariate_predictors"]),
+                           ("annotators", self["annotators"])):
             require(len(set(names)) == len(names), f"{key} must not repeat a name")
 
         def check(where: str, test, /, *args, **kwargs):
@@ -209,6 +211,8 @@ class RunConfig:
             if block in self.data:
                 require(isinstance(self[block], dict), f"{block} must be an object")
                 self.data[block] = check(f"{block}.", resolve, **self[block])
+        # the annotators form one pool, so their order is no setting
+        self.data["annotators"] = sorted(self["annotators"])
         for name, formula in specs:
             check(f"model_specs {name}: ", parse_formula, formula)
         for predictor in self["univariate_predictors"]:
@@ -505,42 +509,54 @@ def _write_correlations(cfg: RunConfig, deltas: Sequence[DeltaRecord]) -> None:
     write_csv_artifact(cfg, "correlations.csv", rows)
 
 
+def cmd_label(cfg: RunConfig) -> None:
+    if "service" not in cfg.data:
+        raise ValidationError("config lacks required key 'service'")
+    targets = read_targets_csv(str(cfg.input_path("targets")))
+    matches, _retained, _dropped = _retained_matches(cfg, targets)
+    texts = {d.doc_id: d.text for d in read_corpus_jsonl(str(cfg.input_path("corpus")))}
+    items = []
+    # the kind index holds each (target, document) once, in first-match order
+    for target_id, doc_id in kind_index(matches):
+        if doc_id not in texts:
+            raise ValidationError(f"matches.csv names document {doc_id!r}, "
+                                  f"which the corpus lacks")
+        items.append(ContextItem(target_id, doc_id, texts[doc_id]))
+    service = ServiceConfig(**cfg["service"])
+    records, errors = classify_contexts(items, service, service.model_id)
+    for err in errors:
+        logger.warning("classification: %s", err)
+    cfg.output_path("labels_live.jsonl").write_text("".join(
+        json.dumps(r._asdict(), ensure_ascii=False) + "\n" for r in records), encoding="utf-8")
+    print(f"label: {len(records)} labels of {len(items)} contexts from "
+          f"{service.model_id} -> {cfg.out_dir / 'labels_live.jsonl'}")
+
+
 def cmd_sentiment(cfg: RunConfig) -> None:
+    if "service" in cfg.data:
+        raise ValidationError("service is a setting of the label command: list the "
+                              "labels_live.jsonl that label writes in label_files")
     targets = read_targets_csv(str(cfg.input_path("targets")))
     matches, _retained, _dropped = _retained_matches(cfg, targets)
     kinds = kind_index(matches)
 
-    # a (target, context, source) triple is labelled once across all label files
+    # a triple is labelled once over the human file, read first, and the label files
     seen: set[tuple[str, str, str]] = set()
-    model_records: dict[str, list] = {}
-
-    def read_model_labels(path: Path) -> None:
-        for rec in read_label_jsonl(str(path), seen):
-            model_records.setdefault(rec.source_id, []).append(rec)
-
-    for rel in cfg["label_files"]:
-        read_model_labels(cfg.input_file(rel, "label"))
-
     human_records = []
     human_path = None
     if cfg.data.get("human_label_file"):
         human_path = cfg.input_file(cfg["human_label_file"], "human label")
         human_records = read_label_jsonl(str(human_path), seen)
+    model_records: dict[str, list] = {}
+    for rel in cfg["label_files"]:
+        for rec in read_label_jsonl(str(cfg.input_file(rel, "label")), seen):
+            model_records.setdefault(rec.source_id, []).append(rec)
     labelled = {r.source_id for r in human_records}
     unlabelled = [a for a in cfg["annotators"] if a not in labelled]
     if unlabelled:
         raise ValidationError(
             f"annotators without a label in human_label_file "
             f"{human_path or '(not set)'}: {', '.join(unlabelled)}")
-
-    if cfg.data.get("service"):
-        live_path = cfg.output_path("labels_live.jsonl")
-        live_path.write_text("".join(json.dumps(r._asdict(), ensure_ascii=False) + "\n"
-                                     for r in _classify_live(cfg, kinds)), encoding="utf-8")
-        try:
-            read_model_labels(live_path)
-        except ParseError as exc:  # name the artifact; its staging copy is removed
-            raise ParseError(exc.reason, path="labels_live.jsonl", line=exc.line) from None
 
     scores: list[ScoreRecord] = []
     for source_id in sorted(model_records):
@@ -570,23 +586,6 @@ def _label_scores(records, kinds, approach: str) -> list[ScoreRecord]:
     # build_histograms makes no empty histogram, so eq2_valence never gives None
     return [eq2_valence(hist, kind, approach) for kind in KINDS
             for hist in build_histograms(filter_records_by_kind(records, kinds, kind))]
-
-
-def _classify_live(cfg: RunConfig, kinds):
-    # the kind index holds each (target, document) once, in first-match order
-    texts = {d.doc_id: d.text for d in read_corpus_jsonl(str(cfg.input_path("corpus")))}
-    items = []
-    for target_id, doc_id in kinds:
-        if doc_id not in texts:
-            raise ValidationError(f"matches.csv names document {doc_id!r}, "
-                                  f"which the corpus lacks")
-        items.append(ContextItem(target_id=target_id, context_id=doc_id,
-                                 text=texts[doc_id]))
-    service = ServiceConfig(**cfg["service"])
-    records, errors = classify_contexts(items, service, service.model_id)
-    for err in errors:
-        logger.warning("classification: %s", err)
-    return records
 
 
 def _write_iaa(cfg: RunConfig, human_records) -> None:
@@ -792,7 +791,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--verbose", action="store_true",
                         help="log progress details to stderr")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text, command in STAGES:
+    for name, help_text, command in (*STAGES, ("label", "label the retained "
+                                     "contexts through a classification service", cmd_label)):
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(run=command)
         p.add_argument("--config", required=True, help="JSON run configuration")

@@ -10,10 +10,9 @@ class ValidationError(PncValenceError):
 
 
 class ParseError(ValidationError):
-    """A file could not be parsed. Carries the reason, path and 1-based line number."""
+    """A file could not be parsed. Carries the path and 1-based line number."""
 
     def __init__(self, message: str, path: str | None = None, line: int | None = None):
-        self.reason = message
         self.path = path
         self.line = line
         where = ""

@@ -525,6 +525,13 @@ class TestOverrides:
                   for name, block in (("bare", {"base_url": url}), ("spelled", spelled))}
         assert len(hashes) == 1
 
+    def test_annotator_order_changes_no_hash(self, tmp_path):
+        # the listed annotators are pooled into one set
+        hashes = {RunConfig.load(toy_config(tmp_path / "".join(ids), annotators=ids),
+                                 None).hash
+                  for ids in (["a1", "a2", "a3"], ["a3", "a1", "a2"])}
+        assert len(hashes) == 1
+
     def test_different_config_values_change_hash(self, tmp_path):
         # the two configs differ in min_freq alone
         heads = []
@@ -575,30 +582,56 @@ def neutral_service():
         server.server_close()
 
 
+def manifest_files(out_dir, command):
+    """The input file names and the outputs of a command's manifest."""
+    manifest = json.loads((out_dir / f"manifest_{command}.json").read_text(encoding="utf-8"))
+    return {e["file"] for e in manifest["inputs"]}, manifest["outputs"]
+
+
 class TestLiveClassification:
     def test_service_block_drives_live_labeling(self, tmp_path):
+        # label asks the service; sentiment reads its labels as a label file
+        out_dir = tmp_path / "o"
         with neutral_service() as url:
-            cfg_path = toy_config(tmp_path, service={
+            cfg_path = toy_config(tmp_path / "label", service={
                 "base_url": url, "model_id": "stub-model", "batch_size": 16})
-            out_dir = tmp_path / "o"
-            assert main(["match", "--config", cfg_path,
-                         "--out", str(out_dir)]) == 0
-            assert main(["sentiment", "--config", cfg_path,
-                         "--out", str(out_dir)]) == 0
-        live = (out_dir / "labels_live.jsonl").read_text(encoding="utf-8")
-        records = [json.loads(line) for line in live.splitlines()]
+            for command in ("match", "label"):
+                assert main([command, "--config", cfg_path, "--out", str(out_dir)]) == 0
+        live = out_dir / "labels_live.jsonl"
+        records = [json.loads(line) for line in live.read_text(encoding="utf-8").splitlines()]
         assert records
         assert all(r["source_id"] == "stub-model" for r in records)
         assert all(r["label"] == "neutral" for r in records)
+        cfg_path = toy_config(tmp_path / "sentiment",
+                              label_files=[TestLabelFiles.MODELS, str(live)])
+        assert main(["sentiment", "--config", cfg_path, "--out", str(out_dir)]) == 0
         scores = read_rows(out_dir / "plm_scores.csv")
         stub_scores = [r for r in scores if r["approach"] == "plm:stub-model"]
         assert stub_scores
         # an all-neutral labeling sits exactly mid-scale
         assert all(float(r["valence"]) == 5.0 for r in stub_scores)
-        manifest = json.loads(
-            (out_dir / "manifest_sentiment.json").read_text(encoding="utf-8"))
-        assert "corpus.jsonl" in {e["file"] for e in manifest["inputs"]}
+        label_inputs, label_outputs = manifest_files(out_dir, "label")
+        assert "corpus.jsonl" in label_inputs and label_outputs == ["labels_live.jsonl"]
+        sentiment_inputs, _ = manifest_files(out_dir, "sentiment")
+        assert "labels_live.jsonl" in sentiment_inputs
+        assert "corpus.jsonl" not in sentiment_inputs
 
+    def test_sentiment_reads_no_corpus_and_asks_no_service(self, tmp_path, out,
+                                                           monkeypatch):
+        live = tmp_path / "labels_live.jsonl"
+        live.write_text('{"target_id": "t1", "context_id": "t1n1", '
+                        '"label": "neutral", "source_id": "live"}\n', encoding="utf-8")
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("sentiment reads the corpus or asks the service")
+
+        monkeypatch.setattr(cli, "read_corpus_jsonl", forbidden)
+        monkeypatch.setattr(cli, "classify_contexts", forbidden)
+        run_dir = tmp_path / "o"
+        shutil.copytree(out, run_dir)
+        cfg = toy_config(tmp_path / "cfg", label_files=[TestLabelFiles.MODELS, str(live)])
+        assert main(["sentiment", "--config", cfg, "--out", str(run_dir)]) == 0
+        assert "plm:live" in {r["approach"] for r in read_rows(run_dir / "plm_scores.csv")}
 
     def test_matched_document_missing_from_the_corpus_is_exit_3(
             self, tmp_path, out, capsys):
@@ -614,7 +647,7 @@ class TestLiveClassification:
         with neutral_service() as url:
             cfg = toy_config(tmp_path / "cfg", corpus=str(corpus), service={
                 "base_url": url, "model_id": "stub-model"})
-            assert main(["sentiment", "--config", cfg, "--out", str(run_dir)]) == 3
+            assert main(["label", "--config", cfg, "--out", str(run_dir)]) == 3
         err = capsys.readouterr().err
         assert "matches.csv" in err and "'t1n1'" in err
         assert tree(run_dir) == before
@@ -631,11 +664,11 @@ class TestConfigValidation:
         ("regress", {"elasticnet": {"n_candidates": "x"}},
          "elasticnet.n_candidates"),
         ("regress", {"model_specs": [["only_name"]]}, "model_specs"),
-        ("sentiment", {"service": {"model_id": "m"}}, "service.base_url"),
+        ("label", {"service": {"model_id": "m"}}, "service.base_url"),
         ("sentiment", {"label_files": "l"}, "label_files"),
         ("regress", {"univariate_predictors": "age"}, "univariate_predictors"),
         ("match", {"case_insensitive": "no"}, "case_insensitive"),
-        ("sentiment", {"service": {"base_url": LOCAL, "timeout": 1e10}},
+        ("label", {"service": {"base_url": LOCAL, "timeout": 1e10}},
          "service.timeout"),
         ("regress", {"elasticnet": {"scoring": "rmse"}}, "elasticnet.scoring"),
         ("regress", {"univariate_predictors": ["age", "agee"]},
@@ -645,26 +678,26 @@ class TestConfigValidation:
          "model_specs"),
         ("match", {"min_freqq": 1}, "min_freqq"),
         ("regress", {"elasticnet_formula": "delta ~ agee"}, "elasticnet_formula"),
-        ("sentiment", {"service": {"base_url": LOCAL, "timeout": 0}}, "service.timeout"),
-        ("sentiment", {"service": {"base_url": LOCAL, "batch_size": 0}},
+        ("label", {"service": {"base_url": LOCAL, "timeout": 0}}, "service.timeout"),
+        ("label", {"service": {"base_url": LOCAL, "batch_size": 0}},
          "service.batch_size"),
-        ("sentiment", {"service": {"base_url": LOCAL, "max_retries": -1}},
+        ("label", {"service": {"base_url": LOCAL, "max_retries": -1}},
          "service.max_retries"),
-        ("sentiment", {"service": {"base_url": LOCAL, "backoff_base": -0.5}},
+        ("label", {"service": {"base_url": LOCAL, "backoff_base": -0.5}},
          "service.backoff_base"),
-        ("sentiment", {"service": {"base_url": LOCAL, "backoff_cap": -1}},
+        ("label", {"service": {"base_url": LOCAL, "backoff_cap": -1}},
          "service.backoff_cap"),
         ("match", {"min_freq": True}, "min_freq"),
         ("score", {"top_k_words": True}, "top_k_words"),
         ("match", {"seed": False}, "seed"),
         ("compare", {"epsilon": True}, "epsilon"),
         ("regress", {"elasticnet": {"n_candidates": True}}, "elasticnet.n_candidates"),
-        ("sentiment", {"service": {"base_url": LOCAL, "batch_size": True}},
+        ("label", {"service": {"base_url": LOCAL, "batch_size": True}},
          "service.batch_size"),
-        ("sentiment", {"service": {"base_url": LOCAL, "timeout": True}},
+        ("label", {"service": {"base_url": LOCAL, "timeout": True}},
          "service.timeout"),
         ("regress", {"seed": -1}, "seed"),
-        ("sentiment", {"service": {"base_url": "file:///etc"}}, "service.base_url"),
+        ("label", {"service": {"base_url": "file:///etc"}}, "service.base_url"),
         # settings that no longer exist are unknown keys, even at their old
         # defaults
         ("score", {"pooling": "bag"}, "pooling"),
@@ -683,19 +716,23 @@ class TestConfigValidation:
         ("regress", {"model_specs": [["simple", "delta ~ pnc_valence"],
                                      ["simple", "delta ~ age"]]}, "model_specs"),
         ("regress", {"univariate_predictors": ["age", "age"]}, "univariate_predictors"),
+        ("sentiment", {"annotators": ["a3", "a1", "a2", "a1"]}, "annotators"),
+        # the service block is label's alone, and label needs one
+        ("sentiment", {"service": {"base_url": LOCAL}}, "service is a setting of the label"),
+        ("label", {}, "'service'"),
         # an empty object is a service block all the same
-        ("sentiment", {"service": {}}, "service.base_url"),
+        ("label", {"service": {}}, "service.base_url"),
         # a wait that urlopen or time.sleep would reject
-        ("sentiment", {"service": {"base_url": LOCAL, "timeout": MAX_WAIT + 0.5}},
+        ("label", {"service": {"base_url": LOCAL, "timeout": MAX_WAIT + 0.5}},
          "service.timeout"),
-        ("sentiment", {"service": {"base_url": LOCAL, "backoff_base": 1e300,
+        ("label", {"service": {"base_url": LOCAL, "backoff_base": 1e300,
                                    "backoff_cap": 1e300, "max_retries": 1}},
          "service.backoff_base"),
-        ("sentiment", {"service": {"base_url": LOCAL, "backoff_cap": 1e300,
+        ("label", {"service": {"base_url": LOCAL, "backoff_cap": 1e300,
                                    "max_retries": 1}}, "service.backoff_cap"),
         # a setting that shares a name with a parameter of the code checking it
         ("regress", {"elasticnet": {"test": 1}}, "elasticnet.test"),
-        ("sentiment", {"service": {"base_url": LOCAL, "cls": 1}}, "service.cls"),
+        ("label", {"service": {"base_url": LOCAL, "cls": 1}}, "service.cls"),
         ("regress", {"elasticnet": [5]}, "elasticnet"),
     ])
     def test_bad_value_is_exit_3_naming_the_key(self, tmp_path, out, capsys,
@@ -717,7 +754,7 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("command, change", [
         ("compare", {"service": {"base_url": LOCAL, "backoff_cap": float("inf")}}),
-        ("sentiment", {"service": {"base_url": LOCAL, "timeout": float("inf")}}),
+        ("label", {"service": {"base_url": LOCAL, "timeout": float("inf")}}),
     ])
     def test_non_json_constant_is_exit_3(self, tmp_path, out, capsys, command, change):
         # the constant is rejected as the config is parsed, before any setting
@@ -737,7 +774,7 @@ class TestConfigValidation:
         cfg = Path(toy_config(tmp_path, service={"base_url": LOCAL, key: 0}))
         cfg.write_text(cfg.read_text(encoding="utf-8").replace(
             f'"{key}": 0', f'"{key}": 1e400'), encoding="utf-8")
-        assert main(["sentiment", "--config", str(cfg), "--out", str(run_dir)]) == 3
+        assert main(["label", "--config", str(cfg), "--out", str(run_dir)]) == 3
         assert f"service.{key}" in capsys.readouterr().err
 
 
@@ -1218,15 +1255,19 @@ class TestLabelFiles:
             self, tmp_path, out, capsys, model_id):
         run_dir = tmp_path / "o"
         shutil.copytree(out, run_dir)
-        before = tree(run_dir)
         with neutral_service() as url:
-            cfg = toy_config(tmp_path / "cfg",
+            cfg = toy_config(tmp_path / "label",
                              service={"base_url": url, "model_id": model_id})
-            assert main(["sentiment", "--config", cfg, "--out", str(run_dir)]) == 3
+            assert main(["label", "--config", cfg, "--out", str(run_dir)]) == 0
+        before = tree(run_dir)
+        # the live labels come last, after the human file and the other label file
+        live = run_dir / "labels_live.jsonl"
+        cfg = toy_config(tmp_path / "sentiment", label_files=[self.MODELS, str(live)])
+        assert main(["sentiment", "--config", cfg, "--out", str(run_dir)]) == 3
         err = capsys.readouterr().err
         # the live labels' first line, (t1, t1n1), is labelled in both files
         assert (f"duplicate label for ('t1', 't1n1', '{model_id}') "
-                f"[labels_live.jsonl:1]") in err
+                f"[{live}:1]") in err
         assert tree(run_dir) == before
 
     def test_one_annotator_scores_the_human_approach_with_one_warning(
@@ -1667,16 +1708,20 @@ class TestReadme:
                 | {f.name for f in dataclasses.fields(ServiceConfig)})
         assert sorted(k for k in keys if f"`{k}`" not in section) == []
 
-    def test_stage_table_lists_each_manifests_outputs(self, out):
+    def test_stage_table_lists_each_manifests_outputs(self, tmp_path, out):
         readme = (REPO / "README.md").read_text(encoding="utf-8")
         table = readme.split("What each stage produces:", 1)[1].split("\n\n", 2)[1]
         listed = {}
         for line in table.splitlines()[2:]:
             command, artifacts = (cell.strip() for cell in line.strip("|").split("|"))
-            names = set(re.findall(r"`([^`]+\.(?:csv|json|jsonl))`", artifacts))
-            listed[command] = sorted(names - {"labels_live.jsonl"})
-        manifests = {command: json.loads((out / f"manifest_{command}.json").read_text(
-            encoding="utf-8"))["outputs"] for command in ALL_COMMANDS}
+            listed[command] = sorted(re.findall(r"`([^`]+\.(?:csv|json|jsonl))`", artifacts))
+        run_dir = tmp_path / "o"
+        shutil.copytree(out, run_dir)
+        with neutral_service() as url:
+            cfg = toy_config(tmp_path, service={"base_url": url})
+            assert main(["label", "--config", cfg, "--out", str(run_dir)]) == 0
+        manifests = {command: manifest_files(run_dir, command)[1]
+                     for command in (*ALL_COMMANDS, "label")}
         assert listed == manifests
 
     def test_library_use_example_runs_on_toy_fixture(self, monkeypatch):
