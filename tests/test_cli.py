@@ -664,11 +664,11 @@ class TestConfigValidation:
         ("regress", {"elasticnet": {"n_candidates": "x"}},
          "elasticnet.n_candidates"),
         ("regress", {"model_specs": [["only_name"]]}, "model_specs"),
-        ("label", {"service": {"model_id": "m"}}, "service.base_url"),
+        ("sentiment", {"service": {"model_id": "m"}}, "service.base_url"),
         ("sentiment", {"label_files": "l"}, "label_files"),
         ("regress", {"univariate_predictors": "age"}, "univariate_predictors"),
         ("match", {"case_insensitive": "no"}, "case_insensitive"),
-        ("label", {"service": {"base_url": LOCAL, "timeout": 1e10}},
+        ("sentiment", {"service": {"base_url": LOCAL, "timeout": 1e10}},
          "service.timeout"),
         ("regress", {"elasticnet": {"scoring": "rmse"}}, "elasticnet.scoring"),
         ("regress", {"univariate_predictors": ["age", "agee"]},
@@ -678,26 +678,26 @@ class TestConfigValidation:
          "model_specs"),
         ("match", {"min_freqq": 1}, "min_freqq"),
         ("regress", {"elasticnet_formula": "delta ~ agee"}, "elasticnet_formula"),
-        ("label", {"service": {"base_url": LOCAL, "timeout": 0}}, "service.timeout"),
-        ("label", {"service": {"base_url": LOCAL, "batch_size": 0}},
+        ("sentiment", {"service": {"base_url": LOCAL, "timeout": 0}}, "service.timeout"),
+        ("sentiment", {"service": {"base_url": LOCAL, "batch_size": 0}},
          "service.batch_size"),
-        ("label", {"service": {"base_url": LOCAL, "max_retries": -1}},
+        ("sentiment", {"service": {"base_url": LOCAL, "max_retries": -1}},
          "service.max_retries"),
-        ("label", {"service": {"base_url": LOCAL, "backoff_base": -0.5}},
+        ("sentiment", {"service": {"base_url": LOCAL, "backoff_base": -0.5}},
          "service.backoff_base"),
-        ("label", {"service": {"base_url": LOCAL, "backoff_cap": -1}},
+        ("sentiment", {"service": {"base_url": LOCAL, "backoff_cap": -1}},
          "service.backoff_cap"),
         ("match", {"min_freq": True}, "min_freq"),
         ("score", {"top_k_words": True}, "top_k_words"),
         ("match", {"seed": False}, "seed"),
         ("compare", {"epsilon": True}, "epsilon"),
         ("regress", {"elasticnet": {"n_candidates": True}}, "elasticnet.n_candidates"),
-        ("label", {"service": {"base_url": LOCAL, "batch_size": True}},
+        ("sentiment", {"service": {"base_url": LOCAL, "batch_size": True}},
          "service.batch_size"),
-        ("label", {"service": {"base_url": LOCAL, "timeout": True}},
+        ("sentiment", {"service": {"base_url": LOCAL, "timeout": True}},
          "service.timeout"),
         ("regress", {"seed": -1}, "seed"),
-        ("label", {"service": {"base_url": "file:///etc"}}, "service.base_url"),
+        ("sentiment", {"service": {"base_url": "file:///etc"}}, "service.base_url"),
         # settings that no longer exist are unknown keys, even at their old
         # defaults
         ("score", {"pooling": "bag"}, "pooling"),
@@ -716,24 +716,26 @@ class TestConfigValidation:
         ("regress", {"model_specs": [["simple", "delta ~ pnc_valence"],
                                      ["simple", "delta ~ age"]]}, "model_specs"),
         ("regress", {"univariate_predictors": ["age", "age"]}, "univariate_predictors"),
-        ("sentiment", {"annotators": ["a3", "a1", "a2", "a1"]}, "annotators"),
-        # the service block is label's alone, and label needs one
-        ("sentiment", {"service": {"base_url": LOCAL}}, "service is a setting of the label"),
-        ("label", {}, "'service'"),
         # an empty object is a service block all the same
-        ("label", {"service": {}}, "service.base_url"),
+        ("sentiment", {"service": {}}, "service.base_url"),
         # a wait that urlopen or time.sleep would reject
-        ("label", {"service": {"base_url": LOCAL, "timeout": MAX_WAIT + 0.5}},
+        ("sentiment", {"service": {"base_url": LOCAL, "timeout": MAX_WAIT + 0.5}},
          "service.timeout"),
-        ("label", {"service": {"base_url": LOCAL, "backoff_base": 1e300,
+        ("sentiment", {"service": {"base_url": LOCAL, "backoff_base": 1e300,
                                    "backoff_cap": 1e300, "max_retries": 1}},
          "service.backoff_base"),
-        ("label", {"service": {"base_url": LOCAL, "backoff_cap": 1e300,
+        ("sentiment", {"service": {"base_url": LOCAL, "backoff_cap": 1e300,
                                    "max_retries": 1}}, "service.backoff_cap"),
         # a setting that shares a name with a parameter of the code checking it
         ("regress", {"elasticnet": {"test": 1}}, "elasticnet.test"),
-        ("label", {"service": {"base_url": LOCAL, "cls": 1}}, "service.cls"),
+        ("sentiment", {"service": {"base_url": LOCAL, "cls": 1}}, "service.cls"),
         ("regress", {"elasticnet": [5]}, "elasticnet"),
+        ("sentiment", {"annotators": ["a3", "a1", "a2", "a1"]}, "annotators"),
+        # the service block is label's alone, and label needs one; every
+        # command checks the block as it loads the config
+        ("sentiment", {"service": {"base_url": LOCAL}}, "service is a setting of the label"),
+        ("label", {}, "'service'"),
+        ("label", {"service": {"base_url": LOCAL, "timeout": 0}}, "service.timeout"),
     ])
     def test_bad_value_is_exit_3_naming_the_key(self, tmp_path, out, capsys,
                                                 command, change, key):
@@ -754,7 +756,7 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("command, change", [
         ("compare", {"service": {"base_url": LOCAL, "backoff_cap": float("inf")}}),
-        ("label", {"service": {"base_url": LOCAL, "timeout": float("inf")}}),
+        ("sentiment", {"service": {"base_url": LOCAL, "timeout": float("inf")}}),
     ])
     def test_non_json_constant_is_exit_3(self, tmp_path, out, capsys, command, change):
         # the constant is rejected as the config is parsed, before any setting
